@@ -138,12 +138,10 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
 
     The seed becomes basis vector 0 of the result exactly (phase fix). The
     basis is grown level-by-level down the weight filtration with modified
-    Gram-Schmidt (two passes); accept/drop decisions are gap-guarded.  All
-    arithmetic (orbit, orthonormalization, generator projection, the final
-    relation check) runs in V's dtype, so feeding an extended-precision
-    module yields an extended-precision submodule.
+    Gram-Schmidt (two passes); accept/drop decisions are gap-guarded, and
+    the projected module must pass check_module before it is returned.
     """
-    seed = np.asarray(seed, dtype=V.dtype).reshape(-1)
+    seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
     if nrm == 0:
         raise ValueError("zero seed")
@@ -160,7 +158,7 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
         raise ValueError(f"seed weight {hw} is not dominant")
     expected = weyl_dim(hw)
 
-    Q = np.empty((V.dim, expected), dtype=V.dtype)
+    Q = np.empty((V.dim, expected))
     Q[:, 0] = seed
     k = 1
     drop_band_hi = tol.nullspace_rel_tol * tol.gap_ratio_min
@@ -212,8 +210,7 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     wmat = np.empty((expected, V.N - 1), dtype=np.int64)
     for c in range(expected):
         wmat[c] = V.weights[int(np.argmax(np.abs(Q[:, c])))]
-    sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0,
-                       dtype=V.dtype)
+    sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0)
     repn.check_module(sub, tol, raise_on_fail=True)
     return sub, repn.ModuleMap(source=sub, target=V, matrix=Q)
 

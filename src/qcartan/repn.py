@@ -28,35 +28,31 @@ __all__ = [
     "standard_module",
     "trivial_module",
     "tensor",
-    "as_dtype",
     "contragredient",
     "check_module",
 ]
 
 
 class QModule:
-    """Weight module with generator matrices; immutable by convention.
+    """Weight module with float64 generator matrices; immutable by convention.
 
-    `dtype` selects the storage/arithmetic precision of the generator
-    matrices (float64 unless stated).  Wider dtypes exist so that deep
-    iterated constructions can be carried out in extended precision and
-    rounded once at the end, instead of compounding float64 roundoff
-    level by level.
+    All arithmetic is float64: check_module gates backward-relative
+    residuals, so deep modules with q-integer-sized entries need no wider
+    working precision.
     """
 
-    def __init__(self, N, q, weights, E, F, highest_weight=None, hw_index=None,
-                 dtype=None):
+    # Read-only; perfbench/tracer.py reads it to size tensor outputs.
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, N, q, weights, E, F, highest_weight=None, hw_index=None):
         self.N = int(N)
         self.q = check_q(q)
-        self.dtype = np.dtype(np.float64 if dtype is None else dtype)
-        if self.dtype.kind != "f":
-            raise ValueError(f"dtype must be real floating, got {self.dtype}")
         self.weights = np.asarray(weights, dtype=np.int64)
         if self.weights.ndim != 2 or self.weights.shape[1] != self.N - 1:
             raise ValueError("weights must be (dim, N-1)")
         self.dim = self.weights.shape[0]
-        self.E = {i: np.asarray(E[i], dtype=self.dtype) for i in range(1, self.N)}
-        self.F = {i: np.asarray(F[i], dtype=self.dtype) for i in range(1, self.N)}
+        self.E = {i: np.asarray(E[i], dtype=np.float64) for i in range(1, self.N)}
+        self.F = {i: np.asarray(F[i], dtype=np.float64) for i in range(1, self.N)}
         for i in range(1, self.N):
             if self.E[i].shape != (self.dim, self.dim) or self.F[i].shape != (self.dim, self.dim):
                 raise ValueError("generator matrix shape mismatch")
@@ -67,8 +63,7 @@ class QModule:
     # -- K action -------------------------------------------------------
     def k_diag(self, i: int, power: int = 1) -> np.ndarray:
         """Diagonal of K_i^power: q^(power * wt(v)(i))."""
-        qd = self.dtype.type(self.q)
-        return qd ** (power * self.weights[:, i - 1].astype(self.dtype))
+        return self.q ** (power * self.weights[:, i - 1].astype(np.float64))
 
     def k_matrix(self, i: int, power: int = 1) -> np.ndarray:
         return np.diag(self.k_diag(i, power))
@@ -78,7 +73,7 @@ class QModule:
     def hw_vector(self) -> np.ndarray:
         if self.hw_index is None:
             raise ValueError("module has no phase-fixed highest weight vector")
-        v = np.zeros(self.dim, dtype=self.dtype)
+        v = np.zeros(self.dim)
         v[self.hw_index] = 1.0
         return v
 
@@ -162,27 +157,14 @@ def tensor(V: QModule, W: QModule) -> QModule:
     if V.N != W.N or V.q != W.q:
         raise ValueError("tensor factors must share N and q")
     dV, dW = V.dim, W.dim
-    dt = np.result_type(V.dtype, W.dtype)
-    IV, IW = np.eye(dV, dtype=dt), np.eye(dW, dtype=dt)
+    IV, IW = np.eye(dV), np.eye(dW)
     E = {}
     F = {}
     for i in range(1, V.N):
         E[i] = np.kron(V.E[i], IW) + np.kron(V.k_matrix(i), W.E[i])
         F[i] = np.kron(V.F[i], W.k_matrix(i, -1)) + np.kron(IV, W.F[i])
     wts = (V.weights[:, None, :] + W.weights[None, :, :]).reshape(dV * dW, V.N - 1)
-    return QModule(V.N, V.q, wts, E, F, dtype=dt)
-
-
-def as_dtype(V: QModule, dtype) -> QModule:
-    """Copy of V with generator matrices cast to `dtype` (metadata kept)."""
-    dt = np.dtype(dtype)
-    if dt == V.dtype:
-        return V
-    E = {i: V.E[i].astype(dt) for i in range(1, V.N)}
-    F = {i: V.F[i].astype(dt) for i in range(1, V.N)}
-    return QModule(V.N, V.q, V.weights, E, F,
-                   highest_weight=V.highest_weight, hw_index=V.hw_index,
-                   dtype=dt)
+    return QModule(V.N, V.q, wts, E, F)
 
 
 def contragredient(V: QModule) -> QModule:
@@ -229,22 +211,7 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     res_grad = 0.0
     res_comm = 0.0
     res_serre = 0.0
-    if V.dtype == np.float64:
-        two_q = q_int(2, q)
-
-        def comm_target(i):
-            return np.diag([q_int(int(m), q) for m in V.weights[:, i - 1]])
-    else:
-        # Evaluate the q-scalars in the module's own (wider) dtype so the
-        # reference side of each relation is as accurate as the matrices.
-        qd = V.dtype.type(q)
-        two_q = qd + 1.0 / qd
-
-        def comm_target(i):
-            m = V.weights[:, i - 1].astype(V.dtype)
-            if q == 1.0:
-                return np.diag(m)
-            return np.diag((qd ** m - qd ** (-m)) / (qd - 1.0 / qd))
+    two_q = q_int(2, q)
     for i in range(1, V.N):
         Ei, Fi = V.E[i], V.F[i]
         ki = V.k_diag(i)
@@ -260,7 +227,7 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
             comm = P1 - P2
             scale = max(1.0, float(np.max(np.abs(P1))), float(np.max(np.abs(P2))))
             if i == j:
-                tgt = comm_target(i)
+                tgt = np.diag([q_int(int(m), q) for m in V.weights[:, i - 1]])
                 comm = comm - tgt
                 scale = max(scale, float(np.max(np.abs(tgt))))
             res_comm = max(res_comm,

@@ -26,7 +26,7 @@ import numpy as np
 from . import decomp, repn
 from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        nullspace, operator_norm)
-from .qcore import Weight, fundamental_weight, pairing, q_int, weyl_dim
+from .qcore import Weight, fundamental_weight, pairing, weyl_dim
 
 __all__ = [
     "CartanChain",
@@ -70,27 +70,6 @@ def _polar(G: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _auto_work_dtype(lam: Weight, q: float, M: int, tol: ToleranceProfile):
-    """float64, or longdouble when deep levels would drown the relation gate.
-
-    The top level of a chain carries generator entries of q-integer size
-    roughly [steps/2]_q where steps = M * (number of fundamental-weight
-    steps in lam); the checked relations multiply three of those together,
-    so float64 roundoff in the construction approaches 32 * s^3 * eps.
-    Once that is within an order of magnitude of identity_tol the whole
-    level recursion is carried out in extended precision and each level is
-    rounded to float64 exactly once, instead of compounding double-precision
-    drift level by level.
-    """
-    qm = max(float(q), 1.0 / float(q))
-    steps = M * sum(lam.coords)
-    scale = q_int(steps // 2 + 2, qm)
-    noise = 32.0 * scale ** 3 * float(np.finfo(np.float64).eps)
-    if noise > tol.identity_tol / 8.0:
-        return np.dtype(np.longdouble)
-    return np.dtype(np.float64)
-
-
 class CartanChain:
     """Levels V_{n*lam}, n = 0..M, with left/right structure isometries.
 
@@ -99,8 +78,11 @@ class CartanChain:
     All highest weight vectors are basis vector 0 of their level.
     """
 
+    # Read-only; perfbench/tracer.py reads it to count wide builds.
+    work_dtype = np.dtype(np.float64)
+
     def __init__(self, lam: Weight, q: float, M: int,
-                 tol: ToleranceProfile = DEFAULT_TOL, base=None, work_dtype=None):
+                 tol: ToleranceProfile = DEFAULT_TOL, base=None):
         if not lam.is_dominant or all(c == 0 for c in lam.coords):
             raise ValueError(f"chain weight must be dominant nonzero, got {lam}")
         if M < 1:
@@ -116,34 +98,23 @@ class CartanChain:
             raise ValueError("chain base module must carry its h.w. vector at index 0")
         self.base = base
         dl = base.dim
-        if work_dtype is None:
-            work_dtype = _auto_work_dtype(lam, self.q, self.M, tol)
-        self.work_dtype = np.dtype(work_dtype)
-        widened = self.work_dtype != np.float64
 
-        # The level recursion runs in work_dtype; public levels and
-        # isometries are always float64 (rounded once per level, with the
-        # relation gate re-applied to what is actually stored).
+        # Each level is built in float64 from the one below and must pass
+        # check_module inside generate_submodule.  That gate is
+        # backward-relative, so the roundoff of deep levels, which grows
+        # with their q-integer-sized entries, stays a few ulp of the
+        # products it checks.
         self.levels = [repn.trivial_module(self.N, self.q), base]
         self.w = [np.eye(dl)]  # V_lam -> V_lam (x) V_0
-        base_work = repn.as_dtype(base, self.work_dtype)
-        prev_work = base_work
         for n in range(1, M):
-            T = repn.tensor(base_work, prev_work)
-            seed = np.zeros(T.dim, dtype=self.work_dtype)
+            T = repn.tensor(base, self.levels[-1])
+            seed = np.zeros(T.dim)
             seed[0] = 1.0  # xi_lam (x) xi_{n lam} in chain coordinates
             sub, emb = decomp.generate_submodule(T, seed, tol)
             if sub.dim != weyl_dim(lam * (n + 1)):
                 raise InvariantViolation("chain level dimension mismatch")
-            if widened:
-                pub = repn.as_dtype(sub, np.float64)
-                repn.check_module(pub, tol, raise_on_fail=True)
-                self.levels.append(pub)
-                self.w.append(np.asarray(emb.matrix, dtype=np.float64))
-            else:
-                self.levels.append(sub)
-                self.w.append(emb.matrix)
-            prev_work = sub
+            self.levels.append(sub)
+            self.w.append(emb.matrix)
 
         self._pair_cache: dict = {}
         self._lowest_cache: dict = {}
@@ -166,7 +137,6 @@ class CartanChain:
         self.tol = tol
         self.N = lam.N
         self.base = levels[1]
-        self.work_dtype = np.dtype(np.float64)
         self.levels = list(levels)
         self.w = [np.asarray(m, dtype=np.float64) for m in w]
         dl = self.base.dim

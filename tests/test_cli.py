@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +171,29 @@ def test_star_command(tmp_path, capsys):
     jd, jb = head.index("defect_h"), head.index("bound_h")
     assert all(float(r[jd]) <= float(r[jb]) for r in rows)
     assert all(float(r[head.index("fixed_point")]) <= 1e-12 for r in rows)
+    capsys.readouterr()
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def test_reports_match_frozen_reference(tmp_path, capsys):
+    # q=2, M=18 is the most precision-sensitive chain of the reference set;
+    # text must be identical and numbers agree to 1e-12 relative + 1e-15
+    for command in ("scan", "star"):
+        rc = cli.main([command, "--N", "2", "--q", "2.0", "--max-level", "18",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        name = f"{command}_N2_lam1_q2.csv"
+        got = (tmp_path / name).read_text().splitlines()
+        ref = (REFERENCE_DIR / name).read_text().splitlines()
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert _NUMBER.sub("#", g) == _NUMBER.sub("#", r)
+            for a, b in zip(_NUMBER.findall(g), _NUMBER.findall(r)):
+                x, y = float(a), float(b)
+                assert abs(x - y) <= 1e-12 * abs(y) + 1e-15, (name, g, r)
     capsys.readouterr()
 
 

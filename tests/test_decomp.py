@@ -67,16 +67,6 @@ def test_generate_submodule_extracts_top_component():
     assert np.max(np.abs(W[:, 0] - seed)) <= 1e-14
 
 
-def test_generate_submodule_runs_in_module_dtype():
-    V = repn.as_dtype(repn.standard_module(2, 1.5), np.longdouble)
-    T = repn.tensor(V, V)
-    seed = np.zeros(4, dtype=np.longdouble)
-    seed[0] = 1.0
-    sub, emb = decomp.generate_submodule(T, seed)
-    assert sub.dtype == np.dtype(np.longdouble)
-    assert emb.matrix.dtype == np.dtype(np.longdouble)
-
-
 def test_generate_submodule_rejects_bad_seeds():
     V = repn.standard_module(2, 1.5)
     T = repn.tensor(V, V)

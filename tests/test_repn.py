@@ -115,27 +115,6 @@ def test_module_map_residual_detects_non_intertwiners():
     assert swap.residual() > 0.1
 
 
-def test_dtype_is_tracked_and_propagates():
-    V = repn.standard_module(2, 1.5)
-    assert V.dtype == np.float64
-    W = repn.as_dtype(V, np.longdouble)
-    assert W.dtype == np.dtype(np.longdouble)
-    assert W.E[1].dtype == np.dtype(np.longdouble)
-    assert W.k_diag(1).dtype == np.dtype(np.longdouble)
-    T = repn.tensor(W, W)
-    assert T.dtype == np.dtype(np.longdouble)
-    # round trip back to float64 reproduces the original bits
-    V2 = repn.as_dtype(W, np.float64)
-    assert np.array_equal(V2.E[1], V.E[1])
-    assert repn.as_dtype(V, np.float64) is V
-
-
-def test_check_module_accepts_wider_dtypes():
-    V = repn.as_dtype(repn.standard_module(3, 1.5), np.longdouble)
-    report = repn.check_module(V, DEFAULT_TOL)
-    assert report["passed"]
-
-
 def test_qmodule_validation():
     V = repn.standard_module(2, 1.5)
     with pytest.raises(ValueError):
@@ -146,7 +125,3 @@ def test_qmodule_validation():
                      highest_weight=V.highest_weight, hw_index=0)
     with pytest.raises(ValueError):
         repn.tensor(V, repn.standard_module(3, 1.5))
-    with pytest.raises(ValueError):
-        repn.QModule(2, 1.5, V.weights, {1: V.E[1].astype(np.int64)},
-                     {1: V.F[1]}, highest_weight=V.highest_weight,
-                     hw_index=0, dtype=np.int64)

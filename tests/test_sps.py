@@ -18,6 +18,11 @@ def test_chain_levels_and_dimensions(chains):
         assert lv.dim == weyl_dim(Weight((n,)))
         assert lv.hw_index == 0
     assert "CartanChain" in repr(ch)
+    # every public level and isometry of a deep chain is float64
+    deep = chains((1,), 1.5, 22)
+    for lv in deep.levels:
+        assert all(m.dtype == np.float64 for m in (*lv.E.values(), *lv.F.values()))
+    assert all(w.dtype == np.float64 for w in deep.w)
 
 
 def test_chain_isometries_intertwine_and_fix_phases(chains):
@@ -72,29 +77,11 @@ def test_coassociativity(chains):
     assert ch.certify_coassociativity(8) <= 1e-12
 
 
-def test_work_dtype_policy(chains):
-    # shallow or classical chains stay in float64 end to end
-    ch1 = sps.CartanChain(Weight((1,)), 1.0, 8)
-    assert ch1.work_dtype == np.dtype(np.float64)
-    # deep q > 1 chains widen internally...
-    ch2 = chains((1,), 1.5, 22)
-    assert ch2.work_dtype == np.dtype(np.longdouble)
-    # ...but everything visible is float64
-    for lv in ch2.levels:
-        assert lv.dtype == np.dtype(np.float64)
-    assert all(w.dtype == np.dtype(np.float64) for w in ch2.w)
-    # explicit override wins
-    ch3 = sps.CartanChain(Weight((1,)), 1.0, 4, work_dtype=np.longdouble)
-    assert ch3.work_dtype == np.dtype(np.longdouble)
-    assert ch3.levels[2].dtype == np.dtype(np.float64)
-
-
 def test_from_parts_round_trip(chains):
     ch = chains((1,), 1.5, 6)
     re = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol,
                                     list(ch.levels), list(ch.w))
     assert re.dims == ch.dims
-    assert re.work_dtype == np.dtype(np.float64)
     assert np.array_equal(re.w[3], ch.w[3])
     assert re.coassociativity_residual(2, 2, 2) <= 1e-12
     with pytest.raises(ValueError):
