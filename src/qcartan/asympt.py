@@ -27,7 +27,7 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
-from .sps import (CartanChain, FockSpace, BlockOp, build_chain, creation,
+from .sps import (CartanChain, FockSpace, BlockOp, creation,
                   right_creation, psi, _apply_left, _apply_right)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
@@ -123,7 +123,7 @@ def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
     must equal dim V_lam once all shifted weights are dominant.
     """
     if chain is None:
-        chain = build_chain(lam, q, M, tol)
+        chain = CartanChain(lam, q, M, tol)
     else:
         lam, q, M, tol = chain.lam, chain.q, chain.M, chain.tol
     base = chain.base

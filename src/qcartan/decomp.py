@@ -13,7 +13,7 @@ import numpy as np
 
 from . import repn
 from .numerics import (AmbiguousRank, DEFAULT_TOL, InvariantViolation,
-                       ToleranceProfile, nullspace, projector)
+                       ToleranceProfile, certified_rank, nullspace, projector)
 from .qcore import Weight, simple_root, weyl_dim
 
 __all__ = [
@@ -136,10 +136,15 @@ def p_l_projector(V, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     """Close a highest-weight seed under the F_i; returns (QModule, ModuleMap).
 
-    The seed becomes basis vector 0 of the result exactly (phase fix). The
-    basis is grown level-by-level down the weight filtration with modified
-    Gram-Schmidt (two passes); accept/drop decisions are gap-guarded, and
-    the projected module must pass check_module before it is returned.
+    The seed becomes basis vector 0 of the result exactly (phase fix).  The
+    orbit is closed one weight block at a time, down the weight filtration:
+    the block at weight nu is the column space of the stacked products
+    F_i[nu, mu] @ B_mu of the blocks B_mu found one step up.  Its rank is
+    certified_rank of their singular values against the largest local norm
+    ||F_i[nu, mu]||_F; a global scale would not do, because the tensor module
+    also holds weights outside the submodule whose candidates are pure
+    rounding noise, and ||F_i||_F over the whole module grows like q^n.  The
+    projected module must pass check_module before it is returned.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
@@ -158,58 +163,49 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
         raise ValueError(f"seed weight {hw} is not dominant")
     expected = weyl_dim(hw)
 
-    Q = np.empty((V.dim, expected))
-    Q[:, 0] = seed
-    k = 1
-    drop_band_hi = tol.nullspace_rel_tol * tol.gap_ratio_min
-    # Candidates whose norm is rounding noise relative to the operator scale
-    # (F_i applied to a unit vector) must be discarded before the remainder
-    # ratio test: a pure-noise vector survives projection with rem ~ 1 and
-    # would masquerade as a new direction.
-    fscale = {i: max(float(np.linalg.norm(V.F[i])), 1.0) for i in range(1, V.N)}
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for i in range(1, V.N):
-            cand = V.F[i] @ Q[:, frontier]
-            for j in range(cand.shape[1]):
-                w = cand[:, j]
-                scale = np.linalg.norm(w)
-                if scale <= tol.nullspace_rel_tol * fscale[i]:
-                    continue
-                if scale < drop_band_hi * fscale[i]:
-                    raise AmbiguousRank(
-                        f"generate_submodule: candidate norm {scale:.3e} in the "
-                        f"ambiguous band relative to generator scale"
-                    )
-                for _ in range(2):
-                    w = w - Q[:, :k] @ (Q[:, :k].T @ w)
-                rem = np.linalg.norm(w) / scale
-                if rem <= tol.nullspace_rel_tol:
-                    continue
-                if rem < drop_band_hi:
-                    raise AmbiguousRank(
-                        f"generate_submodule: residual ratio {rem:.3e} in the "
-                        f"ambiguous band at weight step {i}"
-                    )
-                if k >= expected:
-                    raise InvariantViolation(
-                        f"submodule of weight {hw} exceeds Weyl dimension {expected}"
-                    )
-                Q[:, k] = w / np.linalg.norm(w)
-                new_frontier.append(k)
-                k += 1
-        frontier = new_frontier
+    blocks = V.weight_blocks()
+    roots = [(i, simple_root(i, V.N).coords) for i in range(1, V.N)]
+    layer = {hw.coords: seed[blocks[hw.coords], None]}
+    found = list(layer.items())  # (weight, orthonormal block columns)
+    while layer:
+        sources = {}  # target weight nu -> [(i, mu), ...] one step up
+        for mu in layer:
+            for i, alpha in roots:
+                nu = tuple(m - a for m, a in zip(mu, alpha))
+                if nu in blocks:
+                    sources.setdefault(nu, []).append((i, mu))
+        next_layer = {}
+        for nu, pairs in sources.items():
+            parts = [V.F[i][np.ix_(blocks[nu], blocks[mu])] for i, mu in pairs]
+            cand = np.hstack([f @ layer[mu] for f, (_, mu) in zip(parts, pairs)])
+            U, s, _ = np.linalg.svd(cand, full_matrices=False)
+            try:
+                r = certified_rank(s, max(np.linalg.norm(f) for f in parts), tol)
+            except AmbiguousRank as exc:
+                exc.args = (f"orbit of highest weight {hw}, weight block "
+                            f"{Weight(nu)}: {exc}",)
+                raise
+            if r:
+                next_layer[nu] = _fix_signs(U[:, :r])
+        found.extend(next_layer.items())
+        layer = next_layer
+    k = sum(B.shape[1] for _, B in found)
     if k != expected:
         raise InvariantViolation(
             f"submodule of weight {hw} has dim {k}, Weyl formula says {expected}"
         )
 
+    Q = np.zeros((V.dim, expected))
+    wmat = np.empty((expected, V.N - 1), dtype=np.int64)
+    c = 0
+    for nu, B in found:
+        Q[blocks[nu], c:c + B.shape[1]] = B
+        wmat[c:c + B.shape[1]] = nu
+        c += B.shape[1]
+    Q[:, 0] = seed  # exactly, entries below the support cut included
+
     E = {i: Q.T @ V.E[i] @ Q for i in range(1, V.N)}
     F = {i: Q.T @ V.F[i] @ Q for i in range(1, V.N)}
-    wmat = np.empty((expected, V.N - 1), dtype=np.int64)
-    for c in range(expected):
-        wmat[c] = V.weights[int(np.argmax(np.abs(Q[:, c])))]
     sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0)
     repn.check_module(sub, tol, raise_on_fail=True)
     return sub, repn.ModuleMap(source=sub, target=V, matrix=Q)

@@ -1,10 +1,11 @@
 """Dense real linear algebra with explicit tolerance contracts.
 
-Every rank decision (nullspace dimension, dependent-vector drop) carries a
-spectral-gap certificate; if the singular values do not separate cleanly the
-operation raises AmbiguousRank instead of silently thresholding. This matters
-because the convergence quantities measured downstream genuinely approach 0
-and must never be confused with numerical noise.
+Every rank decision (nullspace dimension, orbit block rank) goes through
+certified_rank and carries a spectral-gap certificate; if the singular values
+do not separate cleanly the operation raises AmbiguousRank instead of
+silently thresholding. This matters because the convergence quantities
+measured downstream genuinely approach 0 and must never be confused with
+numerical noise.
 
 Real scalars throughout: with the sign conventions used by the representation
 layer every generator matrix, coproduct and R-matrix factor is real for q > 0.
@@ -21,8 +22,8 @@ __all__ = [
     "ToleranceProfile",
     "DEFAULT_TOL",
     "operator_norm",
+    "certified_rank",
     "nullspace",
-    "orthonormalize",
     "projector",
 ]
 
@@ -59,11 +60,28 @@ def operator_norm(M) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def certified_rank(s, scale: float, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+    """Number of singular values s (descending) above nullspace_rel_tol * scale.
+
+    The cut is certified by a gap: the smallest kept value (or scale, if none
+    is kept) over the largest dropped one must reach gap_ratio_min, else
+    AmbiguousRank.  This is the one rank rule of the package.
+    """
+    r = int(np.count_nonzero(s > tol.nullspace_rel_tol * scale))
+    if r < len(s) and s[r] > 0:
+        kept = s[r - 1] if r else scale
+        if kept / s[r] < tol.gap_ratio_min:
+            raise AmbiguousRank(
+                f"rank gap {kept:.3e}/{s[r]:.3e} below "
+                f"gap_ratio_min={tol.gap_ratio_min:g}"
+            )
+    return r
+
+
 def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of {v : Mv = 0}, gap-certified.
 
-    Splits singular values at nullspace_rel_tol * sigma_max and demands the
-    two classes be separated by a ratio >= gap_ratio_min.
+    The rank is certified_rank of the singular values against sigma_max.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -74,20 +92,9 @@ def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     if m == 0 or not M.any():
         return np.eye(n)
     _, s, Vt = np.linalg.svd(M)
-    smax = s[0]
-    if smax == 0.0:
+    if s[0] == 0.0:
         return np.eye(n)
-    cut = tol.nullspace_rel_tol * smax
-    r = int(np.count_nonzero(s > cut))
-    if 0 < r < len(s):
-        # certificate: smallest kept / largest dropped
-        dropped = s[r]
-        if dropped > 0 and s[r - 1] / dropped < tol.gap_ratio_min:
-            raise AmbiguousRank(
-                f"nullspace gap {s[r - 1]:.3e}/{dropped:.3e} below "
-                f"gap_ratio_min={tol.gap_ratio_min:g}"
-            )
-    return Vt[r:].T.copy()
+    return Vt[certified_rank(s, s[0], tol):].T.copy()
 
 
 def _as_columns(vectors) -> np.ndarray:
@@ -97,41 +104,6 @@ def _as_columns(vectors) -> np.ndarray:
     if not cols:
         return np.zeros((0, 0))
     return np.stack(cols, axis=1)
-
-
-def orthonormalize(vectors, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Modified Gram-Schmidt with reorthogonalization; returns columns.
-
-    Preserves already-orthonormal input exactly (up to sign: none is flipped).
-    Linearly dependent inputs are dropped; deciding 'dependent vs kept' is
-    gap-guarded like nullspace.
-    """
-    V = _as_columns(vectors)
-    if V.size == 0:
-        return V
-    keep = []
-    drop_band_hi = tol.nullspace_rel_tol * tol.gap_ratio_min
-    for j in range(V.shape[1]):
-        v = V[:, j]
-        scale = np.linalg.norm(v)
-        if scale == 0.0:
-            continue
-        w = v.copy()
-        for _ in range(2):  # MGS pass + one reorthogonalization
-            for u in keep:
-                w = w - (u @ w) * u
-        rem = np.linalg.norm(w) / scale
-        if rem <= tol.nullspace_rel_tol:
-            continue
-        if rem < drop_band_hi:
-            raise AmbiguousRank(
-                f"orthonormalize: residual ratio {rem:.3e} inside the ambiguous "
-                f"band ({tol.nullspace_rel_tol:g}, {drop_band_hi:g})"
-            )
-        keep.append(w / np.linalg.norm(w))
-    if not keep:
-        return np.zeros((V.shape[0], 0))
-    return np.stack(keep, axis=1)
 
 
 def projector(onb, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -25,12 +25,11 @@ import numpy as np
 
 from . import decomp, repn
 from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
-                       nullspace, operator_norm)
-from .qcore import Weight, fundamental_weight, pairing, weyl_dim
+                       operator_norm)
+from .qcore import Weight, fundamental_weight, pairing
 
 __all__ = [
     "CartanChain",
-    "build_chain",
     "GeneralWeightBuilder",
     "FockSpace",
     "BlockOp",
@@ -111,8 +110,6 @@ class CartanChain:
             seed = np.zeros(T.dim)
             seed[0] = 1.0  # xi_lam (x) xi_{n lam} in chain coordinates
             sub, emb = decomp.generate_submodule(T, seed, tol)
-            if sub.dim != weyl_dim(lam * (n + 1)):
-                raise InvariantViolation("chain level dimension mismatch")
             self.levels.append(sub)
             self.w.append(emb.matrix)
 
@@ -220,11 +217,6 @@ class CartanChain:
     def __repr__(self):
         return (f"CartanChain(lam={self.lam}, q={self.q}, M={self.M}, "
                 f"dims={self.dims})")
-
-
-def build_chain(lam: Weight, q: float, M: int,
-                tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
-    return CartanChain(lam, q, M, tol)
 
 
 class GeneralWeightBuilder:

@@ -98,6 +98,19 @@ def test_exit_codes(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_ambiguous_rank_exit_names_level_and_weight_block(tmp_path, capsys):
+    # no rounding-noise singular value can clear a gap of 1e300, so the first
+    # orbit block with a dropped direction raises
+    conf = tmp_path / "strict.conf"
+    conf.write_text("gap_ratio_min=1e300\n")
+    rc = cli.main(["scan", "--N", "3", "--max-level", "4", "--config",
+                   str(conf), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.search(r"orbit of highest weight Weight\(\d+, \d+\), "
+                     r"weight block Weight\(-?\d+, -?\d+\)", err), err
+
+
 def test_scan_reports_are_deterministic(tmp_path, capsys):
     args = ["scan", "--N", "2", "--q", "1.5", "--max-level", "8"]
     out1, out2 = tmp_path / "one", tmp_path / "two"

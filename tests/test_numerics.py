@@ -1,4 +1,4 @@
-"""Rank-revealing primitives: nullspace, orthonormalization, projectors."""
+"""Rank-revealing primitives: certified rank, nullspace, projectors."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ from qcartan.numerics import (
     DEFAULT_TOL,
     AmbiguousRank,
     ToleranceProfile,
+    certified_rank,
     nullspace,
     operator_norm,
-    orthonormalize,
     projector,
 )
 
@@ -63,24 +63,33 @@ def test_nullspace_ambiguous_band_raises():
         nullspace(A)
 
 
-def test_orthonormalize_preserves_orthonormal_input():
-    Q = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
-    R = orthonormalize(Q)
-    assert R.shape == (3, 3)
-    assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-12
+def test_certified_rank_pure_noise_block_has_rank_zero():
+    # rounding noise against an O(1) local scale: nothing kept, gap certified
+    s = np.array([3e-16, 1e-16])
+    assert certified_rank(s, 1.0) == 0
+    assert certified_rank(np.zeros(2), 0.0) == 0
 
 
-def test_orthonormalize_drops_exact_duplicates():
-    u = np.array([1.0, 0.0, 0.0])
-    out = orthonormalize(np.column_stack([u, u, 2.0 * u]))
-    assert out.shape == (3, 1)
-
-
-def test_orthonormalize_ambiguous_remainder_raises():
-    u = np.array([1.0, 0.0, 0.0])
-    v = np.array([0.0, 1.0, 0.0])
+def test_certified_rank_narrow_gap_raises():
+    # 2e-9 (kept) vs 5e-10 (dropped) is only a factor 4 across the cut
     with pytest.raises(AmbiguousRank):
-        orthonormalize(np.column_stack([u, u + 1e-7 * v]))
+        certified_rank(np.array([1.0, 2e-9, 5e-10]), 1.0)
+    assert certified_rank(np.array([1.0, 2e-10, 1e-13]), 1.0) == 1
+    # with nothing kept, the scale itself is the smallest kept value
+    strict = ToleranceProfile(gap_ratio_min=1e300)
+    with pytest.raises(AmbiguousRank):
+        certified_rank(np.array([1e-16]), 1.0, strict)
+    assert certified_rank(np.zeros(1), 1.0, strict) == 0
+
+
+def test_certified_rank_uses_the_local_scale():
+    # In the N=2, q=2, M=21 tensor module a genuine candidate of norm 0.8165
+    # lies within (1e-9, 1e-6) times the global ||F_1||_F = 1.05e6; only the
+    # local F-block norm separates it cleanly from rounding noise.
+    s = np.array([0.8165, 1e-16])
+    assert certified_rank(s, 1.4142) == 1  # against its local F-block norm
+    # a global scale large enough would drop it silently
+    assert certified_rank(s, 1e12) == 0
 
 
 def test_projector_idempotent_symmetric():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcartan import braiding, repn, sps
+from qcartan import asympt, braiding, repn, sps
 from qcartan.numerics import DEFAULT_TOL, operator_norm
 from qcartan.qcore import Weight, weyl_dim
 
@@ -186,7 +186,28 @@ def test_braided_shift_commutation_identity(chains):
     assert sps.eq_comm_residual(ch, 1.01 * sigma, 2) > 1e-4
 
 
-def test_build_chain_convenience():
-    ch = sps.build_chain(Weight((1,)), 1.5, 3)
-    assert isinstance(ch, sps.CartanChain)
-    assert ch.M == 3
+# Depths at which the former per-vector orbit loop raised a false
+# AmbiguousRank: its noise guard used the global ||F_i||_F of the tensor
+# module (cause a) and its Gram-Schmidt remainders on multiplicity > 1
+# weights landed inside the ambiguous band (cause b).
+DEEP_CHAINS = [((1,), 2.0, 30), ((1,), 3.0, 30), ((1,), 0.5, 45),
+               ((1, 0), 2.0, 22), ((1, 1), 1.5, 7)]
+
+
+@pytest.mark.parametrize("coords,q,M", DEEP_CHAINS,
+                         ids=[f"{c}-q{q:g}-M{M}" for c, q, M in DEEP_CHAINS])
+def test_deep_chains_build_and_pass_relations(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for n, lv in enumerate(ch.levels):
+        assert lv.dim == weyl_dim(Weight(coords) * n)
+        assert repn.check_module(lv)["max"] <= 1e-9
+    if len(coords) == 1:  # N=2: cheap enough for coassociativity
+        assert ch.certify_coassociativity(max_total=12) <= 1e-12
+        k = M // 3
+        assert ch.coassociativity_residual(k, k, M - 2 * k) <= 1e-12
+
+
+def test_deep_q3_chain_keeps_the_rate_window(chains):
+    ch = chains((1,), 3.0, 30)
+    fit = asympt.rate_fit(asympt.conjecture_scan(chain=ch), "a")
+    assert fit.t_hat <= 1 / 3.0 + 0.05
