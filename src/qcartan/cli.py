@@ -363,10 +363,8 @@ def cmd_qda(cfg: RunConfig) -> int:
         for n in range(1, cfg.max_level + 1):
             arv = qda.q_arveson_residuals(n, q, cfg.N)
             cp = qda.cuntz_pimsner_residual(n, q, cfg.N)
-            unit = 0.0
-            if n <= cfg.max_level - 1:
-                U = qda.chain_intertwiner(chain, n)
-                unit = float(np.max(np.abs(U.T @ U - np.eye(U.shape[1]))))
+            U = qda.chain_intertwiner(chain, n)
+            unit = float(np.max(np.abs(U.T @ U - np.eye(U.shape[1]))))
             rows.append([n, arv["off_diag"], arv["diag"], cp["exchange"],
                          cp["resolution"], cp["star_exchange"], cp["diag"],
                          unit])

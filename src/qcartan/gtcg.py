@@ -163,14 +163,13 @@ def cg_grid(N: int, q: float, max_entry: int,
 
     builder = GeneralWeightBuilder(N, q, tol)
     rows = []
-    shapes = itertools.product(*[range(max_entry + 1)] * (N - 1))
+    # each partition once, as the reverse of a non-decreasing tuple
+    shapes = itertools.combinations_with_replacement(range(max_entry + 1), N - 1)
     for shape in shapes:
-        mu = tuple(sorted(shape, reverse=True)) + (0,)
-        if sum(mu) == 0 or any(m > max_entry for m in mu):
+        mu = shape[::-1] + (0,)
+        if sum(mu) == 0:
             continue
         lam = Weight.from_partition(mu)
-        if mu != lam.partition:
-            continue  # duplicate of a sorted shape already seen
         for i in range(1, N + 1):
             try:
                 num = cg_numeric(i, lam, q, builder=builder, tol=tol)

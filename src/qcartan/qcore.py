@@ -41,9 +41,9 @@ def check_q(q: float) -> float:
 def q_int(n: int, q: float) -> float:
     """[n]_q = (q^n - q^-n)/(q - q^-1); equals n at q = 1 (exact branch).
 
-    Defined for negative n as well ([-n] = -[n])."""
+    Defined for negative n as well ([-n] = -[n]); n may be an integer array."""
     if q == 1.0:
-        return float(n)
+        return n * 1.0
     return (q ** n - q ** (-n)) / (q - 1.0 / q)
 
 

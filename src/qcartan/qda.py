@@ -5,10 +5,13 @@ e_1^{d_1} ... e_N^{d_N} (d_i >= 0, sum d_i = n) with squared norm
 q^D * prod_i [d_i]_q! / [n]_q!,  D = sum_{i<j} d_i d_j.
 
 Creation by a basis letter is a generalized permutation in this basis, so all
-operator relations restrict to per-monomial scalar identities; the residual
-functions below exploit that and never build matrices.  Matrices are only
-assembled where a basis change is the point (creation_closed /
-annihilation_closed / chain_intertwiner).
+operator relations restrict to per-monomial scalar identities.  Every scalar
+of level n comes from one creation table (row = monomial, column = letter),
+and each relation residual is an array expression over the tables of
+neighbouring levels; no matrix is built.  Matrices are only assembled where a
+basis change is the point (creation_closed / annihilation_closed /
+chain_intertwiner).  annihilation_closed evaluates the paper's adjoint formula
+monomial by monomial and stays the independent reference for creation_closed.
 
 Basis order: monomials of a fixed degree are listed lexicographically
 descending in d, so e_1^n comes first and lines up with the chain's 0-th
@@ -16,6 +19,7 @@ basis vector.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -63,26 +67,29 @@ def monomial_norm_sq(d, q: float) -> float:
     return q ** D * num / q_factorial(n, q)
 
 
-def _d_prev(d, i: int) -> int:
-    """Sum of exponents strictly left of letter i (1-based)."""
-    return sum(d[: i - 1])
+@lru_cache(maxsize=None)
+def _raise_index(N: int, n: int) -> np.ndarray:
+    """R[c, i] = level-(n+1) index of d + delta_{i+1}, d = monomials(N, n)[c]."""
+    tgt = monomial_index(N, n + 1)
+    R = np.array([[tgt[d[:i] + (d[i] + 1,) + d[i + 1:]] for i in range(N)]
+                  for d in monomials(N, n)])
+    R.setflags(write=False)
+    return R
 
 
-def _s(i: int, d, q: float, n: int) -> float:
-    """Creation scalar: S_i u_d = _s(i,d) u_{d+delta_i} on unit monomials."""
-    return (q ** (-_d_prev(d, i)) * q ** ((n - d[i - 1]) / 2.0)
-            * np.sqrt(q_int(d[i - 1] + 1, q) / q_int(n + 1, q)))
+def _creation_table(N: int, n: int, q: float) -> np.ndarray:
+    """S[c, i]: S_{i+1} u_d = S[c, i] u_{d+delta_{i+1}} on unit monomials of H_n."""
+    D = np.array(monomials(N, n))
+    prev = np.cumsum(D, axis=1) - D  # exponent mass strictly left of each letter
+    return (q ** (-prev) * q ** ((n - D) / 2.0)
+            * np.sqrt(q_int(D + 1, q) / q_int(n + 1, q)))
 
 
 def creation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
     """Matrix of S_i : H_n -> H_{n+1} in the unit monomial bases."""
-    src = monomials(N, n)
-    tgt = monomial_index(N, n + 1)
-    A = np.zeros((len(tgt), len(src)))
-    for c, d in enumerate(src):
-        e = list(d)
-        e[i - 1] += 1
-        A[tgt[tuple(e)], c] = _s(i, d, q, n)
+    S = _creation_table(N, n, q)
+    A = np.zeros((len(monomials(N, n + 1)), len(S)))
+    A[_raise_index(N, n)[:, i - 1], np.arange(len(S))] = S[:, i - 1]
     return A
 
 
@@ -109,25 +116,35 @@ def annihilation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
 
 
 def _scalar_tables(N: int, n: int, q: float):
-    """Vectorized diagonal scalars on H_n.
+    """Diagonal scalars on H_n.
 
     Returns (ss[i] = scalar of S_i* S_i, tt[i] = scalar of S_i S_i*), both
     (count, N) arrays over the monomial list.
     """
-    D = np.array(monomials(N, n), dtype=np.float64)
-    prev = np.cumsum(D, axis=1) - D  # exponent mass strictly left of each letter
-    qn1 = q_int(n + 1, q)
-    ss = q ** (-2.0 * prev) * q ** (n - D) * np.vectorize(
-        lambda x: q_int(x + 1, q))(D) / qn1
-    if n == 0:
-        tt = np.zeros_like(D)
-    else:
-        qn = q_int(n, q)
-        tt = np.where(D >= 1,
-                      q ** (-2.0 * prev) * q ** (n - D)
-                      * np.vectorize(lambda x: q_int(x, q))(D) / qn,
-                      0.0)
+    ss = _creation_table(N, n, q) ** 2
+    tt = np.zeros_like(ss)
+    if n >= 1:
+        tt[_raise_index(N, n - 1), np.arange(N)] = _creation_table(N, n - 1, q) ** 2
     return ss, tt
+
+
+def _star_exchange(N: int, n: int, q: float, c: float) -> float:
+    """Max over i != j of the scalar mismatch of S_i* S_j = c S_j S_i* on H_n.
+
+    Row f of level n-1 carries the source monomial f + delta_i: S_i* S_j sends
+    it through f + delta_i + delta_j, S_j S_i* through f.  Both sides are
+    symmetric in (i, j), so the pairs i < j cover every mismatch.
+    """
+    if n == 0:
+        return 0.0
+    S = _creation_table(N, n, q)
+    S_prev = _creation_table(N, n - 1, q)
+    R = _raise_index(N, n - 1)
+    worst = 0.0
+    for i, j in itertools.combinations(range(N), 2):
+        resid = S[R[:, i], j] * S[R[:, j], i] - c * S_prev[:, i] * S_prev[:, j]
+        worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
 
 
 def q_arveson_residuals(n: int, q: float, N: int) -> dict:
@@ -139,25 +156,8 @@ def q_arveson_residuals(n: int, q: float, N: int) -> dict:
     Both sides are generalized permutations, so the operator norm of the
     difference is the max over monomials of the scalar mismatch.
     """
-    mons = monomials(N, n)
     ratio = q_int(n, q) / q_int(n + 1, q) if n >= 1 else 0.0
-    off = 0.0
-    if n >= 1:
-        for d in mons:
-            for i in range(1, N + 1):
-                if d[i - 1] == 0:
-                    continue
-                for j in range(1, N + 1):
-                    if j == i:
-                        continue
-                    e = list(d)
-                    e[j - 1] += 1
-                    e[i - 1] -= 1
-                    lhs = _s(j, d, q, n) * _s(i, tuple(e), q, n)
-                    f = list(d)
-                    f[i - 1] -= 1
-                    rhs = ratio * _s(i, tuple(f), q, n - 1) * _s(j, tuple(f), q, n - 1)
-                    off = max(off, abs(lhs - rhs))
+    off = _star_exchange(N, n, q, ratio)
     ss, tt = _scalar_tables(N, n, q)
     const = q ** (-float(n)) / q_int(n + 1, q)
     diag = 0.0
@@ -177,36 +177,16 @@ def cuntz_pimsner_residual(n: int, q: float, N: int) -> dict:
             s_i* s_i = s_i s_i* + (1 - q^2) sum_{j<i} s_j s_j*.
     Also reports the resolution-of-identity residual of sum_i s_i s_i* = 1.
     """
-    mons = monomials(N, n)
     ge1 = q >= 1.0
+    S = _creation_table(N, n, q)
+    S_next = _creation_table(N, n + 1, q)
+    R = _raise_index(N, n)
     exch = 0.0
-    star = 0.0
-    for d in mons:
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                di = list(d)
-                di[i - 1] += 1
-                dj = list(d)
-                dj[j - 1] += 1
-                lhs = _s(j, d, q, n) * _s(i, tuple(dj), q, n + 1)
-                rhs = q * _s(i, d, q, n) * _s(j, tuple(di), q, n + 1)
-                exch = max(exch, abs(lhs - rhs))
-        if n >= 1:
-            for i in range(1, N + 1):
-                if d[i - 1] == 0:
-                    continue
-                for j in range(1, N + 1):
-                    if j == i:
-                        continue
-                    e = list(d)
-                    e[j - 1] += 1
-                    e[i - 1] -= 1
-                    lhs = _s(j, d, q, n) * _s(i, tuple(e), q, n)
-                    f = list(d)
-                    f[i - 1] -= 1
-                    fac = (1.0 / q) if ge1 else q
-                    rhs = fac * _s(i, tuple(f), q, n - 1) * _s(j, tuple(f), q, n - 1)
-                    star = max(star, abs(lhs - rhs))
+    # s_i s_j u_d and q s_j s_i u_d both land on d + delta_i + delta_j
+    for i, j in itertools.combinations(range(N), 2):
+        resid = S[:, j] * S_next[R[:, j], i] - q * S[:, i] * S_next[R[:, i], j]
+        exch = max(exch, float(np.max(np.abs(resid))))
+    star = _star_exchange(N, n, q, (1.0 / q) if ge1 else q)
     ss, tt = _scalar_tables(N, n, q)
     diag = 0.0
     for i in range(N):
@@ -234,7 +214,7 @@ def chain_intertwiner(chain, n: int) -> np.ndarray:
     N = chain.N
     if chain.base.dim != N or chain.lam != Weight.from_partition([1] + [0] * (N - 1)):
         raise ValueError("the closed-form model matches the defining-weight chain only")
-    if n > chain.M - 1 and n != 0:
+    if n > chain.M:
         raise ValueError("chain truncation too small")
     eye = np.eye(N)
     vecs = {(0,) * N: np.ones(1)}
@@ -264,7 +244,7 @@ def component_overlap(chain, m: int, k: int, n: int) -> float:
     if chain.N != 2:
         raise ValueError("defined for rank one only")
     q = chain.q
-    if not 0 <= k <= m or not 0 <= n <= chain.M or m > chain.M:
+    if not 0 <= k <= m <= n <= chain.M:
         raise ValueError("indices out of range")
     d = (k, m - k)
     gamma = (q ** (-k * (m - k) / 2.0)

@@ -99,6 +99,11 @@ def test_missing_component_raises():
 
 
 def test_grid_layout():
+    rows = gtcg.cg_grid(3, 1.5, 2)
+    keys = [(mu, i) for mu, i, _, _ in rows]
+    assert len(set(keys)) == len(keys)  # every (mu, i) exactly once
+    assert sorted({mu for mu, _ in keys}) == [
+        (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0)]
     rows = gtcg.cg_grid(2, 1.5, 3)
     assert len(rows) == 6  # (1,0),(2,0),(3,0) each with i = 1, 2
     for mu, i, closed, num in rows:

@@ -32,6 +32,15 @@ def test_q_int_classical_limit_is_exact():
         assert q_int(n, 1.0) == float(n)
 
 
+def test_q_int_accepts_integer_arrays():
+    n = np.arange(-4, 9)
+    assert np.array_equal(q_int(n, 1.0), n.astype(float))
+    got = q_int(n, 1.5)
+    want = np.array([q_int(int(k), 1.5) for k in n])
+    assert got.shape == n.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 def test_q_int_small_values():
     q = 1.5
     assert q_int(0, q) == 0.0

@@ -75,10 +75,56 @@ def test_limit_relations_exact_and_asymptotic():
     assert diag[-1] < diag[4] < diag[0]
 
 
+# Values of the former per-monomial scalar loops, frozen so that the array
+# residuals must reproduce them, not just bound them.
+# (N, n, q): (star_exchange, diag) of cuntz_pimsner_residual.
+CP_FROZEN = {
+    (2, 1, 0.7): (0.23020134228187916, 0.32885906040268453),
+    (2, 6, 1.5): (0.0021432617371438534, 0.004296577109188235),
+    (2, 10, 1.0): (0.04979295977319703, 0.09090909090909091),
+    (2, 15, 2.0): (3.024557271302797e-10, 6.984919311242392e-10),
+    (3, 1, 0.7): (0.23020134228187916, 0.32885906040268453),
+    (3, 6, 1.5): (0.0021432617371438534, 0.004296577109188235),
+    (3, 10, 1.0): (0.04979295977319703, 0.09090909090909091),
+    (3, 15, 2.0): (3.0245583815258215e-10, 6.984919311242392e-10),
+    (4, 1, 0.7): (0.23020134228187916, 0.32885906040268453),
+    (4, 6, 1.5): (0.0021432617371438534, 0.004296577109188235),
+    (4, 10, 1.0): (0.04979295977319703, 0.09090909090909091),
+    (4, 15, 2.0): (3.0245583815258215e-10, 6.984919311242392e-10),
+}
+
+# Nonzero entries (row, col, value) of creation_closed(i, 2, 1.5, 3), 10 x 6.
+CREATION_FROZEN = {
+    1: [(0, 0, 1.0), (1, 1, 0.9379228369755694), (2, 2, 0.9379228369755694),
+        (3, 3, 0.780398972571708), (4, 4, 0.780398972571708),
+        (5, 5, 0.780398972571708)],
+    2: [(1, 0, 0.346843987809648), (3, 1, 0.6252818913170463),
+        (4, 2, 0.520265981714472), (6, 3, 1.0), (7, 4, 0.9379228369755694),
+        (8, 5, 0.780398972571708)],
+    3: [(2, 0, 0.346843987809648), (4, 1, 0.346843987809648),
+        (5, 2, 0.6252818913170463), (7, 3, 0.346843987809648),
+        (8, 4, 0.6252818913170463), (9, 5, 1.0)],
+}
+
+
+def test_closed_forms_match_frozen_values():
+    for (N, n, q), ref in CP_FROZEN.items():
+        res = qda.cuntz_pimsner_residual(n, q, N)
+        for got, want in zip((res["star_exchange"], res["diag"]), ref):
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-15, (N, n, q)
+    for i, entries in CREATION_FROZEN.items():
+        want = np.zeros((10, 6))
+        for r, c, v in entries:
+            want[r, c] = v
+        got = qda.creation_closed(i, 2, 1.5, 3)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15), i
+
+
 def test_chain_intertwiner_is_unitary(chains):
     for key in (((1,), 1.5, 8), ((1, 0), 1.5, 6)):
         ch = chains(*key)
-        for n in range(0, 6):
+        for n in (*range(0, 6), ch.M):
             U = qda.chain_intertwiner(ch, n)
             assert U.shape[0] == U.shape[1] == len(qda.monomials(ch.N, n))
             assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-10
@@ -119,5 +165,7 @@ def test_component_overlap_values(chains):
         qda.component_overlap(ch, 3, 4, 4)
     with pytest.raises(ValueError):
         qda.component_overlap(ch, 3, 1, 9)
+    with pytest.raises(ValueError):
+        qda.component_overlap(ch, 4, 1, 2)
     with pytest.raises(ValueError):
         qda.component_overlap(chains((1, 0), 1.5, 6), 2, 1, 3)
