@@ -28,7 +28,7 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
 from .sps import (CartanChain, FockSpace, BlockOp, creation,
-                  right_creation, psi, _apply_left, _apply_right)
+                  right_creation, psi, _apply_left)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -244,7 +244,7 @@ def f_estimate_check(chain: CartanChain, n: int,
     dl = chain.base.dim
     dn = chain.levels[n].dim
     term1 = chain.right_isometry(n) @ chain.w[n].T
-    X = _apply_right(chain.right_isometry(n - 1), np.eye(dl * dn), dl)
+    X = np.kron(np.eye(dl), chain.right_isometry(n - 1))
     term2 = _apply_left(chain.w[n - 1].T, X, dl)
     lhs = operator_norm(term1 - term2)
 

@@ -360,10 +360,11 @@ def cmd_qda(cfg: RunConfig) -> int:
         chain = CartanChain(lam, q, cfg.max_level, tol)
         rows = []
         worst_exact = 0.0
+        intertwiners = qda.chain_intertwiners(chain, cfg.max_level)
         for n in range(1, cfg.max_level + 1):
             arv = qda.q_arveson_residuals(n, q, cfg.N)
             cp = qda.cuntz_pimsner_residual(n, q, cfg.N)
-            U = qda.chain_intertwiner(chain, n)
+            U = intertwiners[n]
             unit = float(np.max(np.abs(U.T @ U - np.eye(U.shape[1]))))
             rows.append([n, arv["off_diag"], arv["diag"], cp["exchange"],
                          cp["resolution"], cp["star_exchange"], cp["diag"],

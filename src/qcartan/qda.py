@@ -10,7 +10,7 @@ of level n comes from one creation table (row = monomial, column = letter),
 and each relation residual is an array expression over the tables of
 neighbouring levels; no matrix is built.  Matrices are only assembled where a
 basis change is the point (creation_closed / annihilation_closed /
-chain_intertwiner).  annihilation_closed evaluates the paper's adjoint formula
+chain_intertwiners).  annihilation_closed evaluates the paper's adjoint formula
 monomial by monomial and stays the independent reference for creation_closed.
 
 Basis order: monomials of a fixed degree are listed lexicographically
@@ -35,6 +35,7 @@ __all__ = [
     "annihilation_closed",
     "q_arveson_residuals",
     "cuntz_pimsner_residual",
+    "chain_intertwiners",
     "chain_intertwiner",
     "component_overlap",
 ]
@@ -201,13 +202,14 @@ def cuntz_pimsner_residual(n: int, q: float, N: int) -> dict:
             "resolution": resolution}
 
 
-def chain_intertwiner(chain, n: int) -> np.ndarray:
-    """Map H_n -> V_{n w1} sending unit monomials to normalized shift words.
+def chain_intertwiners(chain, n: int) -> list:
+    """[U_0, ..., U_n]: U_k maps H_k -> V_{k w1}, unit monomials to normalized
+    shift words.
 
-    Column for d is (S_1^{d_1} ... S_N^{d_N} vacuum) / ||e^d||; the claim under
-    test is that these columns are orthonormal (so the matrix is a unitary
-    intertwiner of the two models).  Words are built by peeling the leftmost
-    letter, memoized level by level.
+    Column d of U_k is (S_1^{d_1} ... S_N^{d_N} vacuum) / ||e^d||; the claim
+    under test is that these columns are orthonormal (so U_k is a unitary
+    intertwiner of the two models).  Words are built in one pass up the
+    levels, each by peeling the leftmost letter off a word one level down.
     """
     from . import sps
 
@@ -218,6 +220,7 @@ def chain_intertwiner(chain, n: int) -> np.ndarray:
         raise ValueError("chain truncation too small")
     eye = np.eye(N)
     vecs = {(0,) * N: np.ones(1)}
+    out = [np.ones((1, 1))]
     for k in range(1, n + 1):
         nxt = {}
         for d in monomials(N, k):
@@ -227,8 +230,14 @@ def chain_intertwiner(chain, n: int) -> np.ndarray:
             blk = sps._creation_block(chain, eye[i], k - 1)
             nxt[d] = blk @ vecs[tuple(e)]
         vecs = nxt
-    cols = [vecs[d] / np.sqrt(monomial_norm_sq(d, chain.q)) for d in monomials(N, n)]
-    return np.column_stack(cols)
+        out.append(np.column_stack([vecs[d] / np.sqrt(monomial_norm_sq(d, chain.q))
+                                    for d in monomials(N, k)]))
+    return out
+
+
+def chain_intertwiner(chain, n: int) -> np.ndarray:
+    """U_n of chain_intertwiners: H_n -> V_{n w1}, unitary if the claim holds."""
+    return chain_intertwiners(chain, n)[n]
 
 
 def component_overlap(chain, m: int, k: int, n: int) -> float:

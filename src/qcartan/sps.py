@@ -10,8 +10,12 @@ and the right maps w'_n : V_{(n+1)lam} -> V_{n lam} (x) V_lam obtained as the
 (n,1) pair isometries.
 
 Pair isometries w_{k,l} : V_{(k+l)lam} -> V_{k lam} (x) V_{l lam} are built by
-composing the w maps left-greedily and re-orthonormalizing once (polar
-correction); coassociativity is then certified numerically rather than assumed.
+composing the w maps left-greedily and re-orthonormalizing once with a polar
+factor per weight block (columns grouped by the weights of V_{(k+l)lam}, rows
+by the summed weights of the two factors), so every w_{k,l} has exact zeros
+off its weight blocks; coassociativity is then certified numerically rather
+than assumed, as the largest block norm of a difference whose off-block
+entries are checked to be exactly 0.
 
 Truncated Fock space operators are kept block-per-level (BlockOp): creation
 S_xi, its adjoint, right creation R_xi, level projectors, the compression maps
@@ -55,18 +59,88 @@ def _apply_right(W: np.ndarray, X: np.ndarray, dleft: int) -> np.ndarray:
     """(1_dleft (x) W) @ X without forming the Kronecker product."""
     p, m = W.shape
     c = X.shape[1]
-    Xr = X.reshape(dleft, m, c)
-    return np.einsum("ai,bic->bac", W, Xr).reshape(dleft * p, c)
+    return np.matmul(W, X.reshape(dleft, m, c)).reshape(dleft * p, c)
 
 
-def _polar(G: np.ndarray) -> np.ndarray:
-    """Nearest isometry to G (tall matrix with near-unit singular values)."""
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    if s.size and s[-1] < 0.5:
+def _weight_radix(levels) -> np.ndarray:
+    """c with wt -> wt @ c injective on sums of up to three level weights."""
+    span = 6 * max(int(np.abs(lv.weights).max(initial=0)) for lv in levels) + 1
+    return span ** np.arange(levels[0].weights.shape[1], dtype=np.int64)
+
+
+def _graded_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   what: str) -> tuple:
+    """Weight blocks of X, whose row/column weights have keys rows/cols.
+
+    Returns (r, c, v, blocks): X[r, c] = v are the entries inside the blocks,
+    and blocks holds (row index (B, h), column index (B, m)) for every block
+    shape h x m with m > 1, the same-shape blocks stacked.  Raises
+    InvariantViolation unless every entry off the blocks is exactly 0.0;
+    only then is X the direct sum of its blocks.
+    """
+    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
+    rorder = np.argsort(rows, kind="stable")
+    start = np.searchsorted(rows[rorder], keys, "left")
+    h = np.searchsorted(rows[rorder], keys, "right") - start
+    if np.any(h < m):
+        raise InvariantViolation(f"{what}: a weight block has more columns than rows")
+    lengths = h[inv]
+    c = np.repeat(np.arange(cols.size), lengths)
+    r = rorder[np.arange(c.size)
+               - np.repeat(np.cumsum(lengths) - lengths - start[inv], lengths)]
+    v = X[r, c]
+    if np.count_nonzero(v) != np.count_nonzero(X):
+        off = X.copy()
+        off[r, c] = 0.0
         raise InvariantViolation(
-            f"pair-isometry composition nearly rank-deficient (sigma_min={s[-1]:.3e})"
-        )
-    return U @ Vt
+            f"{what}: entry {np.max(np.abs(off)):.3e} off the weight blocks")
+    corder = np.argsort(inv, kind="stable")
+    cstart = np.cumsum(m) - m
+    blocks = []
+    for shape in sorted(set(zip(h[m > 1].tolist(), m[m > 1].tolist()))):
+        sel = (h == shape[0]) & (m == shape[1])
+        blocks.append((rorder[start[sel][:, None] + np.arange(shape[0])],
+                       corder[cstart[sel][:, None] + np.arange(shape[1])]))
+    return r, c, v, blocks
+
+
+def _graded_polar(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  what: str) -> np.ndarray:
+    """Nearest isometry to the weight-graded X, one weight block at a time.
+
+    Every block of X must have near-unit singular values.  The polar factor
+    of a direct sum is the direct sum of the block polar factors, so the
+    result keeps exact zeros off the blocks; a one-column block is just
+    normalized.
+    """
+    r, c, v, blocks = _graded_blocks(X, rows, cols, what)
+    norms = np.sqrt(np.bincount(c, weights=v * v, minlength=X.shape[1]))
+    svds = [np.linalg.svd(X[ri[:, :, None], ci[:, None, :]], full_matrices=False)
+            for ri, ci in blocks]
+    smin = min([norms.min(initial=np.inf)] + [s[:, -1].min() for _, s, _ in svds])
+    if smin < 0.5:
+        raise InvariantViolation(
+            f"{what} composition nearly rank-deficient (sigma_min={smin:.3e})")
+    W = np.zeros_like(X)
+    W[r, c] = v / norms[c]
+    for (ri, ci), (U, _, Vt) in zip(blocks, svds):
+        W[ri[:, :, None], ci[:, None, :]] = U @ Vt
+    return W
+
+
+def _graded_norm(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 what: str) -> float:
+    """Operator norm of the weight-graded X: its largest block norm.
+
+    A one-column block contributes its vector norm; no SVD of a tall
+    matrix is taken.
+    """
+    r, c, v, blocks = _graded_blocks(X, rows, cols, what)
+    worst = float(np.sqrt(np.bincount(c, weights=v * v).max(initial=0.0)))
+    for ri, ci in blocks:
+        s = np.linalg.svd(X[ri[:, :, None], ci[:, None, :]], compute_uv=False)
+        worst = max(worst, float(s[:, 0].max()))
+    return worst
 
 
 class CartanChain:
@@ -113,6 +187,7 @@ class CartanChain:
             self.levels.append(sub)
             self.w.append(emb.matrix)
 
+        self._radix = _weight_radix(self.levels)
         self._pair_cache: dict = {}
         self._lowest_cache: dict = {}
 
@@ -141,6 +216,7 @@ class CartanChain:
             want = (dl * levels[n].dim, levels[n + 1].dim)
             if mat.shape != want:
                 raise ValueError(f"isometry {n} has shape {mat.shape}, want {want}")
+        self._radix = _weight_radix(self.levels)
         self._pair_cache = {}
         self._lowest_cache = {}
         return self
@@ -169,6 +245,14 @@ class CartanChain:
 
     # -- pair isometries ----------------------------------------------------
 
+    def _weight_keys(self, *ns: int) -> np.ndarray:
+        """One integer per basis vector of V_{n1 lam} (x) ... (x) V_{nr lam},
+        equal exactly when the weights are equal."""
+        keys = np.zeros(1, dtype=np.int64)
+        for n in ns:
+            keys = (keys[:, None] + self.levels[n].weights @ self._radix).reshape(-1)
+        return keys
+
     def pair_isometry(self, k: int, l: int) -> np.ndarray:
         """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected."""
         if k + l > self.M:
@@ -184,7 +268,8 @@ class CartanChain:
             X = self.w[k + l - 1]                       # -> V_lam (x) V_{(k+l-1)lam}
             X = _apply_right(self.pair_isometry(k - 1, l), X, dl)
             X = _apply_left(self.w[k - 1].T, X, dlev[l])
-            W = _polar(X)
+            W = _graded_polar(X, self._weight_keys(k, l), self._weight_keys(k + l),
+                              f"pair isometry ({k},{l})")
             res = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
             if res > self.tol.identity_tol:
                 raise InvariantViolation(f"pair isometry ({k},{l}) not isometric: {res:.3e}")
@@ -196,13 +281,18 @@ class CartanChain:
         return self.pair_isometry(n, 1)
 
     def coassociativity_residual(self, k: int, l: int, n: int) -> float:
-        """|| (w_{k,l} (x) 1) w_{k+l,n} - (1 (x) w_{l,n}) w_{k,l+n} ||."""
+        """|| (w_{k,l} (x) 1) w_{k+l,n} - (1 (x) w_{l,n}) w_{k,l+n} ||.
+
+        The difference is weight-graded with exact zeros off its blocks
+        (checked), so its operator norm is its largest block norm.
+        """
         if min(k, l, n) == 0:
             return 0.0
         dlev = [lv.dim for lv in self.levels]
-        left = _apply_left(self.pair_isometry(k, l), self.pair_isometry(k + l, n), dlev[n])
-        right = _apply_right(self.pair_isometry(l, n), self.pair_isometry(k, l + n), dlev[k])
-        return operator_norm(left - right)
+        D = _apply_left(self.pair_isometry(k, l), self.pair_isometry(k + l, n), dlev[n])
+        D -= _apply_right(self.pair_isometry(l, n), self.pair_isometry(k, l + n), dlev[k])
+        return _graded_norm(D, self._weight_keys(k, l, n), self._weight_keys(k + l + n),
+                            f"coassociativity ({k},{l},{n})")
 
     def certify_coassociativity(self, max_total: int | None = None) -> float:
         """Max residual over all k,l,n >= 1 with k+l+n <= max_total."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcartan import asympt, braiding, repn, sps
-from qcartan.numerics import DEFAULT_TOL, operator_norm
+from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
 from qcartan.qcore import Weight, weyl_dim
 
 
@@ -75,6 +75,73 @@ def test_coassociativity(chains):
     assert ch.coassociativity_residual(2, 3, 4) <= 1e-12
     assert ch.coassociativity_residual(0, 3, 4) == 0.0
     assert ch.certify_coassociativity(8) <= 1e-12
+
+
+def _off_block(ch, k, l):
+    """Mask of the entries of V_{(k+l)lam} -> V_{k lam} (x) V_{l lam} maps
+    that join different weights."""
+    wk, wl = ch.levels[k].weights, ch.levels[l].weights
+    rows = (wk[:, None, :] + wl[None, :, :]).reshape(-1, wk.shape[1])
+    cols = ch.levels[k + l].weights
+    return np.any(rows[:, None, :] != cols[None, :, :], axis=2)
+
+
+@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 8), ((1, 1), 1.0, 5)],
+                         ids=["omega1-q1.5-M8", "rho-q1-M5"])
+def test_pair_isometries_are_exactly_graded(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for k in range(1, M):
+        for l in range(1, M - k + 1):
+            off = ch.pair_isometry(k, l)[_off_block(ch, k, l)]
+            assert off.size and np.all(off == 0.0), (k, l)
+
+
+def _dense_coassociativity(ch, k, l, n):
+    P, eye = ch.pair_isometry, (lambda m: np.eye(ch.levels[m].dim))
+    return operator_norm(np.kron(P(k, l), eye(n)) @ P(k + l, n)
+                         - np.kron(eye(k), P(l, n)) @ P(k, l + n))
+
+
+def _triples(M):
+    return [(k, l, n) for k in range(1, M - 1) for l in range(1, M - k)
+            for n in range(1, M - k - l + 1)]
+
+
+def test_coassociativity_residual_is_the_dense_norm(chains):
+    # rho at M=5 has weight multiplicities up to 6 (per-block SVDs);
+    # the omega_1 chain has multiplicity one throughout (column norms)
+    for coords, q, M in [((1, 1), 1.0, 5), ((1, 0), 1.5, 8)]:
+        ch = chains(coords, q, M)
+        for k, l, n in _triples(M):
+            ref = _dense_coassociativity(ch, k, l, n)
+            assert abs(ch.coassociativity_residual(k, l, n) - ref) <= 1e-15
+    # O(1) residuals: rotate two basis vectors of one weight of V_{4 rho}
+    # inside w_3.  Every map stays graded and isometric, coassociativity
+    # fails, and the block norms must still give the dense norm.
+    ch = chains((1, 1), 1.0, 5)
+    wts = ch.levels[4].weights
+    i, j = next((i, j) for i in range(len(wts)) for j in range(i + 1, len(wts))
+                if np.array_equal(wts[i], wts[j]))
+    c, s = np.cos(0.3), np.sin(0.3)
+    w = [m.copy() for m in ch.w]
+    w[3][:, [i, j]] = w[3][:, [i, j]] @ np.array([[c, -s], [s, c]])
+    bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, w)
+    worst = 0.0
+    for k, l, n in _triples(5):
+        ref = _dense_coassociativity(bad, k, l, n)
+        assert abs(bad.coassociativity_residual(k, l, n) - ref) <= 1e-12 * ref + 1e-15
+        worst = max(worst, ref)
+    assert worst > 0.1
+
+
+def test_off_block_entry_raises(chains):
+    ch = chains((1, 0), 1.5, 6)
+    w = [m.copy() for m in ch.w]
+    r, c = np.argwhere(_off_block(ch, 1, 3))[0]
+    w[3][r, c] = 1e-13
+    bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, w)
+    with pytest.raises(InvariantViolation, match="off the weight blocks"):
+        bad.coassociativity_residual(1, 3, 1)
 
 
 def test_from_parts_round_trip(chains):
@@ -189,22 +256,22 @@ def test_braided_shift_commutation_identity(chains):
 # Depths at which the former per-vector orbit loop raised a false
 # AmbiguousRank: its noise guard used the global ||F_i||_F of the tensor
 # module (cause a) and its Gram-Schmidt remainders on multiplicity > 1
-# weights landed inside the ambiguous band (cause b).
-DEEP_CHAINS = [((1,), 2.0, 30), ((1,), 3.0, 30), ((1,), 0.5, 45),
-               ((1, 0), 2.0, 22), ((1, 1), 1.5, 7)]
+# weights landed inside the ambiguous band (cause b).  The last entry is the
+# max_total of the coassociativity sweep.
+DEEP_CHAINS = [((1,), 2.0, 30, 12), ((1,), 3.0, 30, 12), ((1,), 0.5, 45, 12),
+               ((1, 0), 2.0, 22, 12), ((1, 1), 1.5, 7, 6)]
 
 
-@pytest.mark.parametrize("coords,q,M", DEEP_CHAINS,
-                         ids=[f"{c}-q{q:g}-M{M}" for c, q, M in DEEP_CHAINS])
-def test_deep_chains_build_and_pass_relations(chains, coords, q, M):
+@pytest.mark.parametrize("coords,q,M,max_total", DEEP_CHAINS,
+                         ids=[f"{c}-q{q:g}-M{M}" for c, q, M, _ in DEEP_CHAINS])
+def test_deep_chains_build_and_pass_relations(chains, coords, q, M, max_total):
     ch = chains(coords, q, M)
     for n, lv in enumerate(ch.levels):
         assert lv.dim == weyl_dim(Weight(coords) * n)
         assert repn.check_module(lv)["max"] <= 1e-9
-    if len(coords) == 1:  # N=2: cheap enough for coassociativity
-        assert ch.certify_coassociativity(max_total=12) <= 1e-12
-        k = M // 3
-        assert ch.coassociativity_residual(k, k, M - 2 * k) <= 1e-12
+    assert ch.certify_coassociativity(max_total=max_total) <= 1e-12
+    k = M // 3
+    assert ch.coassociativity_residual(k, k, M - 2 * k) <= 1e-12
 
 
 def test_deep_q3_chain_keeps_the_rate_window(chains):
