@@ -14,6 +14,13 @@ vacuum-state limits, and the level-compression (compactification) defect.
 Chain coordinates keep every highest weight vector one-hot at index 0, so
 the h-quantities reduce to row/column slicing of the chain isometries; the
 l-quantities contract against explicitly extracted lowest weight vectors.
+
+The square matrices measured here are weight-graded with exact zeros off
+their weight blocks: c(n) and the Cartan-projector absorption residual of the
+scan, the left side of the f-estimate, and every star-commutation defect map
+D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Their operator norms are
+taken as largest block norms by the one helper that also certifies
+coassociativity, and each raises InvariantViolation on an off-block entry.
 """
 
 from __future__ import annotations
@@ -22,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import Weight, pairing
+from .qcore import Weight, is_regular, pairing
 from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
 from .sps import (CartanChain, FockSpace, BlockOp, creation,
-                  right_creation, psi, _apply_left)
+                  right_creation, psi, _apply_left, _graded_norm,
+                  _weight_radix)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -129,7 +137,7 @@ def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
     base = chain.base
     dl = base.dim
     ell_lam = chain.lowest_vector(1)
-    regular = all(c > 0 for c in lam.coords)
+    regular = is_regular(lam)
 
     ns, A, B, C, AL, BL = [], [], [], [], [], []
     for n in range(1, M - GUARD_LEVELS + 1):
@@ -140,12 +148,13 @@ def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
         Ql = _lw_basis(T, tol)
         wn = chain.w[n]
         ell_n = chain.lowest_vector(n)
+        keys_t = chain._weight_keys(1, n)
 
         a = _a_one_hot(Qh, dn)
         b = _b_one_hot(wn, dn)
         D = Qh @ Qh.T
         D[::dn, ::dn] -= np.eye(dl)
-        c = float(np.max(np.abs(np.linalg.eigvalsh(D))))
+        c = _graded_norm(D, keys_t, keys_t, f"c({n})")
         a_l = _a_lowest(Ql, ell_n, dl)
         b_l = _b_lowest(wn, ell_lam, ell_n)
 
@@ -160,7 +169,8 @@ def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
         # f_{lam,n lam} (P^h_{lam,n lam} - P^h_lam (x) P^h_{n lam}) = 0
         M4 = (wn.T @ Qh) @ Qh.T
         M4[:, 0] -= wn[0, :]
-        r4 = operator_norm(M4)
+        r4 = _graded_norm(M4, chain._weight_keys(n + 1), keys_t,
+                          f"Cartan projector absorption at n={n}")
         if r4 > 1e-8:
             raise InvariantViolation(
                 f"Cartan projector does not absorb the product projector "
@@ -246,7 +256,8 @@ def f_estimate_check(chain: CartanChain, n: int,
     term1 = chain.right_isometry(n) @ chain.w[n].T
     X = np.kron(np.eye(dl), chain.right_isometry(n - 1))
     term2 = _apply_left(chain.w[n - 1].T, X, dl)
-    lhs = operator_norm(term1 - term2)
+    lhs = _graded_norm(term1 - term2, chain._weight_keys(n, 1),
+                       chain._weight_keys(1, n), f"f-estimate at n={n}")
 
     if table is not None and n in table.ns and (n - 1) in table.ns:
         a_n = float(table.a[list(table.ns).index(n)])
@@ -314,23 +325,30 @@ def _sigma_pair(base, tol: ToleranceProfile) -> tuple:
     return sig_h_inv, sig_l
 
 
-def _defect_maps(W: np.ndarray, G: np.ndarray, dl: int, dmu: int,
-                 sigma: np.ndarray, qfac: float) -> DefectNorms:
-    """Norms of x -> B(x) - qfac * A(sigma x) on the (dl x dl)-dim domain."""
+def _defect_maps(W: np.ndarray, G: np.ndarray, keys_lam: np.ndarray,
+                 keys_mu: np.ndarray, sigma: np.ndarray, qfac: float) -> DefectNorms:
+    """Norms of x -> B(x) - qfac * A(sigma x) on the (dl x dl)-dim domain.
+
+    A(e_a (x) e_b) = W_a^T W_b and B(e_b (x) e_a) = G_b G_a^T, where W_a and
+    G_b are the row blocks of W and G with left tensor index a and b; both
+    Gram stacks come from one GEMM each, the sigma mixing from one more.
+    D_(b,a) = B(e_b (x) e_a) - qfac * A(sigma(e_b (x) e_a)) is graded with
+    weight shift wt(e_a) - wt(e_b), so both norms are graded block norms.
+    """
+    dl, dmu = keys_lam.size, keys_mu.size
     dnu = W.shape[0] // dl
-    Wb = W.reshape(dl, dnu, W.shape[1])
-    Gb = G.reshape(dl, dmu, G.shape[1])
-    Astack = np.einsum("aim,bin->abmn", Wb, Wb)   # A[a,b] = W_a^T W_b : dmu x dmu
-    worst = 0.0
-    cols = np.empty((dmu * dmu, dl * dl))
-    for b in range(dl):
-        for a in range(dl):
-            Bmat = Gb[b] @ Gb[a].T
-            s = sigma[:, b * dl + a].reshape(dl, dl)
-            D = Bmat - qfac * np.tensordot(s, Astack, axes=([0, 1], [0, 1]))
-            worst = max(worst, operator_norm(D))
-            cols[:, b * dl + a] = D.reshape(-1)
-    return DefectNorms(worst, operator_norm(cols))
+
+    def blocks(X):   # (dl dmu) x (dl dmu) with blocks [x, y] -> row x*dl + y
+        return X.reshape(dl, dmu, dl, dmu).transpose(0, 2, 1, 3).reshape(dl * dl, -1)
+
+    Wc = W.reshape(dl, dnu, dmu).transpose(1, 0, 2).reshape(dnu, dl * dmu)
+    D = blocks(G @ G.T) - qfac * (sigma.T @ blocks(Wc.T @ Wc))
+    shift = (keys_lam[None, :] - keys_lam[:, None]).reshape(-1)   # (b, a) -> a - b
+    worst = max(_graded_norm(D[p].reshape(dmu, dmu), keys_mu, keys_mu + shift[p],
+                             "star-commutation defect") for p in range(dl * dl))
+    cols = _graded_norm(D.T, (keys_mu[:, None] - keys_mu[None, :]).reshape(-1), shift,
+                        "matricized star-commutation defect")
+    return DefectNorms(worst, cols)
 
 
 def _bound_combo(Q_mu: np.ndarray, W: np.ndarray, G: np.ndarray,
@@ -353,21 +371,21 @@ def _lowest_unit(V, tol: ToleranceProfile) -> np.ndarray:
     return cols[:, 0]
 
 
-def _star_commute_from_isometries(base, Vmu, W, G, ell_nu, lam, mu, q,
-                                  tol: ToleranceProfile,
+def _star_commute_from_isometries(base, Vmu, W, G, ell_lam, ell_mu, ell_nu,
+                                  lam, mu, q, tol: ToleranceProfile,
                                   sigmas: tuple = None) -> StarCommuteReport:
     dl, dmu, dnu = base.dim, Vmu.dim, W.shape[0] // base.dim
     if sigmas is None:
         sigmas = _sigma_pair(base, tol)
     sig_h_inv, sig_l = sigmas
     qq = pairing(lam, lam)
-    defect_h = _defect_maps(W, G, dl, dmu, sig_h_inv, q ** (-qq))
-    defect_l = _defect_maps(W, G, dl, dmu, sig_l, q ** (+qq))
+    radix = _weight_radix([base, Vmu])
+    keys_lam, keys_mu = base.weights @ radix, Vmu.weights @ radix
+    defect_h = _defect_maps(W, G, keys_lam, keys_mu, sig_h_inv, q ** (-qq))
+    defect_l = _defect_maps(W, G, keys_lam, keys_mu, sig_l, q ** (+qq))
 
     T = repn.tensor(base, Vmu)
     bound_h = _bound_combo(_hw_basis(T, tol), W, G, dmu, dnu)
-    ell_lam = _lowest_unit(base, tol)
-    ell_mu = _lowest_unit(Vmu, tol)
     bound_l = _bound_combo_l(_lw_basis(T, tol), W, G, ell_lam, ell_mu,
                              ell_nu, dl)
 
@@ -386,6 +404,7 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
         raise ValueError(f"need 1 <= n <= {chain.M - 1}")
     return _star_commute_from_isometries(
         chain.base, chain.levels[n], chain.w[n - 1], chain.w[n],
+        chain.lowest_vector(1), chain.lowest_vector(n),
         chain.lowest_vector(n - 1), chain.lam, chain.lam * n, chain.q,
         chain.tol, sigmas)
 
@@ -412,7 +431,9 @@ def star_commute_defect(lam: Weight, mu: Weight, q: float,
     _, embG = decomp.cartan_component(base, Vmu, tol=tol)
     ell_nu = _lowest_unit(Vnu, tol) if Vnu.dim > 1 else np.ones(1)
     return _star_commute_from_isometries(base, Vmu, embW.matrix, embG.matrix,
-                                         ell_nu, lam, mu, q, tol, sigmas)
+                                         _lowest_unit(base, tol),
+                                         _lowest_unit(Vmu, tol), ell_nu,
+                                         lam, mu, q, tol, sigmas)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ fusion multiplicities.
 
 All kernels are computed weight-block by weight-block (never on the whole
 space): the stacked generator matrix restricted to a block is small, and the
-rank certificates are much sharper there.
+rank certificates are much sharper there.  Blocks of the same shape share
+one batched SVD, but each keeps its own rank certificate.
 """
 from __future__ import annotations
 
@@ -13,20 +14,16 @@ import numpy as np
 
 from . import repn
 from .numerics import (AmbiguousRank, DEFAULT_TOL, InvariantViolation,
-                       ToleranceProfile, certified_rank, nullspace, projector)
+                       ToleranceProfile, certified_rank, nullspace)
 from .qcore import Weight, simple_root, weyl_dim
 
 __all__ = [
     "HighestWeightReport",
     "highest_weight_space",
     "lowest_weight_space",
-    "p_h_projector",
-    "p_l_projector",
     "generate_submodule",
     "cartan_component",
-    "cartan_projection",
     "fusion_multiplicities",
-    "s_invariant_dim",
 ]
 
 
@@ -65,27 +62,47 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
 
 
 def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:
+    """Joint kernel of the E_i (raising) or F_i, one weight block at a time.
+
+    The generator block of weight nu stacks E_i[nu + alpha_i, nu] (or
+    F_i[nu - alpha_i, nu]) over i.  Blocks whose stacks have the same shape
+    are gathered by one fancy index into the generators stacked row-wise and
+    ranked by one nullspace call.
+    """
     mats = V.E if raising else V.F
     sgn = 1 if raising else -1
+    G = np.vstack([mats[i] for i in range(1, V.N)])
     blocks = V.weight_blocks()
+    wts = sorted(blocks, reverse=True)
+    roots = [simple_root(i, V.N).coords for i in range(1, V.N)]
+
+    groups = {}   # shape of the stacked block -> [(weight, rows of G), ...]
+    for wt in wts:
+        rows = [i * V.dim + blocks[t] for i, alpha in enumerate(roots)
+                if (t := tuple(w + sgn * a for w, a in zip(wt, alpha))) in blocks]
+        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+        groups.setdefault((rows.size, blocks[wt].size), []).append((wt, rows))
+
+    kernels = {}
+    for (m, n), entries in groups.items():
+        R = np.array([rows for _, rows in entries], dtype=np.intp).reshape(len(entries), m)
+        C = np.array([blocks[wt] for wt, _ in entries])
+        try:
+            K = nullspace(G[R[:, :, None], C[:, None, :]], tol)
+        except AmbiguousRank as exc:
+            exc.args = (f"{'highest' if raising else 'lowest'} weight space, "
+                        f"weight block {Weight(entries[exc.index][0])}: {exc}",)
+            raise
+        kernels.update(zip((wt for wt, _ in entries), K))
+
     components = []
     total = 0
-    for wt in sorted(blocks.keys(), reverse=True):
-        idx = blocks[wt]
-        stacked = []
-        for i in range(1, V.N):
-            target = tuple(np.asarray(wt) + sgn * simple_root(i, V.N).as_array())
-            rows = blocks.get(target)
-            if rows is not None:
-                stacked.append(mats[i][np.ix_(rows, idx)])
-        if stacked:
-            K = nullspace(np.vstack(stacked), tol)
-        else:
-            K = np.eye(len(idx))
+    for wt in wts:
+        K = kernels[wt]
         if K.shape[1] == 0:
             continue
         cols = np.zeros((V.dim, K.shape[1]))
-        cols[idx, :] = K
+        cols[blocks[wt], :] = K
         components.append((Weight(wt), _fix_signs(cols)))
         total += K.shape[1]
     report = HighestWeightReport(components, total)
@@ -123,14 +140,6 @@ def highest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeigh
 def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeightReport:
     """Joint kernel of all F_i, grouped by weight."""
     return _extreme_weight_space(V, raising=False, tol=tol)
-
-
-def p_h_projector(V, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    return projector(highest_weight_space(V, tol).basis_matrix(V.dim), tol)
-
-
-def p_l_projector(V, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    return projector(lowest_weight_space(V, tol).basis_matrix(V.dim), tol)
 
 
 def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
@@ -223,11 +232,6 @@ def cartan_component(A, B, tensor_module=None, tol: ToleranceProfile = DEFAULT_T
     return generate_submodule(T, seed, tol)
 
 
-def cartan_projection(A, B, tensor_module=None, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    _, emb = cartan_component(A, B, tensor_module, tol)
-    return emb.matrix @ emb.matrix.T
-
-
 def fusion_multiplicities(Vl, Vm, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """nu -> multiplicity of V_nu in Vl ox Vm, with the classical upper bound
     (and its equality criterion) enforced as invariants."""
@@ -260,21 +264,3 @@ def fusion_multiplicities(Vl, Vm, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
                     f"{mults.get(nu, 0)} != {bound}"
                 )
     return mults
-
-
-def s_invariant_dim(V, S, wt: Weight, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    """dim of the weight-wt subspace killed by E_i and F_i for i in S."""
-    blocks = V.weight_blocks()
-    idx = blocks.get(wt.coords)
-    if idx is None:
-        return 0
-    stacked = []
-    for i in S:
-        for mats, sgn in ((V.E, 1), (V.F, -1)):
-            target = tuple(np.asarray(wt.coords) + sgn * simple_root(i, V.N).as_array())
-            rows = blocks.get(target)
-            if rows is not None:
-                stacked.append(mats[i][np.ix_(rows, idx)])
-    if not stacked:
-        return len(idx)
-    return nullspace(np.vstack(stacked), tol).shape[1]

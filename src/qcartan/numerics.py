@@ -24,12 +24,16 @@ __all__ = [
     "operator_norm",
     "certified_rank",
     "nullspace",
-    "projector",
 ]
 
 
 class AmbiguousRank(Exception):
-    """Spectral-gap certificate failed: the kernel dimension cannot be trusted."""
+    """Spectral-gap certificate failed: the kernel dimension cannot be trusted.
+
+    index is the position of the failing matrix when nullspace ranks a stack.
+    """
+
+    index = None
 
 
 class InvariantViolation(Exception):
@@ -78,41 +82,29 @@ def certified_rank(s, scale: float, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     return r
 
 
-def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of {v : Mv = 0}, gap-certified.
+def nullspace(A, tol: ToleranceProfile = DEFAULT_TOL) -> list:
+    """Orthonormal kernel bases (columns) of a stack A of shape (B, m, n).
 
-    The rank is certified_rank of the singular values against sigma_max.
+    One SVD for the whole stack; the rank of each matrix is certified_rank
+    of its own singular values against its own sigma_max.  A zero matrix
+    has kernel eye(n).  An AmbiguousRank carries the stack position in index.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("nullspace expects a matrix")
-    m, n = M.shape
-    if n == 0:
-        return np.zeros((0, 0))
-    if m == 0 or not M.any():
-        return np.eye(n)
-    _, s, Vt = np.linalg.svd(M)
-    if s[0] == 0.0:
-        return np.eye(n)
-    return Vt[certified_rank(s, s[0], tol):].T.copy()
-
-
-def _as_columns(vectors) -> np.ndarray:
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        return np.array(vectors, dtype=np.float64)
-    cols = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
-    if not cols:
-        return np.zeros((0, 0))
-    return np.stack(cols, axis=1)
-
-
-def projector(onb, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Q Q^T for an orthonormal set Q (columns). Input is checked, not fixed."""
-    Q = _as_columns(onb)
-    if Q.shape[1] == 0:
-        return np.zeros((Q.shape[0], Q.shape[0]))
-    G = Q.T @ Q
-    err = np.max(np.abs(G - np.eye(Q.shape[1])))
-    if err > tol.identity_tol:
-        raise ValueError(f"projector: input not orthonormal (Gram residual {err:.3e})")
-    return Q @ Q.T
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 3:
+        raise ValueError("nullspace expects a (B, m, n) stack")
+    B, m, n = A.shape
+    if m == 0 or n == 0:
+        return [np.eye(n) for _ in range(B)]
+    _, s, Vt = np.linalg.svd(A)
+    kernels = []
+    for b in range(B):
+        if s[b, 0] == 0.0:
+            kernels.append(np.eye(n))
+            continue
+        try:
+            r = certified_rank(s[b], s[b, 0], tol)
+        except AmbiguousRank as exc:
+            exc.index = b
+            raise
+        kernels.append(Vt[b, r:].T.copy())
+    return kernels

@@ -74,7 +74,8 @@ def _graded_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
     Returns (r, c, v, blocks): X[r, c] = v are the entries inside the blocks,
     and blocks holds (row index (B, h), column index (B, m)) for every block
-    shape h x m with m > 1, the same-shape blocks stacked.  Raises
+    shape h x m with h > 0 and m > 1, the same-shape blocks stacked.  A block
+    may be wide, or have no rows at all: its columns are then zero.  Raises
     InvariantViolation unless every entry off the blocks is exactly 0.0;
     only then is X the direct sum of its blocks.
     """
@@ -82,8 +83,6 @@ def _graded_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     rorder = np.argsort(rows, kind="stable")
     start = np.searchsorted(rows[rorder], keys, "left")
     h = np.searchsorted(rows[rorder], keys, "right") - start
-    if np.any(h < m):
-        raise InvariantViolation(f"{what}: a weight block has more columns than rows")
     lengths = h[inv]
     c = np.repeat(np.arange(cols.size), lengths)
     r = rorder[np.arange(c.size)
@@ -97,7 +96,8 @@ def _graded_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     corder = np.argsort(inv, kind="stable")
     cstart = np.cumsum(m) - m
     blocks = []
-    for shape in sorted(set(zip(h[m > 1].tolist(), m[m > 1].tolist()))):
+    stacked = (h > 0) & (m > 1)
+    for shape in sorted(set(zip(h[stacked].tolist(), m[stacked].tolist()))):
         sel = (h == shape[0]) & (m == shape[1])
         blocks.append((rorder[start[sel][:, None] + np.arange(shape[0])],
                        corder[cstart[sel][:, None] + np.arange(shape[1])]))
@@ -114,6 +114,8 @@ def _graded_polar(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     normalized.
     """
     r, c, v, blocks = _graded_blocks(X, rows, cols, what)
+    if any(ri.shape[1] < ci.shape[1] for ri, ci in blocks):
+        raise InvariantViolation(f"{what}: a weight block has more columns than rows")
     norms = np.sqrt(np.bincount(c, weights=v * v, minlength=X.shape[1]))
     svds = [np.linalg.svd(X[ri[:, :, None], ci[:, None, :]], full_matrices=False)
             for ri, ci in blocks]
@@ -133,7 +135,8 @@ def _graded_norm(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     """Operator norm of the weight-graded X: its largest block norm.
 
     A one-column block contributes its vector norm; no SVD of a tall
-    matrix is taken.
+    matrix is taken.  Every weight-graded norm of the package goes through
+    here, so every one rejects an entry off the weight blocks.
     """
     r, c, v, blocks = _graded_blocks(X, rows, cols, what)
     worst = float(np.sqrt(np.bincount(c, weights=v * v).max(initial=0.0)))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qcartan import asympt, sps
-from qcartan.numerics import InvariantViolation
-from qcartan.qcore import Weight, q_int
+from qcartan import asympt, decomp, repn, sps
+from qcartan.numerics import InvariantViolation, operator_norm
+from qcartan.qcore import Weight, pairing, q_int
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +206,73 @@ def test_compactification(chains):
         asympt.compactification_table(ch, ident, kmax=8)
     with pytest.raises(ValueError):
         asympt.compactification_defect(ch, S[0], 2, 2)
+
+
+def _dense_defect(W, G, dl, dmu, sigma, qfac):
+    """Reference: every D_(b,a) formed by einsum and a dense SVD norm."""
+    dnu = W.shape[0] // dl
+    Wb = W.reshape(dl, dnu, W.shape[1])
+    Gb = G.reshape(dl, dmu, G.shape[1])
+    A = np.einsum("aim,bin->abmn", Wb, Wb)
+    worst = 0.0
+    cols = np.empty((dmu * dmu, dl * dl))
+    for b in range(dl):
+        for a in range(dl):
+            s = sigma[:, b * dl + a].reshape(dl, dl)
+            D = Gb[b] @ Gb[a].T - qfac * np.tensordot(s, A, axes=([0, 1], [0, 1]))
+            worst = max(worst, operator_norm(D))
+            cols[:, b * dl + a] = D.reshape(-1)
+    return worst, operator_norm(cols)
+
+
+def _near(got, ref):
+    # 1e-15 absolute; the matricized defects reach 8.9, where that is below
+    # 2 ulp, so above 1 the bound is 1e-15 relative
+    return abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("coords, q, M", [((1, 1), 1.0, 5), ((1, 0), 1.5, 8)])
+def test_graded_norms_match_dense_norms(chains, coords, q, M):
+    # rho's tensor blocks have multiplicity > 1, so the block SVD path runs
+    ch = chains(coords, q, M)
+    dl = ch.base.dim
+    sig_h_inv, sig_l = asympt._sigma_pair(ch.base, ch.tol)
+    qq = pairing(ch.lam, ch.lam)
+    for n in range(1, M):
+        rep = asympt.star_commute_defect_chain(ch, n)
+        dmu = ch.levels[n].dim
+        for got, sigma, qfac in ((rep.defect_h, sig_h_inv, q ** -qq),
+                                 (rep.defect_l, sig_l, q ** qq)):
+            basis, matric = _dense_defect(ch.w[n - 1], ch.w[n], dl, dmu, sigma, qfac)
+            assert _near(got.basis_max, basis)
+            assert _near(got.matricized, matric)
+
+    table = asympt.conjecture_scan(chain=ch)
+    for i, n in enumerate(table.ns):
+        dn = ch.levels[n].dim
+        Qh = decomp.highest_weight_space(repn.tensor(ch.base, ch.levels[n])).basis_matrix(dl * dn)
+        D = Qh @ Qh.T
+        D[::dn, ::dn] -= np.eye(dl)
+        assert _near(table.c[i], np.max(np.abs(np.linalg.eigvalsh(D))))
+        wn = ch.w[n]
+        M4 = (wn.T @ Qh) @ Qh.T
+        M4[:, 0] -= wn[0, :]
+        r4 = sps._graded_norm(M4, ch._weight_keys(n + 1), ch._weight_keys(1, n), "r4")
+        assert _near(r4, operator_norm(M4))
+
+    for n in range(2, M):
+        lhs, _, _ = asympt.f_estimate_check(ch, n)
+        term1 = ch.right_isometry(n) @ ch.w[n].T
+        term2 = np.kron(ch.w[n - 1].T, np.eye(dl)) @ np.kron(np.eye(dl), ch.right_isometry(n - 1))
+        assert _near(lhs, operator_norm(term1 - term2))
+
+
+def test_star_defect_rejects_an_off_block_entry(chains):
+    ch = chains((1, 0), 1.5, 6)
+    w = [m.copy() for m in ch.w]
+    off = ch._weight_keys(1, 3)[:, None] != ch._weight_keys(4)[None, :]
+    r, c = np.argwhere(off)[0]
+    w[3][r, c] = 1e-13    # G = w[3] at n = 3
+    bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, list(ch.levels), w)
+    with pytest.raises(InvariantViolation, match="off the weight blocks"):
+        asympt.star_commute_defect_chain(bad, 3)

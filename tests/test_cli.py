@@ -191,14 +191,21 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
-def test_reports_match_frozen_reference(tmp_path, capsys):
-    # q=2, M=18 is the most precision-sensitive chain of the reference set;
-    # text must be identical and numbers agree to 1e-12 relative + 1e-15
+REFERENCE_CHAINS = ((3, "1.0", 22), (4, "1.0", 10), (2, "1.2", 22),
+                    (2, "1.5", 22), (2, "2.0", 18))
+
+
+@pytest.mark.parametrize("N, q, M", REFERENCE_CHAINS,
+                         ids=[f"N{N}-q{q}-M{M}" for N, q, M in REFERENCE_CHAINS])
+def test_reports_match_frozen_reference(tmp_path, capsys, N, q, M):
+    # every scan and star table of perfbench/reference/: text must be
+    # identical and numbers agree to 1e-12 relative + 1e-15 absolute
+    lam = "lam" + "-".join(["1"] + ["0"] * (N - 2))
     for command in ("scan", "star"):
-        rc = cli.main([command, "--N", "2", "--q", "2.0", "--max-level", "18",
+        rc = cli.main([command, "--N", str(N), "--q", q, "--max-level", str(M),
                        "--out", str(tmp_path)])
         assert rc == 0
-        name = f"{command}_N2_lam1_q2.csv"
+        name = f"{command}_N{N}_{lam}_q{float(q):.17g}.csv"
         got = (tmp_path / name).read_text().splitlines()
         ref = (REFERENCE_DIR / name).read_text().splitlines()
         assert len(got) == len(ref)
@@ -207,6 +214,19 @@ def test_reports_match_frozen_reference(tmp_path, capsys):
             for a, b in zip(_NUMBER.findall(g), _NUMBER.findall(r)):
                 x, y = float(a), float(b)
                 assert abs(x - y) <= 1e-12 * abs(y) + 1e-15, (name, g, r)
+    capsys.readouterr()
+
+
+def test_star_reports_are_byte_deterministic(tmp_path, capsys):
+    # rho's levels have weight multiplicities > 1: block SVDs in every norm
+    blobs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main(["star", "--N", "3", "--lambda", "1,1", "--q", "1.5",
+                         "--max-level", "5", "--out", str(out)]) == 0
+        (path,) = out.iterdir()
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
     capsys.readouterr()
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qcartan import decomp, repn
-from qcartan.numerics import DEFAULT_TOL, InvariantViolation
-from qcartan.qcore import Weight, weyl_dim
+from qcartan.numerics import (DEFAULT_TOL, AmbiguousRank, InvariantViolation,
+                              ToleranceProfile, certified_rank)
+from qcartan.qcore import Weight, simple_root, weyl_dim
 
 
 def test_highest_weight_space_of_tensor_square_rank_one():
@@ -42,7 +43,9 @@ def test_lowest_weight_space_mirrors_highest():
 def test_projectors_are_orthogonal_projections():
     V = repn.standard_module(2, 1.3)
     T = repn.tensor(V, V)
-    for P in (decomp.p_h_projector(T), decomp.p_l_projector(T)):
+    for report in (decomp.highest_weight_space(T), decomp.lowest_weight_space(T)):
+        Q = report.basis_matrix(T.dim)
+        P = Q @ Q.T
         assert np.max(np.abs(P - P.T)) <= 1e-14
         assert np.max(np.abs(P @ P - P)) <= 1e-12
         assert abs(np.trace(P) - 2.0) <= 1e-12
@@ -94,7 +97,7 @@ def test_cartan_component_of_distinct_factors():
     sub, emb = b
     assert sub.dim == weyl_dim(Weight((2, 0)))
     assert emb.residual() <= 1e-12
-    P = decomp.cartan_projection(A, A)
+    P = emb.matrix @ emb.matrix.T
     assert np.max(np.abs(P @ P - P)) <= 1e-12
     assert abs(np.trace(P) - sub.dim) <= 1e-10
 
@@ -118,14 +121,6 @@ def test_fusion_multiplicities_with_a_wall_weight(builders):
     assert std.dim * V.dim == sum(weyl_dim(w) * m for w, m in mults.items())
 
 
-def test_s_invariant_dim_counts_joint_invariants():
-    V = repn.standard_module(2, 1.5)
-    T = repn.tensor(V, V)
-    # the weight-zero line of the trivial summand inside V (x) V
-    assert decomp.s_invariant_dim(T, {1}, Weight((0,))) == 1
-    assert decomp.s_invariant_dim(T, {1}, Weight((2,))) == 0
-
-
 def test_extreme_space_completeness_guard_fires_on_corrupt_module():
     V = repn.standard_module(2, 1.5)
     # zero out F so that extra fake lowest-weight vectors appear
@@ -133,3 +128,55 @@ def test_extreme_space_completeness_guard_fires_on_corrupt_module():
                        highest_weight=V.highest_weight, hw_index=0)
     with pytest.raises(InvariantViolation):
         decomp.lowest_weight_space(bad)
+
+
+def _per_block_kernels(V, raising):
+    """Reference: one np.ix_ gather and one SVD per weight block."""
+    mats, sgn = (V.E, 1) if raising else (V.F, -1)
+    blocks = V.weight_blocks()
+    out = {}
+    for wt, idx in blocks.items():
+        parts = []
+        for i in range(1, V.N):
+            target = tuple(w + sgn * a for w, a in zip(wt, simple_root(i, V.N).coords))
+            if target in blocks:
+                parts.append(mats[i][np.ix_(blocks[target], idx)])
+        A = np.vstack(parts) if parts else np.zeros((0, len(idx)))
+        if A.shape[0] == 0 or not A.any():
+            K = np.eye(len(idx))
+        else:
+            _, s, Vt = np.linalg.svd(A)
+            K = Vt[certified_rank(s, s[0]):].T.copy()
+        if K.shape[1]:
+            cols = np.zeros((V.dim, K.shape[1]))
+            cols[idx, :] = K
+            out[Weight(wt)] = decomp._fix_signs(cols)
+    return out
+
+
+@pytest.mark.parametrize("coords, q, n", [((1,), 2.0, 9), ((1, 0), 1.5, 6),
+                                          ((1, 1), 1.0, 3), ((1, 0, 0), 1.0, 4)])
+def test_stacked_kernels_match_per_block_svds_bitwise(chains, coords, q, n):
+    ch = chains(coords, q, n + 1)
+    T = repn.tensor(ch.base, ch.levels[n])
+    for raising, space in ((True, decomp.highest_weight_space),
+                           (False, decomp.lowest_weight_space)):
+        ref = _per_block_kernels(T, raising)
+        report = space(T)
+        assert [w for w, _ in report.components] == sorted(ref, key=lambda w: w.coords,
+                                                           reverse=True)
+        for w, cols in report.components:
+            assert np.array_equal(cols, ref[w])
+
+
+def test_ambiguous_rank_names_the_weight_block(builders):
+    # in rho (x) rho the kernel blocks at weight (0, 0) drop a singular value
+    # of rounding size; an unreachable gap ratio makes that cut ambiguous
+    rho = builders(3, 1.5).module(Weight((1, 1)))
+    T = repn.tensor(rho, rho)
+    strict = ToleranceProfile(gap_ratio_min=1e300)
+    for space, kind in ((decomp.highest_weight_space, "highest"),
+                        (decomp.lowest_weight_space, "lowest")):
+        with pytest.raises(AmbiguousRank,
+                           match=rf"{kind} weight space, weight block Weight\(0, 0\): rank gap"):
+            space(T, strict)

@@ -1,4 +1,4 @@
-"""Rank-revealing primitives: certified rank, nullspace, projectors."""
+"""Rank-revealing primitives: certified rank and stacked nullspaces."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from qcartan.numerics import (
     certified_rank,
     nullspace,
     operator_norm,
-    projector,
 )
 
 
@@ -37,30 +36,45 @@ def test_operator_norm_known_values():
 
 def test_nullspace_exact_kernel():
     A = np.array([[1.0, 1.0, 0.0]])
-    K = nullspace(A)
+    (K,) = nullspace(A[None])
     assert K.shape == (3, 2)
     assert np.max(np.abs(A @ K)) <= 1e-12
     assert np.max(np.abs(K.T @ K - np.eye(2))) <= 1e-12
+    with pytest.raises(ValueError, match="stack"):
+        nullspace(A)
 
 
 def test_nullspace_full_rank_and_zero_matrix():
-    assert nullspace(np.eye(3)).shape == (3, 0)
-    Z = nullspace(np.zeros((2, 4)))
-    assert Z.shape == (4, 4)
-    assert np.max(np.abs(Z.T @ Z - np.eye(4))) <= 1e-12
+    full, zero = nullspace(np.stack([np.eye(3), np.zeros((3, 3))]))
+    assert full.shape == (3, 0)
+    assert np.array_equal(zero, np.eye(3))
+    assert [K.shape for K in nullspace(np.zeros((2, 0, 4)))] == [(4, 4)] * 2
 
 
 def test_nullspace_certified_gap():
     # kept/dropped singular values straddle the cut with a wide ratio: fine
     A = np.diag([1.0, 2e-10, 1e-13])
-    assert nullspace(A).shape == (3, 2)
+    assert nullspace(A[None])[0].shape == (3, 2)
 
 
 def test_nullspace_ambiguous_band_raises():
     # 2e-9 (kept) vs 5e-10 (dropped) is only a factor 4 across the cut
     A = np.diag([1.0, 2e-9, 5e-10])
     with pytest.raises(AmbiguousRank):
-        nullspace(A)
+        nullspace(A[None])
+
+
+def test_nullspace_ranks_each_matrix_against_its_own_scale():
+    # 1e-3 counts against its own sigma_max; against the 1e9 of the other
+    # matrix in the stack it would fall below the cut
+    stack = np.stack([np.diag([1e9, 10.0, 0.0]), np.diag([1e-3, 0.0, 0.0])])
+    big, small = nullspace(stack)
+    assert big.shape == (3, 1) and small.shape == (3, 2)
+    # the failing matrix is named by its position in the stack
+    stack[1] = np.diag([1.0, 2e-9, 5e-10])
+    with pytest.raises(AmbiguousRank) as info:
+        nullspace(stack)
+    assert info.value.index == 1
 
 
 def test_certified_rank_pure_noise_block_has_rank_zero():
@@ -90,20 +104,6 @@ def test_certified_rank_uses_the_local_scale():
     assert certified_rank(s, 1.4142) == 1  # against its local F-block norm
     # a global scale large enough would drop it silently
     assert certified_rank(s, 1e12) == 0
-
-
-def test_projector_idempotent_symmetric():
-    onb = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    P = projector(onb)
-    assert np.max(np.abs(P - P.T)) == 0.0
-    assert np.max(np.abs(P @ P - P)) <= 1e-14
-    assert abs(np.trace(P) - 2.0) <= 1e-12
-
-
-def test_projector_rejects_non_orthonormal_columns():
-    bad = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        projector(bad)
 
 
 def test_default_tolerances():
