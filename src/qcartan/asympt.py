@@ -11,9 +11,10 @@ projector-factorization estimate for the chain isometries, the defect of
 star-commutation against the braiding, right/left creation commutators,
 vacuum-state limits, and the level-compression (compactification) defect.
 
-Chain coordinates keep every highest weight vector one-hot at index 0, so
-the h-quantities reduce to row/column slicing of the chain isometries; the
-l-quantities contract against explicitly extracted lowest weight vectors.
+The h- and l-quantities go through the same two helpers, _a and _b, which
+contract against the chain's extreme vectors: chain.hw_vector(k), one-hot
+at index 0 in chain coordinates, and chain.lowest_vector(k).  Every
+measurement reads its modules, isometries and weight keys from one chain.
 
 The square matrices measured here are weight-graded with exact zeros off
 their weight blocks: c(n) and the Cartan-projector absorption residual of the
@@ -35,8 +36,7 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
 from .sps import (CartanChain, FockSpace, BlockOp, creation,
-                  right_creation, psi, _apply_left, _graded_norm,
-                  _weight_radix)
+                  right_creation, psi, _apply_left, _graded_norm)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -74,43 +74,23 @@ class ConvergenceTable:
         return len(self.ns)
 
 
-def _hw_basis(T, tol: ToleranceProfile) -> np.ndarray:
-    return decomp.highest_weight_space(T, tol).basis_matrix(T.dim)
-
-
-def _lw_basis(T, tol: ToleranceProfile) -> np.ndarray:
-    return decomp.lowest_weight_space(T, tol).basis_matrix(T.dim)
-
-
-def _a_one_hot(Q: np.ndarray, dsub: int) -> float:
-    """||(1 - 1 (x) e0 e0^T) Q|| for Q with orthonormal columns."""
-    Qz = Q.copy()
-    Qz[::dsub, :] = 0.0
-    return operator_norm(Qz)
-
-
-def _a_lowest(Q: np.ndarray, ell: np.ndarray, dleft: int) -> float:
-    """||(1 - 1 (x) ell ell^T) Q||."""
-    dsub = ell.shape[0]
+def _a(Q: np.ndarray, x: np.ndarray, dleft: int) -> float:
+    """||(1 - 1 (x) x x^T) Q|| for Q with orthonormal columns and unit x."""
+    dsub = x.shape[0]
     r = Q.shape[1]
     Qr = Q.reshape(dleft, dsub, r)
-    coef = np.einsum("abr,b->ar", Qr, ell)
-    Qz = Qr - coef[:, None, :] * ell[None, :, None]
+    coef = np.einsum("abr,b->ar", Qr, x)
+    Qz = Qr - coef[:, None, :] * x[None, :, None]
     return operator_norm(Qz.reshape(dleft * dsub, r))
 
 
-def _b_one_hot(W: np.ndarray, dsub: int) -> float:
-    """||f ((1 - e0 e0^T) (x) e0 e0^T)|| for a component isometry W."""
-    return operator_norm(W[dsub::dsub, :])
-
-
-def _b_lowest(W: np.ndarray, ell_left: np.ndarray, ell: np.ndarray) -> float:
-    """||f ((1 - l l^T) (x) l' l'^T)|| via contraction against l'."""
-    dleft = ell_left.shape[0]
-    dsub = ell.shape[0]
+def _b(W: np.ndarray, x_left: np.ndarray, x: np.ndarray) -> float:
+    """||f ((1 - x_left x_left^T) (x) x x^T)|| for a component isometry W."""
+    dleft = x_left.shape[0]
+    dsub = x.shape[0]
     W3 = W.reshape(dleft, dsub, -1)
-    G = np.einsum("abc,b->ac", W3, ell)
-    return operator_norm(G - np.outer(ell_left, ell_left @ G))
+    G = np.einsum("abc,b->ac", W3, x)
+    return operator_norm(G - np.outer(x_left, x_left @ G))
 
 
 def _rank_should_stabilize(lam: Weight, weights: np.ndarray, n: int) -> bool:
@@ -119,9 +99,7 @@ def _rank_should_stabilize(lam: Weight, weights: np.ndarray, n: int) -> bool:
     return bool(np.all(shifted >= 0))
 
 
-def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
-                    chain: CartanChain = None,
-                    tol: ToleranceProfile = DEFAULT_TOL) -> ConvergenceTable:
+def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
     """Scan a(n), b(n), c(n) and the lowest-weight duals for n below M-2.
 
     Raises InvariantViolation when any structural property fails: entries
@@ -130,13 +108,10 @@ def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
     the product projector, and for regular lam the rank of P^h_{lam,n lam}
     must equal dim V_lam once all shifted weights are dominant.
     """
-    if chain is None:
-        chain = CartanChain(lam, q, M, tol)
-    else:
-        lam, q, M, tol = chain.lam, chain.q, chain.M, chain.tol
+    lam, q, M, tol = chain.lam, chain.q, chain.M, chain.tol
     base = chain.base
     dl = base.dim
-    ell_lam = chain.lowest_vector(1)
+    h_lam, l_lam = chain.hw_vector(1), chain.lowest_vector(1)
     regular = is_regular(lam)
 
     ns, A, B, C, AL, BL = [], [], [], [], [], []
@@ -144,19 +119,19 @@ def conjecture_scan(lam: Weight = None, q: float = None, M: int = None,
         lev = chain.levels[n]
         dn = lev.dim
         T = repn.tensor(base, lev)
-        Qh = _hw_basis(T, tol)
-        Ql = _lw_basis(T, tol)
+        Qh = decomp.highest_weight_space(T, tol).basis_matrix(T.dim)
+        Ql = decomp.lowest_weight_space(T, tol).basis_matrix(T.dim)
         wn = chain.w[n]
-        ell_n = chain.lowest_vector(n)
+        h_n, l_n = chain.hw_vector(n), chain.lowest_vector(n)
         keys_t = chain._weight_keys(1, n)
 
-        a = _a_one_hot(Qh, dn)
-        b = _b_one_hot(wn, dn)
+        a = _a(Qh, h_n, dl)
+        b = _b(wn, h_lam, h_n)
         D = Qh @ Qh.T
         D[::dn, ::dn] -= np.eye(dl)
         c = _graded_norm(D, keys_t, keys_t, f"c({n})")
-        a_l = _a_lowest(Ql, ell_n, dl)
-        b_l = _b_lowest(wn, ell_lam, ell_n)
+        a_l = _a(Ql, l_n, dl)
+        b_l = _b(wn, l_lam, l_n)
 
         for name, val in (("a", a), ("b", b), ("c", c), ("a_l", a_l), ("b_l", b_l)):
             if not -1e-12 <= val <= 1.0 + 1e-9:
@@ -252,7 +227,6 @@ def f_estimate_check(chain: CartanChain, n: int,
     if n > chain.M - 1:
         raise ValueError(f"n={n} exceeds last isometry {chain.M - 1}")
     dl = chain.base.dim
-    dn = chain.levels[n].dim
     term1 = chain.right_isometry(n) @ chain.w[n].T
     X = np.kron(np.eye(dl), chain.right_isometry(n - 1))
     term2 = _apply_left(chain.w[n - 1].T, X, dl)
@@ -264,8 +238,9 @@ def f_estimate_check(chain: CartanChain, n: int,
         b_prev = float(table.b[list(table.ns).index(n - 1)])
     else:
         T = repn.tensor(chain.base, chain.levels[n])
-        a_n = _a_one_hot(_hw_basis(T, chain.tol), dn)
-        b_prev = _b_one_hot(chain.w[n - 1], chain.levels[n - 1].dim)
+        Qh = decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim)
+        a_n = _a(Qh, chain.hw_vector(n), dl)
+        b_prev = _b(chain.w[n - 1], chain.hw_vector(1), chain.hw_vector(n - 1))
     rhs = a_n + b_prev
     return lhs, rhs, bool(lhs <= rhs + 1e-7)
 
@@ -299,7 +274,7 @@ class StarCommuteReport:
     hw_fixed_point_residual: float
 
 
-def _sigma_pair(base, tol: ToleranceProfile) -> tuple:
+def sigma_pair(base, tol: ToleranceProfile) -> tuple:
     """(sigma_h_inv, sigma_l): both map V_lam-bar (x) V_lam -> V_lam (x) V_lam-bar.
 
     The creation pairing zeta-bar |-> L_zeta^* identifies the conjugate basis
@@ -351,89 +326,48 @@ def _defect_maps(W: np.ndarray, G: np.ndarray, keys_lam: np.ndarray,
     return DefectNorms(worst, cols)
 
 
-def _bound_combo(Q_mu: np.ndarray, W: np.ndarray, G: np.ndarray,
-                 dmu: int, dnu: int) -> float:
-    """b(lam, mu) + b(lam, mu-lam) + a(lam, mu), highest-weight version."""
-    return (_b_one_hot(G, dmu) + _b_one_hot(W, dnu) + _a_one_hot(Q_mu, dmu))
+def _bounds(Q: np.ndarray, W: np.ndarray, G: np.ndarray, x_lam: np.ndarray,
+            x_mu: np.ndarray, x_nu: np.ndarray) -> float:
+    """b(lam, mu) + b(lam, mu-lam) + a(lam, mu) at the extreme vectors x_*.
 
-
-def _bound_combo_l(Q_mu_l: np.ndarray, W: np.ndarray, G: np.ndarray,
-                   ell_lam: np.ndarray, ell_mu: np.ndarray,
-                   ell_nu: np.ndarray, dl: int) -> float:
-    return (_b_lowest(G, ell_lam, ell_mu) + _b_lowest(W, ell_lam, ell_nu)
-            + _a_lowest(Q_mu_l, ell_mu, dl))
-
-
-def _lowest_unit(V, tol: ToleranceProfile) -> np.ndarray:
-    cols = decomp.lowest_weight_space(V, tol).basis_matrix(V.dim)
-    if cols.shape[1] != 1:
-        raise InvariantViolation("module has no unique lowest weight line")
-    return cols[:, 0]
-
-
-def _star_commute_from_isometries(base, Vmu, W, G, ell_lam, ell_mu, ell_nu,
-                                  lam, mu, q, tol: ToleranceProfile,
-                                  sigmas: tuple = None) -> StarCommuteReport:
-    dl, dmu, dnu = base.dim, Vmu.dim, W.shape[0] // base.dim
-    if sigmas is None:
-        sigmas = _sigma_pair(base, tol)
-    sig_h_inv, sig_l = sigmas
-    qq = pairing(lam, lam)
-    radix = _weight_radix([base, Vmu])
-    keys_lam, keys_mu = base.weights @ radix, Vmu.weights @ radix
-    defect_h = _defect_maps(W, G, keys_lam, keys_mu, sig_h_inv, q ** (-qq))
-    defect_l = _defect_maps(W, G, keys_lam, keys_mu, sig_l, q ** (+qq))
-
-    T = repn.tensor(base, Vmu)
-    bound_h = _bound_combo(_hw_basis(T, tol), W, G, dmu, dnu)
-    bound_l = _bound_combo_l(_lw_basis(T, tol), W, G, ell_lam, ell_mu,
-                             ell_nu, dl)
-
-    # highest-weight fixed point: B(xi-bar (x) xi) xi_mu = xi_mu = A(...) xi_mu
-    e0 = np.zeros(dmu); e0[0] = 1.0
-    rB = np.linalg.norm(G[:dmu, :] @ (G[:dmu, :].T @ e0) - e0)
-    rA = np.linalg.norm(W[:dnu, :].T @ (W[:dnu, :] @ e0) - e0)
-    return StarCommuteReport(lam, mu, q, defect_h, bound_h, defect_l, bound_l,
-                             max(float(rB), float(rA)))
+    Q spans the extreme vectors of V_lam (x) V_mu of the same kind as x_*.
+    """
+    return _b(G, x_lam, x_mu) + _b(W, x_lam, x_nu) + _a(Q, x_mu, x_lam.size)
 
 
 def star_commute_defect_chain(chain: CartanChain, n: int,
                               sigmas: tuple = None) -> StarCommuteReport:
-    """Star-commutation defect at mu = n*lam, using the chain isometries."""
-    if not 1 <= n <= chain.M - 1:
-        raise ValueError(f"need 1 <= n <= {chain.M - 1}")
-    return _star_commute_from_isometries(
-        chain.base, chain.levels[n], chain.w[n - 1], chain.w[n],
-        chain.lowest_vector(1), chain.lowest_vector(n),
-        chain.lowest_vector(n - 1), chain.lam, chain.lam * n, chain.q,
-        chain.tol, sigmas)
-
-
-def star_commute_defect(lam: Weight, mu: Weight, q: float,
-                        tol: ToleranceProfile = DEFAULT_TOL,
-                        builder=None, sigmas: tuple = None) -> StarCommuteReport:
     """Defect of L_zeta* L_xi against q^{-(lam,lam)} L_xi L_zeta* braided.
 
-    mu - lam must be dominant.  V_mu is realized as the Cartan component of
-    V_lam (x) V_{mu-lam}; the creation maps come from the two component
-    isometries W: V_mu -> V_lam (x) V_{mu-lam} and G: V_{mu+lam} -> V_lam (x) V_mu.
+    mu = n lam; the creation maps come from the chain isometries
+    W = w[n-1]: V_mu -> V_lam (x) V_{mu-lam} and G = w[n]: V_{mu+lam} ->
+    V_lam (x) V_mu.  sigmas is the pair from sigma_pair(chain.base, chain.tol),
+    built here when not given.
     """
-    from .sps import GeneralWeightBuilder
+    if not 1 <= n <= chain.M - 1:
+        raise ValueError(f"need 1 <= n <= {chain.M - 1}")
+    if sigmas is None:
+        sigmas = sigma_pair(chain.base, chain.tol)
+    sig_h_inv, sig_l = sigmas
+    W, G = chain.w[n - 1], chain.w[n]
+    q, qq = chain.q, pairing(chain.lam, chain.lam)
+    keys_lam, keys_mu = chain._weight_keys(1), chain._weight_keys(n)
+    defect_h = _defect_maps(W, G, keys_lam, keys_mu, sig_h_inv, q ** (-qq))
+    defect_l = _defect_maps(W, G, keys_lam, keys_mu, sig_l, q ** (+qq))
 
-    nu = mu - lam
-    if not nu.is_dominant:
-        raise ValueError(f"mu - lam = {nu} is not dominant")
-    if builder is None:
-        builder = GeneralWeightBuilder(lam.N, q, tol)
-    base = builder.module(lam)
-    Vnu = builder.module(nu)
-    Vmu, embW = decomp.cartan_component(base, Vnu, tol=tol)
-    _, embG = decomp.cartan_component(base, Vmu, tol=tol)
-    ell_nu = _lowest_unit(Vnu, tol) if Vnu.dim > 1 else np.ones(1)
-    return _star_commute_from_isometries(base, Vmu, embW.matrix, embG.matrix,
-                                         _lowest_unit(base, tol),
-                                         _lowest_unit(Vmu, tol), ell_nu,
-                                         lam, mu, q, tol, sigmas)
+    T = repn.tensor(chain.base, chain.levels[n])
+    bound_h = _bounds(decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim),
+                      W, G, *(chain.hw_vector(k) for k in (1, n, n - 1)))
+    bound_l = _bounds(decomp.lowest_weight_space(T, chain.tol).basis_matrix(T.dim),
+                      W, G, *(chain.lowest_vector(k) for k in (1, n, n - 1)))
+
+    # highest-weight fixed point: B(xi-bar (x) xi) xi_mu = xi_mu = A(...) xi_mu
+    dmu, dnu = chain.levels[n].dim, chain.levels[n - 1].dim
+    e0 = chain.hw_vector(n)
+    rB = np.linalg.norm(G[:dmu, :] @ (G[:dmu, :].T @ e0) - e0)
+    rA = np.linalg.norm(W[:dnu, :].T @ (W[:dnu, :] @ e0) - e0)
+    return StarCommuteReport(chain.lam, chain.lam * n, q, defect_h, bound_h,
+                             defect_l, bound_l, max(float(rB), float(rA)))
 
 
 # ---------------------------------------------------------------------------

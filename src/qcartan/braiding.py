@@ -7,10 +7,10 @@ finite sum (the argument is nilpotent).
 
 Convention freeze: the q-bracket sign in the root-vector recursion, the shape
 of the F recursion, and the direction of the factor product are gauge choices
-that the source conventions leave open. They were resolved once by running
-resolve_convention() (intertwiner + eigen-relation tests on N=3 pairs, where
-the choices are not degenerate) and the winners are frozen below; tests
-re-derive them.
+that the source conventions leave open. They were resolved once by an
+exhaustive search (intertwiner + eigen-relation tests on N=3 pairs, where the
+choices are not degenerate) and the winners are frozen below;
+tests/test_braiding.py re-derives them.
 """
 from __future__ import annotations
 
@@ -35,10 +35,9 @@ __all__ = [
     "braid_sigma",
     "braid_sigma_inverse",
     "certify_pair",
-    "resolve_convention",
 ]
 
-# Frozen by resolve_convention(); see tests/test_braiding.py.
+# Frozen by the convention search re-run in tests/test_braiding.py.
 BRACKET_EXP = -1     # E_{i,j} = E_{i,j-1} E_j - q^BRACKET_EXP E_j E_{i,j-1}
 MIRROR_F = True      # F recursion mirrored (F_j first) with exponent -BRACKET_EXP
 REVERSE_ORDER = False  # exp_q factors taken along the convex order as listed
@@ -73,10 +72,8 @@ class RootVectorSet:
         return worst
 
 
-def root_vectors(V, bracket_exp: int = None, mirror_f: bool = None) -> RootVectorSet:
+def root_vectors(V) -> RootVectorSet:
     """Iterated q-bracket root vectors on a concrete module."""
-    s = BRACKET_EXP if bracket_exp is None else bracket_exp
-    mirror = MIRROR_F if mirror_f is None else mirror_f
     q = V.q
     E = {}
     F = {}
@@ -87,12 +84,12 @@ def root_vectors(V, bracket_exp: int = None, mirror_f: bool = None) -> RootVecto
         for i in range(1, V.N - span):
             j = i + span
             Ein, Ej = E[(i, j - 1)], V.E[j]
-            E[(i, j)] = Ein @ Ej - (q ** s) * (Ej @ Ein)
+            E[(i, j)] = Ein @ Ej - (q ** BRACKET_EXP) * (Ej @ Ein)
             Fin, Fj = F[(i, j - 1)], V.F[j]
-            if mirror:
-                F[(i, j)] = Fj @ Fin - (q ** (-s)) * (Fin @ Fj)
+            if MIRROR_F:
+                F[(i, j)] = Fj @ Fin - (q ** -BRACKET_EXP) * (Fin @ Fj)
             else:
-                F[(i, j)] = Fin @ Fj - (q ** (-s)) * (Fj @ Fin)
+                F[(i, j)] = Fin @ Fj - (q ** -BRACKET_EXP) * (Fj @ Fin)
     rv = RootVectorSet(V, E, F)
     res = rv.grading_residual()
     if res > 1e-9:
@@ -117,20 +114,18 @@ def _exp_q(X: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def r_matrix(V, W, bracket_exp: int = None, mirror_f: bool = None,
-             reverse_order: bool = None) -> np.ndarray:
+def r_matrix(V, W) -> np.ndarray:
     """R-matrix of the pair (V, W) as a dense matrix on V ox W."""
     if V.N != W.N or V.q != W.q:
         raise ValueError("R-matrix needs matching N and q")
-    rev = REVERSE_ORDER if reverse_order is None else reverse_order
     q = V.q
     N = V.N
-    rvV = root_vectors(V, bracket_exp, mirror_f)
-    rvW = root_vectors(W, bracket_exp, mirror_f)
+    rvV = root_vectors(V)
+    rvW = root_vectors(W)
     d = V.dim * W.dim
     R = np.eye(d)
     roots = positive_roots(N)
-    if rev:
+    if REVERSE_ORDER:
         roots = roots[::-1]
     if q != 1.0:
         scal = 1.0 - q ** (-2)
@@ -163,14 +158,14 @@ def _flip(M: np.ndarray, dV: int, dW: int) -> np.ndarray:
     return M.reshape(dV, dW, -1).transpose(1, 0, 2).reshape(dW * dV, -1)
 
 
-def braid_sigma(V, W, **conv) -> BraidingOperator:
-    R = r_matrix(V, W, **conv)
+def braid_sigma(V, W) -> BraidingOperator:
+    R = r_matrix(V, W)
     return BraidingOperator((V, W), _flip(R, V.dim, W.dim))
 
 
-def braid_sigma_inverse(V, W, tol: ToleranceProfile = DEFAULT_TOL, **conv) -> np.ndarray:
+def braid_sigma_inverse(V, W, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Inverse braiding W ox V -> V ox W (numerical inverse, residual-checked)."""
-    return braid_sigma(V, W, **conv).inverse_matrix(tol)
+    return braid_sigma(V, W).inverse_matrix(tol)
 
 
 def _ermat2_residual(V, W, R: np.ndarray) -> float:
@@ -223,45 +218,3 @@ def certify_pair(V, W, sigma: BraidingOperator = None, R: np.ndarray = None) -> 
         worst = max(worst, float(np.max(np.abs(kk))))
     return {"intertwiner": worst, "ermat2": _ermat2_residual(V, W, R)}
 
-
-def resolve_convention(N: int = 3, q: float = 1.7, tol: float = 1e-9) -> list:
-    """Search the discrete convention space on discriminating N=3 pairs.
-
-    Returns the list of (bracket_exp, mirror_f, reverse_order) combinations
-    passing all certificates; the frozen module constants must be among them.
-    Standard ox standard alone cannot see the bracket sign, hence the
-    V_{2 omega_1} ox V_{omega_1} and V_rho ox V_{omega_1} pairs.
-    """
-    from . import decomp
-    from .qcore import fundamental_weight, rho
-
-    std = repn.standard_module(N, q)
-    two = decomp.cartan_component(std, std)[0]
-    # V_rho: Cartan component of V_{omega_1} ox V_{omega_2}
-    w2 = decomp.generate_submodule(
-        repn.tensor(std, std),
-        decomp.highest_weight_space(repn.tensor(std, std)).vectors_of(
-            fundamental_weight(2, N))[:, 0],
-    )[0]
-    vrho = decomp.cartan_component(std, w2)[0]
-    pairs = [(two, std), (vrho, std), (std, vrho)]
-    passing = []
-    for be in (-1, 1):
-        for mf in (True, False):
-            for ro in (False, True):
-                ok = True
-                for (A, B) in pairs:
-                    try:
-                        rep = certify_pair(
-                            A, B,
-                            R=r_matrix(A, B, bracket_exp=be, mirror_f=mf,
-                                       reverse_order=ro))
-                    except InvariantViolation:
-                        ok = False
-                        break
-                    if max(rep.values()) > tol:
-                        ok = False
-                        break
-                if ok:
-                    passing.append((be, mf, ro))
-    return passing

@@ -390,10 +390,11 @@ def cmd_star(cfg: RunConfig) -> int:
     status = 0
     for q in cfg.q:
         chain = CartanChain(lam, q, cfg.max_level, tol)
+        sigmas = asympt.sigma_pair(chain.base, tol)
         rows = []
         worst_fix = 0.0
         for n in range(1, cfg.max_level - asympt.GUARD_LEVELS + 1):
-            r = asympt.star_commute_defect_chain(chain, n)
+            r = asympt.star_commute_defect_chain(chain, n, sigmas)
             rows.append([n, r.defect_h.basis_max, r.defect_h.matricized,
                          r.bound_combo_h, r.defect_l.basis_max,
                          r.defect_l.matricized, r.bound_combo_l,

@@ -143,7 +143,7 @@ def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeight
 
 
 def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
-    """Close a highest-weight seed under the F_i; returns (QModule, ModuleMap).
+    """Close a highest-weight seed under the F_i; returns (QModule, Q).
 
     The seed becomes basis vector 0 of the result exactly (phase fix).  The
     orbit is closed one weight block at a time, down the weight filtration:
@@ -153,7 +153,8 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     ||F_i[nu, mu]||_F; a global scale would not do, because the tensor module
     also holds weights outside the submodule whose candidates are pure
     rounding noise, and ||F_i||_F over the whole module grows like q^n.  The
-    projected module must pass check_module before it is returned.
+    projected module must pass check_module before it is returned.  Q is the
+    isometric intertwiner from the submodule into V.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
@@ -217,13 +218,13 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     F = {i: Q.T @ V.F[i] @ Q for i in range(1, V.N)}
     sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0)
     repn.check_module(sub, tol, raise_on_fail=True)
-    return sub, repn.ModuleMap(source=sub, target=V, matrix=Q)
+    return sub, Q
 
 
 def cartan_component(A, B, tensor_module=None, tol: ToleranceProfile = DEFAULT_TOL):
     """The copy of V_{lam+mu} inside A ox B generated by xi_lam ox xi_mu.
 
-    Returns (QModule, ModuleMap isometry into the tensor product).
+    Returns (QModule, isometry into the tensor product).
     """
     if A.highest_weight is None or B.highest_weight is None:
         raise ValueError("cartan_component needs simple inputs with fixed h.w. vectors")

@@ -18,14 +18,12 @@ __all__ = [
     "check_q",
     "q_int",
     "q_factorial",
-    "q_binomial",
     "cartan_matrix",
     "inv_cartan_matrix",
     "pairing",
     "simple_root",
     "fundamental_weight",
     "rho",
-    "n_of",
     "weyl_dim",
     "is_regular",
 ]
@@ -54,13 +52,6 @@ def q_factorial(n: int, q: float) -> float:
     for k in range(2, n + 1):
         out *= q_int(k, q)
     return out
-
-
-def q_binomial(m: int, k: int, q: float) -> float:
-    if not 0 <= k <= m:
-        raise ValueError(f"q-binomial needs 0 <= k <= m, got ({m}, {k})")
-    # ratio of factorials; fine in double precision at the scales used here
-    return q_factorial(m, q) / (q_factorial(k, q) * q_factorial(m - k, q))
 
 
 @lru_cache(maxsize=None)
@@ -184,13 +175,6 @@ def pairing_array(A: np.ndarray, B: np.ndarray, N: int) -> np.ndarray:
     """Pairings of rows of A against rows of B; A, B are (., N-1) integer arrays."""
     M = inv_cartan_matrix(N)
     return (A @ M) @ B.T
-
-
-def n_of(mu: Weight) -> int:
-    """min_i mu(i): the distance to the walls of the dominant cone."""
-    if not mu.is_dominant:
-        raise ValueError(f"n_of needs a dominant weight, got {mu}")
-    return min(mu.coords)
 
 
 def weyl_dim(mu: Weight) -> int:

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import InvariantViolation
 from .qcore import Weight, q_factorial, q_int
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "cuntz_pimsner_residual",
     "chain_intertwiners",
     "chain_intertwiner",
-    "component_overlap",
 ]
 
 
@@ -239,32 +237,3 @@ def chain_intertwiner(chain, n: int) -> np.ndarray:
     """U_n of chain_intertwiners: H_n -> V_{n w1}, unitary if the claim holds."""
     return chain_intertwiners(chain, n)[n]
 
-
-def component_overlap(chain, m: int, k: int, n: int) -> float:
-    """|<zeta^k (x) xi_{n w1}, xi^{(n,k)}>| for the rank-one chain (N = 2).
-
-    zeta^k is the unit vector q^{-k(m-k)/2} ([m]!/([k]![m-k]!))^{1/2}
-    e_1^k e_2^{m-k} of H_m = V_{m w1}, and xi^{(n,k)} is the extracted highest
-    weight vector of the component of V_{m w1} (x) V_{n w1} whose highest
-    weight (n+2k-m) matches the weight of zeta^k (x) e_1^n (needs n >= m).
-    """
-    from . import decomp, repn
-
-    if chain.N != 2:
-        raise ValueError("defined for rank one only")
-    q = chain.q
-    if not 0 <= k <= m <= n <= chain.M:
-        raise ValueError("indices out of range")
-    d = (k, m - k)
-    gamma = (q ** (-k * (m - k) / 2.0)
-             * np.sqrt(q_factorial(m, q) / (q_factorial(k, q) * q_factorial(m - k, q)))
-             * np.sqrt(monomial_norm_sq(d, q)))
-    U = chain_intertwiner(chain, m)
-    zeta = gamma * U[:, monomial_index(2, m)[d]]
-    T = repn.tensor(chain.levels[m], chain.levels[n])
-    cols = decomp.highest_weight_space(T, chain.tol).vectors_of(Weight((n + 2 * k - m,)))
-    if cols.shape[1] != 1:
-        raise InvariantViolation("component not multiplicity one")
-    dn = chain.levels[n].dim
-    # xi_{n lam} is one-hot at 0, so the pairing only reads rows (a, 0)
-    return float(abs(zeta @ cols[::dn, 0]))

@@ -15,8 +15,6 @@ The tensor product uses the coproduct
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .numerics import InvariantViolation, ToleranceProfile, DEFAULT_TOL
@@ -24,7 +22,6 @@ from .qcore import Weight, check_q, q_int, simple_root
 
 __all__ = [
     "QModule",
-    "ModuleMap",
     "standard_module",
     "trivial_module",
     "tensor",
@@ -83,35 +80,17 @@ class QModule:
     def weight_blocks(self) -> dict:
         """weight tuple -> sorted array of basis indices."""
         if self._blocks is None:
-            blocks = {}
-            for idx, row in enumerate(self.weights):
-                blocks.setdefault(tuple(int(c) for c in row), []).append(idx)
-            self._blocks = {w: np.array(ix, dtype=np.intp) for w, ix in blocks.items()}
+            # one stable sort groups equal weight rows, indices ascending
+            order = np.lexsort(self.weights.T)
+            w = self.weights[order]
+            cut = (np.flatnonzero(np.any(w[1:] != w[:-1], axis=1)) + 1).tolist()
+            self._blocks = {tuple(w[a].tolist()): order[a:b]
+                            for a, b in zip([0] + cut, cut + [self.dim])}
         return self._blocks
 
     def __repr__(self):
         hw = f", hw={self.highest_weight}" if self.highest_weight is not None else ""
         return f"QModule(N={self.N}, q={self.q}, dim={self.dim}{hw})"
-
-
-@dataclass
-class ModuleMap:
-    """Linear map between modules; intertwining is a checkable property."""
-
-    source: QModule
-    target: QModule
-    matrix: np.ndarray
-
-    def residual(self) -> float:
-        """Max generator-intertwining residual ||M pi_src(x) - pi_tgt(x) M||_max."""
-        M = self.matrix
-        worst = 0.0
-        for i in range(1, self.source.N):
-            worst = max(worst, np.max(np.abs(M @ self.source.E[i] - self.target.E[i] @ M)))
-            worst = max(worst, np.max(np.abs(M @ self.source.F[i] - self.target.F[i] @ M)))
-            kk = self.target.k_diag(i)[:, None] * M - M * self.source.k_diag(i)[None, :]
-            worst = max(worst, np.max(np.abs(kk)) if kk.size else 0.0)
-        return float(worst)
 
 
 def trivial_module(N: int, q: float) -> QModule:

@@ -158,7 +158,7 @@ class CartanChain:
     work_dtype = np.dtype(np.float64)
 
     def __init__(self, lam: Weight, q: float, M: int,
-                 tol: ToleranceProfile = DEFAULT_TOL, base=None):
+                 tol: ToleranceProfile = DEFAULT_TOL):
         if not lam.is_dominant or all(c == 0 for c in lam.coords):
             raise ValueError(f"chain weight must be dominant nonzero, got {lam}")
         if M < 1:
@@ -168,8 +168,7 @@ class CartanChain:
         self.M = int(M)
         self.tol = tol
         self.N = lam.N
-        if base is None:
-            base = GeneralWeightBuilder(self.N, q, tol).module(lam)
+        base = GeneralWeightBuilder(self.N, q, tol).module(lam)
         if base.hw_index != 0:
             raise ValueError("chain base module must carry its h.w. vector at index 0")
         self.base = base
@@ -186,9 +185,9 @@ class CartanChain:
             T = repn.tensor(base, self.levels[-1])
             seed = np.zeros(T.dim)
             seed[0] = 1.0  # xi_lam (x) xi_{n lam} in chain coordinates
-            sub, emb = decomp.generate_submodule(T, seed, tol)
+            sub, Q = decomp.generate_submodule(T, seed, tol)
             self.levels.append(sub)
-            self.w.append(emb.matrix)
+            self.w.append(Q)
 
         self._radix = _weight_radix(self.levels)
         self._pair_cache: dict = {}
@@ -468,11 +467,8 @@ def _right_creation_block(chain: CartanChain, xi: np.ndarray, n: int) -> np.ndar
     return np.tensordot(xi, Wr, axes=([0], [1])).T
 
 
-def creation(chain: CartanChain, xi: np.ndarray, M: int | None = None,
-             fock: FockSpace | None = None) -> BlockOp:
+def creation(chain: CartanChain, xi: np.ndarray, fock: FockSpace) -> BlockOp:
     """Left shift S_xi; the top truncation level maps to zero."""
-    if fock is None:
-        fock = FockSpace(chain, M)
     xi = np.asarray(xi, dtype=np.float64)
     op = BlockOp(fock, 1)
     for n in range(fock.M):
@@ -480,15 +476,11 @@ def creation(chain: CartanChain, xi: np.ndarray, M: int | None = None,
     return op
 
 
-def annihilation(chain: CartanChain, zeta: np.ndarray, M: int | None = None,
-                 fock: FockSpace | None = None) -> BlockOp:
-    return creation(chain, zeta, M, fock).adjoint()
+def annihilation(chain: CartanChain, zeta: np.ndarray, fock: FockSpace) -> BlockOp:
+    return creation(chain, zeta, fock).adjoint()
 
 
-def right_creation(chain: CartanChain, xi: np.ndarray, M: int | None = None,
-                   fock: FockSpace | None = None) -> BlockOp:
-    if fock is None:
-        fock = FockSpace(chain, M)
+def right_creation(chain: CartanChain, xi: np.ndarray, fock: FockSpace) -> BlockOp:
     xi = np.asarray(xi, dtype=np.float64)
     op = BlockOp(fock, 1)
     for n in range(fock.M):

@@ -125,30 +125,18 @@ def test_star_defect_chain_values(chains):
         asympt.star_commute_defect_chain(ch, ch.M)
 
 
-def test_star_defect_general_path(chains, builders):
-    b3 = builders(3, 1.5)
-    frozen = {
-        (2, 0): (0.120300751880, 0.291673238271),
-        (1, 1): (0.307692307692, 0.675167715594),
-        (3, 0): (0.050753370341, 0.166223556648),
-    }
-    for coords, (basis, matric) in frozen.items():
-        rep = asympt.star_commute_defect(Weight((1, 0)), Weight(coords), 1.5,
-                                         builder=b3)
+def test_star_defect_rank_two_chain_values(chains):
+    ch = chains((1, 0), 1.5, 6)
+    frozen = {2: (0.120300751880, 0.291673238271),
+              3: (0.050753370341, 0.166223556648)}
+    for n, (basis, matric) in frozen.items():
+        rep = asympt.star_commute_defect_chain(ch, n)
+        assert rep.mu == Weight((n, 0))
         assert abs(rep.defect_h.basis_max - basis) <= 1e-9
         assert abs(rep.defect_h.matricized - matric) <= 1e-9
         assert rep.hw_fixed_point_residual <= 1e-13
         assert rep.defect_h.basis_max <= rep.bound_combo_h
         assert rep.defect_l.basis_max <= rep.bound_combo_l
-    # the chain route computes the same numbers on rank one
-    ch = chains((1,), 1.5, 10)
-    for n in (2, 4):
-        rc = asympt.star_commute_defect_chain(ch, n)
-        rg = asympt.star_commute_defect(Weight((1,)), Weight((n,)), 1.5)
-        assert abs(rc.defect_h.basis_max - rg.defect_h.basis_max) <= 1e-12
-        assert abs(rc.defect_h.matricized - rg.defect_h.matricized) <= 1e-12
-    with pytest.raises(ValueError):
-        asympt.star_commute_defect(Weight((2,)), Weight((1,)), 1.5)
 
 
 def test_star_defect_mirror_law():
@@ -236,7 +224,7 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
     # rho's tensor blocks have multiplicity > 1, so the block SVD path runs
     ch = chains(coords, q, M)
     dl = ch.base.dim
-    sig_h_inv, sig_l = asympt._sigma_pair(ch.base, ch.tol)
+    sig_h_inv, sig_l = asympt.sigma_pair(ch.base, ch.tol)
     qq = pairing(ch.lam, ch.lam)
     for n in range(1, M):
         rep = asympt.star_commute_defect_chain(ch, n)

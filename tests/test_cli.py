@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcartan import asympt, cli, sps
+from qcartan import asympt, braiding, cli, sps
 from qcartan.numerics import AmbiguousRank, InvariantViolation
 from qcartan.qcore import Weight
 
@@ -184,6 +184,19 @@ def test_star_command(tmp_path, capsys):
     jd, jb = head.index("defect_h"), head.index("bound_h")
     assert all(float(r[jd]) <= float(r[jb]) for r in rows)
     assert all(float(r[head.index("fixed_point")]) <= 1e-12 for r in rows)
+    capsys.readouterr()
+
+
+def test_star_builds_the_braiding_pair_once_per_chain(tmp_path, capsys,
+                                                     monkeypatch):
+    calls = []
+    r_matrix = braiding.r_matrix
+    monkeypatch.setattr(braiding, "r_matrix",
+                        lambda V, W: calls.append(1) or r_matrix(V, W))
+    rc = cli.main(["star", "--q", "1.5,2", "--max-level", "8",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 4   # sigma_h and sigma_l once per q, not per level
     capsys.readouterr()
 
 

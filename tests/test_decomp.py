@@ -51,21 +51,20 @@ def test_projectors_are_orthogonal_projections():
         assert abs(np.trace(P) - 2.0) <= 1e-12
 
 
-def test_generate_submodule_extracts_top_component():
+def test_generate_submodule_extracts_top_component(intertwining_residual):
     q = 1.5
     V = repn.standard_module(2, q)
     T = repn.tensor(V, V)
     seed = np.zeros(4)
     seed[0] = 1.0
-    sub, emb = decomp.generate_submodule(T, seed)
+    sub, W = decomp.generate_submodule(T, seed)
     assert sub.dim == 3 == weyl_dim(Weight((2,)))
     assert sub.highest_weight == Weight((2,))
     assert sub.hw_index == 0
     assert repn.check_module(sub, DEFAULT_TOL)["max"] <= 1e-12
-    # emb is an isometric intertwiner T <- sub
-    W = emb.matrix
+    # W is an isometric intertwiner T <- sub
     assert np.max(np.abs(W.T @ W - np.eye(3))) <= 1e-12
-    assert emb.residual() <= 1e-12
+    assert intertwining_residual(sub, T, W) <= 1e-12
     # the seed maps to itself: phase-fixed highest weight column
     assert np.max(np.abs(W[:, 0] - seed)) <= 1e-14
 
@@ -90,14 +89,13 @@ def test_generate_submodule_rejects_bad_seeds():
         decomp.generate_submodule(T, mixed)
 
 
-def test_cartan_component_of_distinct_factors():
+def test_cartan_component_of_distinct_factors(intertwining_residual):
     q = 1.5
     A = repn.standard_module(3, q)
-    b = decomp.cartan_component(A, A)
-    sub, emb = b
+    sub, W = decomp.cartan_component(A, A)
     assert sub.dim == weyl_dim(Weight((2, 0)))
-    assert emb.residual() <= 1e-12
-    P = emb.matrix @ emb.matrix.T
+    assert intertwining_residual(sub, repn.tensor(A, A), W) <= 1e-12
+    P = W @ W.T
     assert np.max(np.abs(P @ P - P)) <= 1e-12
     assert abs(np.trace(P) - sub.dim) <= 1e-10
 

@@ -1,7 +1,5 @@
 """Quantum integers, Cartan data, weights, and the dimension formula."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,10 +10,8 @@ from qcartan.qcore import (
     fundamental_weight,
     inv_cartan_matrix,
     is_regular,
-    n_of,
     pairing,
     pairing_array,
-    q_binomial,
     q_factorial,
     q_int,
     rho,
@@ -62,20 +58,6 @@ def test_q_factorial_recursion():
         assert abs(q_factorial(n, q) - q_int(n, q) * q_factorial(n - 1, q)) <= 1e-10
     with pytest.raises(ValueError):
         q_factorial(-1, q)
-
-
-def test_q_binomial_values():
-    q = 1.5
-    # [m choose k] at q=1 is the ordinary binomial coefficient
-    for m in range(7):
-        for k in range(m + 1):
-            assert abs(q_binomial(m, k, 1.0) - math.comb(m, k)) <= 1e-9
-    # symmetry in k <-> m-k
-    for m in range(7):
-        for k in range(m + 1):
-            assert abs(q_binomial(m, k, q) - q_binomial(m, m - k, q)) <= 1e-9
-    with pytest.raises(ValueError):
-        q_binomial(3, 4, q)
 
 
 def test_check_q_rejects_nonpositive_and_nonfinite():
@@ -148,14 +130,11 @@ def test_weight_dominance_and_regularity():
     assert not Weight((1, -1)).is_dominant
     assert is_regular(Weight((1, 1)))
     assert not is_regular(Weight((1, 0)))
-    assert n_of(Weight((2, 3))) == 2
 
 
 def test_weight_validation():
     with pytest.raises(ValueError):
         Weight(())
-    with pytest.raises(ValueError):
-        n_of(Weight((1, -1)))
 
 
 # -- dimension formula -------------------------------------------------------

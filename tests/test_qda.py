@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qcartan import qda, sps
+from qcartan import decomp, qda, repn, sps
 from qcartan.numerics import operator_norm
-from qcartan.qcore import q_factorial, q_int
+from qcartan.qcore import Weight, q_factorial, q_int
 
 
 def test_monomial_enumeration():
@@ -153,19 +153,46 @@ def test_chain_intertwiner_rejects_other_chains(chains):
         qda.chain_intertwiner(ch, 9)
 
 
+def _component_overlap(chain, m, k, n):
+    """|<zeta^k (x) xi_{n w1}, xi^{(n,k)}>| for the rank-one chain (N = 2).
+
+    zeta^k is the unit vector q^{-k(m-k)/2} ([m]!/([k]![m-k]!))^{1/2}
+    e_1^k e_2^{m-k} of H_m = V_{m w1}, and xi^{(n,k)} is the extracted highest
+    weight vector of the component of V_{m w1} (x) V_{n w1} whose highest
+    weight (n+2k-m) matches the weight of zeta^k (x) e_1^n (needs n >= m).
+    """
+    if chain.N != 2:
+        raise ValueError("defined for rank one only")
+    q = chain.q
+    if not 0 <= k <= m <= n <= chain.M:
+        raise ValueError("indices out of range")
+    d = (k, m - k)
+    gamma = (q ** (-k * (m - k) / 2.0)
+             * np.sqrt(q_factorial(m, q) / (q_factorial(k, q) * q_factorial(m - k, q)))
+             * np.sqrt(qda.monomial_norm_sq(d, q)))
+    U = qda.chain_intertwiner(chain, m)
+    zeta = gamma * U[:, qda.monomial_index(2, m)[d]]
+    T = repn.tensor(chain.levels[m], chain.levels[n])
+    cols = decomp.highest_weight_space(T, chain.tol).vectors_of(Weight((n + 2 * k - m,)))
+    assert cols.shape[1] == 1, "component not multiplicity one"
+    dn = chain.levels[n].dim
+    # xi_{n lam} is one-hot at 0, so the pairing only reads rows (a, 0)
+    return float(abs(zeta @ cols[::dn, 0]))
+
+
 def test_component_overlap_values(chains):
     ch = chains((1,), 1.5, 8)
     # k = m pairs two copies of the same extreme vector
-    assert abs(qda.component_overlap(ch, 3, 3, 4) - 1.0) <= 1e-12
-    vals = [qda.component_overlap(ch, 3, 1, n) for n in range(3, 7)]
+    assert abs(_component_overlap(ch, 3, 3, 4) - 1.0) <= 1e-12
+    vals = [_component_overlap(ch, 3, 1, n) for n in range(3, 7)]
     assert abs(vals[1] - 0.948163856) <= 1e-6
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v < 1.0 for v in vals)
     with pytest.raises(ValueError):
-        qda.component_overlap(ch, 3, 4, 4)
+        _component_overlap(ch, 3, 4, 4)
     with pytest.raises(ValueError):
-        qda.component_overlap(ch, 3, 1, 9)
+        _component_overlap(ch, 3, 1, 9)
     with pytest.raises(ValueError):
-        qda.component_overlap(ch, 4, 1, 2)
+        _component_overlap(ch, 4, 1, 2)
     with pytest.raises(ValueError):
-        qda.component_overlap(chains((1, 0), 1.5, 6), 2, 1, 3)
+        _component_overlap(chains((1, 0), 1.5, 6), 2, 1, 3)

@@ -107,12 +107,26 @@ def test_contragredient_is_a_module_with_negated_weights():
     assert np.array_equal(Vcc.weights, V.weights)
 
 
-def test_module_map_residual_detects_non_intertwiners():
+def test_weight_blocks_match_the_per_vector_loop(builders):
+    std = repn.standard_module(3, 1.5)
+    rho = builders(3, 1.5).module(Weight((1, 1)))
+    for V in (repn.trivial_module(3, 1.5), std, rho, repn.tensor(std, rho)):
+        want = {}
+        for idx, row in enumerate(V.weights):
+            want.setdefault(tuple(int(c) for c in row), []).append(idx)
+        got = V.weight_blocks()
+        assert set(got) == set(want)
+        assert all(type(c) is int for key in got for c in key)
+        for key, idx in want.items():
+            assert got[key].dtype == np.intp
+            assert got[key].tolist() == idx
+
+
+def test_intertwining_residual_detects_non_intertwiners(intertwining_residual):
     V = repn.standard_module(2, 1.5)
-    ident = repn.ModuleMap(V, V, np.eye(2))
-    assert ident.residual() <= 1e-15
-    swap = repn.ModuleMap(V, V, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert swap.residual() > 0.1
+    assert intertwining_residual(V, V, np.eye(2)) <= 1e-15
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert intertwining_residual(V, V, swap) > 0.1
 
 
 def test_qmodule_validation():

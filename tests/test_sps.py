@@ -25,7 +25,7 @@ def test_chain_levels_and_dimensions(chains):
     assert all(w.dtype == np.float64 for w in deep.w)
 
 
-def test_chain_isometries_intertwine_and_fix_phases(chains):
+def test_chain_isometries_intertwine_and_fix_phases(chains, intertwining_residual):
     ch = chains((1,), 1.5, 10)
     for n in range(1, ch.M):
         W = ch.w[n]
@@ -35,8 +35,7 @@ def test_chain_isometries_intertwine_and_fix_phases(chains):
         assert col[0] == 1.0
         assert np.count_nonzero(col) == 1
         T = repn.tensor(ch.base, ch.levels[n])
-        res = repn.ModuleMap(ch.levels[n + 1], T, W).residual()
-        assert res <= 1e-9
+        assert intertwining_residual(ch.levels[n + 1], T, W) <= 1e-9
 
 
 def test_chain_lowest_vectors_transport_exactly(chains):
