@@ -65,27 +65,27 @@ class RootVectorSet:
     def grading_residual(self) -> float:
         V = self.module
         worst = 0.0
-        for (i, j), M in self.E.items():
-            worst = max(worst, repn._grading_residual(V, M, root_weight(i, j, V.N).as_array()))
-        for (i, j), M in self.F.items():
-            worst = max(worst, repn._grading_residual(V, M, -root_weight(i, j, V.N).as_array()))
+        for mats, sgn in ((self.E, 1), (self.F, -1)):
+            for (i, j), M in mats.items():
+                worst = max(worst, repn._grading_residual(
+                    V, repn.SparseMatrix.from_dense(M), sgn * root_weight(i, j, V.N).as_array()))
         return worst
 
 
 def root_vectors(V) -> RootVectorSet:
-    """Iterated q-bracket root vectors on a concrete module."""
+    """Iterated q-bracket root vectors on a concrete module, as dense matrices."""
     q = V.q
     E = {}
     F = {}
     for i in range(1, V.N):
-        E[(i, i)] = V.E[i]
-        F[(i, i)] = V.F[i]
+        E[(i, i)] = V.E[i].to_dense()
+        F[(i, i)] = V.F[i].to_dense()
     for span in range(1, V.N - 1):
         for i in range(1, V.N - span):
             j = i + span
-            Ein, Ej = E[(i, j - 1)], V.E[j]
+            Ein, Ej = E[(i, j - 1)], E[(j, j)]
             E[(i, j)] = Ein @ Ej - (q ** BRACKET_EXP) * (Ej @ Ein)
-            Fin, Fj = F[(i, j - 1)], V.F[j]
+            Fin, Fj = F[(i, j - 1)], F[(j, j)]
             if MIRROR_F:
                 F[(i, j)] = Fj @ Fin - (q ** -BRACKET_EXP) * (Fin @ Fj)
             else:

@@ -42,7 +42,7 @@ import struct
 import sys
 import tempfile
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -449,9 +449,9 @@ def _chain_mismatch(a: CartanChain, b: CartanChain) -> str:
         if not np.array_equal(la.weights, lb.weights):
             return f"weights at level {n}"
         for i in range(1, a.N):
-            if not np.array_equal(la.E[i], lb.E[i]):
+            if not np.array_equal(la.E[i].to_dense(), lb.E[i].to_dense()):
                 return f"E_{i} at level {n}"
-            if not np.array_equal(la.F[i], lb.F[i]):
+            if not np.array_equal(la.F[i].to_dense(), lb.F[i].to_dense()):
                 return f"F_{i} at level {n}"
     for n in range(a.M):
         if not np.array_equal(a.w[n], b.w[n]):
@@ -490,8 +490,8 @@ def store_chain(chain: CartanChain, path: str) -> None:
     for lv in chain.levels:
         payloads.append(_pack_matrix(lv.weights.astype(np.float64)))
         for i in range(1, chain.N):
-            payloads.append(_pack_matrix(lv.E[i]))
-            payloads.append(_pack_matrix(lv.F[i]))
+            payloads.append(_pack_matrix(lv.E[i].to_dense()))
+            payloads.append(_pack_matrix(lv.F[i].to_dense()))
     for m in chain.w:
         payloads.append(_pack_matrix(m))
     body = b"".join(payloads)

@@ -61,49 +61,72 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _target_blocks(V, sgn: int) -> tuple:
+    """Per generator i, the block number of wt + sgn * alpha_i for every
+    weight block (numbered as in V.weight_blocks()), or -1 if V has none."""
+    blocks = V.weight_blocks()
+    number = {wt: k for k, wt in enumerate(blocks)}
+    return tuple(
+        np.array([number.get(tuple(w + sgn * a for w, a in zip(wt, alpha)), -1)
+                  for wt in blocks], dtype=np.intp)
+        for alpha in (simple_root(i, V.N).coords for i in range(1, V.N)))
+
+
 def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:
     """Joint kernel of the E_i (raising) or F_i, one weight block at a time.
 
     The generator block of weight nu stacks E_i[nu + alpha_i, nu] (or
     F_i[nu - alpha_i, nu]) over i.  Blocks whose stacks have the same shape
-    are gathered by one fancy index into the generators stacked row-wise and
-    ranked by one nullspace call.
+    are ranked by one nullspace call; the generator triplets are scattered
+    straight into the stacks.
     """
     mats = V.E if raising else V.F
-    sgn = 1 if raising else -1
-    G = np.vstack([mats[i] for i in range(1, V.N)])
     blocks = V.weight_blocks()
-    wts = sorted(blocks, reverse=True)
-    roots = [simple_root(i, V.N).coords for i in range(1, V.N)]
+    block, place = V.block_index()
+    size = np.array([ix.size for ix in blocks.values()], dtype=np.intp)
+    targets = _target_blocks(V, 1 if raising else -1)
+    # stacked rows of block k: the target blocks of E_1, E_2, ... in turn
+    heights = np.stack([np.where(t >= 0, size[t], 0) for t in targets])
+    row_off = np.cumsum(heights, axis=0) - heights
+    height = heights.sum(axis=0)
+    wts = list(blocks)
+    order = sorted(range(len(wts)), key=wts.__getitem__, reverse=True)
 
-    groups = {}   # shape of the stacked block -> [(weight, rows of G), ...]
-    for wt in wts:
-        rows = [i * V.dim + blocks[t] for i, alpha in enumerate(roots)
-                if (t := tuple(w + sgn * a for w, a in zip(wt, alpha))) in blocks]
-        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
-        groups.setdefault((rows.size, blocks[wt].size), []).append((wt, rows))
+    groups = {}   # shape of the stacked block -> block numbers, highest first
+    for k in order:
+        groups.setdefault((int(height[k]), int(size[k])), []).append(k)
+    start = np.empty(len(blocks), dtype=np.intp)   # flat offset of each stack
+    flat = 0
+    for (m, n), ks in groups.items():
+        start[ks] = flat + m * n * np.arange(len(ks))
+        flat += m * n * len(ks)
+    buf = np.zeros(flat)
+    for t, off, X in zip(targets, row_off, (mats[i] for i in range(1, V.N))):
+        k = block[X.cols]
+        ok = block[X.rows] == t[k]    # entries off the weight grading are not part of it
+        k = k[ok]
+        buf[start[k] + (off[k] + place[X.rows[ok]]) * size[k] + place[X.cols[ok]]] = X.vals[ok]
 
     kernels = {}
-    for (m, n), entries in groups.items():
-        R = np.array([rows for _, rows in entries], dtype=np.intp).reshape(len(entries), m)
-        C = np.array([blocks[wt] for wt, _ in entries])
+    for (m, n), ks in groups.items():
+        stack = buf[start[ks[0]]:start[ks[0]] + m * n * len(ks)].reshape(len(ks), m, n)
         try:
-            K = nullspace(G[R[:, :, None], C[:, None, :]], tol)
+            K = nullspace(stack, tol)
         except AmbiguousRank as exc:
             exc.args = (f"{'highest' if raising else 'lowest'} weight space, "
-                        f"weight block {Weight(entries[exc.index][0])}: {exc}",)
+                        f"weight block {Weight(wts[ks[exc.index]])}: {exc}",)
             raise
-        kernels.update(zip((wt for wt, _ in entries), K))
+        kernels.update(zip(ks, K))
 
     components = []
     total = 0
-    for wt in wts:
-        K = kernels[wt]
+    for k in order:
+        K = kernels[k]
         if K.shape[1] == 0:
             continue
         cols = np.zeros((V.dim, K.shape[1]))
-        cols[blocks[wt], :] = K
-        components.append((Weight(wt), _fix_signs(cols)))
+        cols[blocks[wts[k]], :] = K
+        components.append((Weight(wts[k]), _fix_signs(cols)))
         total += K.shape[1]
     report = HighestWeightReport(components, total)
     _check_completeness(V, report, raising)
@@ -155,6 +178,9 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     rounding noise, and ||F_i||_F over the whole module grows like q^n.  The
     projected module must pass check_module before it is returned.  Q is the
     isometric intertwiner from the submodule into V.
+
+    The blocks F_i[nu, mu] come from one scatter of the triplets of each
+    F_i; the generators of the submodule are Q^T (E_i Q) with Q sparse.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
@@ -174,29 +200,51 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     expected = weyl_dim(hw)
 
     blocks = V.weight_blocks()
-    roots = [(i, simple_root(i, V.N).coords) for i in range(1, V.N)]
+    keys = list(blocks)
+    number = {wt: k for k, wt in enumerate(keys)}
+    block, place = V.block_index()
+    size = np.array([ix.size for ix in blocks.values()], dtype=np.intp)
+    targets = _target_blocks(V, -1)
+    # Each F_i is scattered once into its dense blocks F_i[mu - alpha_i, mu],
+    # row-major in one flat buffer per generator; F_i maps block mu into that
+    # one block, so ||F_i[mu - alpha_i, mu]||_F^2 sums over the columns of mu.
+    flat, start, fro2 = [], [], []
+    for t, X in zip(targets, (V.F[i] for i in range(1, V.N))):
+        src = block[X.cols]
+        ok = block[X.rows] == t[src]
+        k = src[ok]
+        area = np.where(t >= 0, size[t] * size, 0)
+        start.append(np.cumsum(area) - area)
+        buf = np.zeros(int(area.sum()))
+        buf[start[-1][k] + place[X.rows[ok]] * size[k] + place[X.cols[ok]]] = X.vals[ok]
+        flat.append(buf)
+        fro2.append(np.bincount(k, weights=X.vals[ok] ** 2, minlength=len(keys)))
+
+    def f_block(g, k):
+        a = start[g][k]
+        return flat[g][a:a + size[targets[g][k]] * size[k]].reshape(size[targets[g][k]], size[k])
+
     layer = {hw.coords: seed[blocks[hw.coords], None]}
     found = list(layer.items())  # (weight, orthonormal block columns)
     while layer:
-        sources = {}  # target weight nu -> [(i, mu), ...] one step up
+        sources = {}  # target block nu -> [(generator, source block, mu), ...]
         for mu in layer:
-            for i, alpha in roots:
-                nu = tuple(m - a for m, a in zip(mu, alpha))
-                if nu in blocks:
-                    sources.setdefault(nu, []).append((i, mu))
+            k = number[mu]
+            for g, t in enumerate(targets):
+                if t[k] >= 0:
+                    sources.setdefault(int(t[k]), []).append((g, k, mu))
         next_layer = {}
         for nu, pairs in sources.items():
-            parts = [V.F[i][np.ix_(blocks[nu], blocks[mu])] for i, mu in pairs]
-            cand = np.hstack([f @ layer[mu] for f, (_, mu) in zip(parts, pairs)])
+            cand = np.hstack([f_block(g, k) @ layer[mu] for g, k, mu in pairs])
             U, s, _ = np.linalg.svd(cand, full_matrices=False)
             try:
-                r = certified_rank(s, max(np.linalg.norm(f) for f in parts), tol)
+                r = certified_rank(s, np.sqrt(max(fro2[g][k] for g, k, _ in pairs)), tol)
             except AmbiguousRank as exc:
                 exc.args = (f"orbit of highest weight {hw}, weight block "
-                            f"{Weight(nu)}: {exc}",)
+                            f"{Weight(keys[nu])}: {exc}",)
                 raise
             if r:
-                next_layer[nu] = _fix_signs(U[:, :r])
+                next_layer[keys[nu]] = _fix_signs(U[:, :r])
         found.extend(next_layer.items())
         layer = next_layer
     k = sum(B.shape[1] for _, B in found)
@@ -213,9 +261,10 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
         wmat[c:c + B.shape[1]] = nu
         c += B.shape[1]
     Q[:, 0] = seed  # exactly, entries below the support cut included
-
-    E = {i: Q.T @ V.E[i] @ Q for i in range(1, V.N)}
-    F = {i: Q.T @ V.F[i] @ Q for i in range(1, V.N)}
+    Qs = repn.SparseMatrix.from_dense(Q)
+    QsT = Qs.T
+    E = {i: QsT @ (V.E[i] @ Qs) for i in range(1, V.N)}
+    F = {i: QsT @ (V.F[i] @ Qs) for i in range(1, V.N)}
     sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0)
     repn.check_module(sub, tol, raise_on_fail=True)
     return sub, Q

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import Weight, q_int, weyl_dim
+from .qcore import Weight, q_int
 from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
 from . import decomp, repn
 
@@ -118,6 +118,28 @@ def component_shift(i: int, N: int) -> Weight:
     return std.weight_of(i - 1)
 
 
+def _top_vectors(lam: Weight, q: float, builder, tol: ToleranceProfile):
+    """(dim V_lam, highest weight space of V_{omega_1} (x) V_lam): one
+    tensor and one solve, shared by every i of the partition."""
+    V = builder.module(lam)
+    if V.hw_index != 0:
+        raise InvariantViolation("module must carry its h.w. vector at index 0")
+    T = repn.tensor(repn.standard_module(lam.N, q), V)
+    return V.dim, decomp.highest_weight_space(T, tol)
+
+
+def _overlap(i: int, target: Weight, top) -> float:
+    """|<e_i (x) xi_mu, xi^{(i)}>| read from the highest weight space top,
+    where target = mu^i is the weight of xi^{(i)}."""
+    dim, report = top
+    cols = report.vectors_of(target)
+    if cols.shape[1] != 1:
+        raise InvariantViolation(
+            f"component {target} has multiplicity {cols.shape[1]}, expected 1")
+    # T index (a, b) -> a * dim(V) + b; xi_mu is one-hot at b = 0
+    return float(abs(cols[(i - 1) * dim, 0]))
+
+
 def cg_numeric(i: int, mu, q: float, builder=None,
                tol: ToleranceProfile = DEFAULT_TOL) -> float:
     """|<e_i (x) xi_mu, xi^{(i)}>| from the extracted h.w. vector.
@@ -135,33 +157,25 @@ def cg_numeric(i: int, mu, q: float, builder=None,
     N = lam.N
     if not 1 <= i <= N:
         raise ValueError(f"i={i} out of range 1..{N}")
-    if builder is None:
-        builder = GeneralWeightBuilder(N, q, tol)
-    V = builder.module(lam)
-    if V.hw_index != 0:
-        raise InvariantViolation("module must carry its h.w. vector at index 0")
-    std = repn.standard_module(N, q)
-    target = lam + std.weight_of(i - 1)
+    target = lam + component_shift(i, N)
     if not target.is_dominant:
         raise MissingComponent(f"mu^{i} = {target} is not dominant")
-    T = repn.tensor(std, V)
-    cols = decomp.highest_weight_space(T, tol).vectors_of(target)
-    if cols.shape[1] != 1:
-        raise InvariantViolation(
-            f"component {target} has multiplicity {cols.shape[1]}, expected 1")
-    # T index (a, b) -> a * dim(V) + b; xi_mu is one-hot at b = 0
-    return float(abs(cols[(i - 1) * V.dim, 0]))
+    if builder is None:
+        builder = GeneralWeightBuilder(N, q, tol)
+    return _overlap(i, target, _top_vectors(lam, q, builder, tol))
 
 
 def cg_grid(N: int, q: float, max_entry: int,
             tol: ToleranceProfile = DEFAULT_TOL) -> list:
     """(mu, i, closed, numeric) for all partitions with entries <= max_entry.
 
-    Skips missing components.  Shares one module builder across the grid.
+    Skips missing components.  Shares one module builder across the grid
+    and solves each tensor product once per partition.
     """
     from .sps import GeneralWeightBuilder
 
     builder = GeneralWeightBuilder(N, q, tol)
+    shifts = [component_shift(i, N) for i in range(1, N + 1)]
     rows = []
     # each partition once, as the reverse of a non-decreasing tuple
     shapes = itertools.combinations_with_replacement(range(max_entry + 1), N - 1)
@@ -170,10 +184,8 @@ def cg_grid(N: int, q: float, max_entry: int,
         if sum(mu) == 0:
             continue
         lam = Weight.from_partition(mu)
-        for i in range(1, N + 1):
-            try:
-                num = cg_numeric(i, lam, q, builder=builder, tol=tol)
-            except MissingComponent:
-                continue
-            rows.append((mu, i, cg_closed_form(i, mu, q), num))
+        top = _top_vectors(lam, q, builder, tol)
+        for i, shift in enumerate(shifts, start=1):
+            if (lam + shift).is_dominant:
+                rows.append((mu, i, cg_closed_form(i, mu, q), _overlap(i, lam + shift, top)))
     return rows

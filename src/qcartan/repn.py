@@ -1,8 +1,8 @@
 """Finite-dimensional unitary modules of quantum SL(N).
 
-A QModule stores the E_i / F_i generator matrices (real float64) and one
-integral weight per basis vector; the K_i are never stored, always recomputed
-from the weights, which hardwires the weight-module structure.
+A QModule stores the E_i / F_i generator matrices (real float64, sparse) and
+one integral weight per basis vector; the K_i are never stored, always
+recomputed from the weights, which hardwires the weight-module structure.
 
 Defining relations (all checked by check_module):
     K_i E_j K_i^-1 = q^{a_ij} E_j          (weight grading)
@@ -12,6 +12,10 @@ Defining relations (all checked by check_module):
 
 The tensor product uses the coproduct
     E -> E ox 1 + K ox E,   F -> F ox K^-1 + 1 ox F,   K -> K ox K.
+
+Generators are SparseMatrix triplets: a tensor generator has one nonzero
+per basis vector and factor generator entry, so more than 99.9 % of its
+dense entries would be exact zeros.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .numerics import InvariantViolation, ToleranceProfile, DEFAULT_TOL
 from .qcore import Weight, check_q, q_int, simple_root
 
 __all__ = [
+    "SparseMatrix",
     "QModule",
     "standard_module",
     "trivial_module",
@@ -30,8 +35,118 @@ __all__ = [
 ]
 
 
+class SparseMatrix:
+    """Real float64 matrix as canonical COO triplets rows, cols, vals.
+
+    Canonical: sorted row-major, one triplet per position (duplicates are
+    summed, in the order given), no exact zeros.  A product is a fixed
+    number of NumPy calls: one searchsorted join of the inner indices, one
+    sort of the output positions and one bincount of the duplicates.
+    Indexing returns dense entries; to_dense() gives the whole matrix.
+    """
+
+    __array_ufunc__ = None  # ndarray @ SparseMatrix defers to __rmatmul__
+
+    def __init__(self, shape, rows, cols, vals):
+        """Canonical form of the 1-D triplet arrays rows, cols, vals."""
+        m, n = (int(d) for d in shape)
+        key, vals = _sum_duplicates(
+            np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64))
+        keep = vals != 0.0
+        if not keep.all():
+            key, vals = key[keep], vals[keep]
+        self.shape = (m, n)
+        self.rows, self.cols = np.divmod(key, max(n, 1))
+        self.vals = vals
+
+    @classmethod
+    def _canonical(cls, shape, rows, cols, vals) -> "SparseMatrix":
+        """Wrap triplets that are already canonical, without a sort."""
+        out = cls.__new__(cls)
+        out.shape = shape
+        out.rows, out.cols, out.vals = rows, cols, vals
+        return out
+
+    @classmethod
+    def from_dense(cls, A) -> "SparseMatrix":
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError("a sparse matrix needs a 2-D array")
+        r, c = np.nonzero(A)
+        return cls._canonical(A.shape, r.astype(np.int64), c.astype(np.int64), A[r, c])
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def __getitem__(self, key):
+        return self.to_dense()[key]
+
+    @property
+    def T(self) -> "SparseMatrix":
+        order = np.argsort(self.cols * self.shape[0] + self.rows, kind="stable")
+        return SparseMatrix._canonical(self.shape[::-1], self.cols[order],
+                                       self.rows[order], self.vals[order])
+
+    def __mul__(self, scalar) -> "SparseMatrix":
+        return SparseMatrix(self.shape, self.rows, self.cols, self.vals * float(scalar))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if isinstance(other, SparseMatrix):
+            if self.shape[1] != other.shape[0]:
+                raise ValueError("inner dimensions differ")
+            lo = np.searchsorted(other.rows, self.cols, "left")
+            cnt = np.searchsorted(other.rows, self.cols, "right") - lo
+            a = np.repeat(np.arange(self.vals.size), cnt)
+            b = np.arange(a.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+            return SparseMatrix((self.shape[0], other.shape[1]), self.rows[a],
+                                other.cols[b], self.vals[a] * other.vals[b])
+        X = np.asarray(other, dtype=np.float64)
+        if X.shape[0] != self.shape[1]:
+            raise ValueError("inner dimensions differ")
+        X2 = X.reshape(X.shape[0], -1)
+        out = np.zeros((self.shape[0], X2.shape[1]))
+        if self.vals.size:
+            start = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])
+            out[self.rows[start]] = np.add.reduceat(
+                self.vals[:, None] * X2[self.cols], start, axis=0)
+        return out.reshape((self.shape[0],) + X.shape[1:])
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        X = np.asarray(other, dtype=np.float64)
+        if X.ndim == 1:
+            return self.T @ X
+        return (self.T @ X.T).T
+
+    def __repr__(self):
+        return f"SparseMatrix(shape={self.shape}, nnz={self.vals.size})"
+
+
+def _sum_duplicates(key: np.ndarray, vals: np.ndarray) -> tuple:
+    """Sorted distinct keys and the sums of their values, each sum taken in
+    the order the values are given."""
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if first.all():
+        return key, vals
+    return key[first], np.bincount(np.cumsum(first) - 1, weights=vals)
+
+
+def _as_sparse(A) -> SparseMatrix:
+    return A if isinstance(A, SparseMatrix) else SparseMatrix.from_dense(A)
+
+
 class QModule:
-    """Weight module with float64 generator matrices; immutable by convention.
+    """Weight module with sparse float64 generators; immutable by convention.
+
+    E and F map i to a SparseMatrix; dense input is converted.
 
     All arithmetic is float64: check_module gates backward-relative
     residuals, so deep modules with q-integer-sized entries need no wider
@@ -48,22 +163,20 @@ class QModule:
         if self.weights.ndim != 2 or self.weights.shape[1] != self.N - 1:
             raise ValueError("weights must be (dim, N-1)")
         self.dim = self.weights.shape[0]
-        self.E = {i: np.asarray(E[i], dtype=np.float64) for i in range(1, self.N)}
-        self.F = {i: np.asarray(F[i], dtype=np.float64) for i in range(1, self.N)}
+        self.E = {i: _as_sparse(E[i]) for i in range(1, self.N)}
+        self.F = {i: _as_sparse(F[i]) for i in range(1, self.N)}
         for i in range(1, self.N):
             if self.E[i].shape != (self.dim, self.dim) or self.F[i].shape != (self.dim, self.dim):
                 raise ValueError("generator matrix shape mismatch")
         self.highest_weight = highest_weight
         self.hw_index = hw_index
         self._blocks = None
+        self._block_index = None
 
     # -- K action -------------------------------------------------------
     def k_diag(self, i: int, power: int = 1) -> np.ndarray:
         """Diagonal of K_i^power: q^(power * wt(v)(i))."""
         return self.q ** (power * self.weights[:, i - 1].astype(np.float64))
-
-    def k_matrix(self, i: int, power: int = 1) -> np.ndarray:
-        return np.diag(self.k_diag(i, power))
 
     # -- structure ------------------------------------------------------
     @property
@@ -84,9 +197,21 @@ class QModule:
             order = np.lexsort(self.weights.T)
             w = self.weights[order]
             cut = (np.flatnonzero(np.any(w[1:] != w[:-1], axis=1)) + 1).tolist()
+            starts = [0] + cut
             self._blocks = {tuple(w[a].tolist()): order[a:b]
-                            for a, b in zip([0] + cut, cut + [self.dim])}
+                            for a, b in zip(starts, cut + [self.dim])}
+            sizes = np.diff(starts + [self.dim])
+            block, place = np.empty(self.dim, np.intp), np.empty(self.dim, np.intp)
+            block[order] = np.repeat(np.arange(sizes.size), sizes)
+            place[order] = np.arange(self.dim) - np.repeat(starts, sizes)
+            self._block_index = (block, place)
         return self._blocks
+
+    def block_index(self) -> tuple:
+        """(block, place): basis vector v is entry place[v] of the weight
+        block numbered block[v], in the order of weight_blocks()."""
+        self.weight_blocks()
+        return self._block_index
 
     def __repr__(self):
         hw = f", hw={self.highest_weight}" if self.highest_weight is not None else ""
@@ -133,15 +258,33 @@ def standard_module(N: int, q: float) -> QModule:
 
 
 def tensor(V: QModule, W: QModule) -> QModule:
+    """V ox W in the product basis (a, b) -> a * dim(W) + b, from triplets.
+
+    The two coproduct terms never share a position (E_i moves the weight,
+    so X ox 1 has off-diagonal factor blocks and K ox X diagonal ones), so
+    every entry is the single product the dense kron formula would give.
+    """
     if V.N != W.N or V.q != W.q:
         raise ValueError("tensor factors must share N and q")
     dV, dW = V.dim, W.dim
-    IV, IW = np.eye(dV), np.eye(dW)
+    jW, aV = np.arange(dW), np.arange(dV)
+
+    def across(X, right):   # X ox diag(right)
+        return ((X.rows[:, None] * dW + jW).ravel(), (X.cols[:, None] * dW + jW).ravel(),
+                (X.vals[:, None] * right).ravel())
+
+    def along(left, Y):     # diag(left) ox Y
+        return ((aV[:, None] * dW + Y.rows).ravel(), (aV[:, None] * dW + Y.cols).ravel(),
+                (left[:, None] * Y.vals).ravel())
+
+    def coproduct(t1, t2):
+        return SparseMatrix((dV * dW, dV * dW), *map(np.concatenate, zip(t1, t2)))
+
     E = {}
     F = {}
     for i in range(1, V.N):
-        E[i] = np.kron(V.E[i], IW) + np.kron(V.k_matrix(i), W.E[i])
-        F[i] = np.kron(V.F[i], W.k_matrix(i, -1)) + np.kron(IV, W.F[i])
+        E[i] = coproduct(across(V.E[i], np.ones(dW)), along(V.k_diag(i), W.E[i]))
+        F[i] = coproduct(across(V.F[i], W.k_diag(i, -1)), along(np.ones(dV), W.F[i]))
     wts = (V.weights[:, None, :] + W.weights[None, :, :]).reshape(dV * dW, V.N - 1)
     return QModule(V.N, V.q, wts, E, F)
 
@@ -160,15 +303,60 @@ def contragredient(V: QModule) -> QModule:
     return QModule(V.N, q, -V.weights, E, F)
 
 
-def _grading_residual(V: QModule, M: np.ndarray, shift: np.ndarray) -> float:
+def _grading_residual(V: QModule, M: SparseMatrix, shift: np.ndarray) -> float:
     """Max |entry| of M outside the blocks wt(row) = wt(col) + shift."""
-    rr, cc = np.nonzero(M)
-    if rr.size == 0:
-        return 0.0
-    ok = np.all(V.weights[rr] == V.weights[cc] + shift[None, :], axis=1)
-    if ok.all():
-        return 0.0
-    return float(np.max(np.abs(M[rr, cc][~ok])))
+    ok = np.all(V.weights[M.rows] == V.weights[M.cols] + shift[None, :], axis=1)
+    return _max_abs(M.vals[~ok])
+
+
+def _max_abs(vals: np.ndarray) -> float:
+    return float(np.max(np.abs(vals), initial=0.0))
+
+
+def _max_abs_sum(terms) -> float:
+    """Max |entry| of sum(c * S for c, S in terms), summed in term order."""
+    n = terms[0][1].shape[1]
+    return _max_abs(_sum_duplicates(np.concatenate([S.rows * n + S.cols for _, S in terms]),
+                                    np.concatenate([c * S.vals for c, S in terms]))[1])
+
+
+def _stack(mats: list, vertical: bool) -> SparseMatrix:
+    """[A_1; A_2; ...] (vertical) or [A_1, A_2, ...] of d x d matrices."""
+    if len(mats) == 1:
+        return mats[0]
+    d, r = mats[0].shape[0], len(mats)
+    shifted = [(M.rows + x * d, M.cols) if vertical else (M.rows, M.cols + x * d)
+               for x, M in enumerate(mats)]
+    return SparseMatrix((r * d, d) if vertical else (d, r * d),
+                        np.concatenate([rows for rows, _ in shifted]),
+                        np.concatenate([cols for _, cols in shifted]),
+                        np.concatenate([M.vals for M in mats]))
+
+
+def _relation_residual(parts, nrel: int, r: int, d: int) -> float:
+    """Largest backward-relative residual of nrel relations sum_k c_k T_k = 0.
+
+    Each part (S, rel, coef) holds terms as d x d blocks of S: block
+    b = (row // d) * r + col // d is a term of relation rel[b] (-1: of none)
+    with coefficient coef[b].  Per relation the terms add up entry by entry
+    in the order of the parts, and the residual is max |sum| over
+    max(1, max_k max |c_k T_k|).
+    """
+    keys, vals = [], []
+    scale = np.ones(nrel)
+    for S, rel, coef in parts:
+        b = (S.rows // d) * r + S.cols // d
+        k = rel[b]
+        use = k >= 0
+        k, b = k[use], b[use]
+        v = coef[b] * S.vals[use]
+        np.maximum.at(scale, k, np.abs(v))
+        keys.append((k * d + S.rows[use] % d) * d + S.cols[use] % d)
+        vals.append(v)
+    key, total = _sum_duplicates(np.concatenate(keys), np.concatenate(vals))
+    worst = np.zeros(nrel)
+    np.maximum.at(worst, key // (d * d), np.abs(total))
+    return float(np.max(worst / scale))
 
 
 def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail: bool = False) -> dict:
@@ -183,56 +371,67 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     representation of such a module: rounding the entries alone perturbs a
     triple product of size P by several ulp(P).
 
+    Every product and sum is formed from the sparse generators; a sum adds
+    its terms entry by entry in the order written, as the dense formula does.
+    The generators stacked into [A_1; A_2; ...] and [A_1, A_2, ...] give all
+    commutators from two products and all q-Serre terms from two more per
+    family A = E, F; each relation then reads its terms as blocks.
+
     Returns {'unitarity', 'grading', 'commutator', 'serre', 'max', 'passed'}.
     """
     q = V.q
+    r, d = V.N - 1, V.dim
+    gens = range(1, V.N)
     res_unit = 0.0
     res_grad = 0.0
-    res_comm = 0.0
-    res_serre = 0.0
-    two_q = q_int(2, q)
-    for i in range(1, V.N):
+    for i in gens:
         Ei, Fi = V.E[i], V.F[i]
-        ki = V.k_diag(i)
-        unit_scale = max(1.0, float(np.max(np.abs(Ei))) if Ei.size else 0.0)
-        res_unit = max(res_unit,
-                       float(np.max(np.abs(Ei.T - Fi * ki[None, :]))) / unit_scale)
+        FK = SparseMatrix._canonical(Fi.shape, Fi.rows, Fi.cols, Fi.vals * V.k_diag(i)[Fi.cols])
+        res_unit = max(res_unit, _max_abs_sum([(1.0, Ei.T), (-1.0, FK)])
+                       / max(1.0, _max_abs(Ei.vals)))
         alpha = simple_root(i, V.N).as_array()
         res_grad = max(res_grad, _grading_residual(V, Ei, alpha))
         res_grad = max(res_grad, _grading_residual(V, Fi, -alpha))
-        for j in range(1, V.N):
-            P1 = V.E[i] @ V.F[j]
-            P2 = V.F[j] @ V.E[i]
-            comm = P1 - P2
-            scale = max(1.0, float(np.max(np.abs(P1))), float(np.max(np.abs(P2))))
-            if i == j:
-                tgt = np.diag([q_int(int(m), q) for m in V.weights[:, i - 1]])
-                comm = comm - tgt
-                scale = max(scale, float(np.max(np.abs(tgt))))
-            res_comm = max(res_comm,
-                           (float(np.max(np.abs(comm))) if comm.size else 0.0) / scale)
-            if i < j:
-                for A in (V.E, V.F):
-                    Ai, Aj = A[i], A[j]
-                    if j - i == 1:
-                        for X, Y in ((Ai, Aj), (Aj, Ai)):
-                            T1 = X @ X @ Y
-                            T2 = X @ Y @ X
-                            T3 = Y @ X @ X
-                            s = T1 - two_q * T2 + T3
-                            scale = max(1.0, float(np.max(np.abs(T1))),
-                                        float(two_q) * float(np.max(np.abs(T2))),
-                                        float(np.max(np.abs(T3))))
-                            res_serre = max(res_serre,
-                                            float(np.max(np.abs(s))) / scale)
-                    else:
-                        P1 = Ai @ Aj
-                        P2 = Aj @ Ai
-                        s = P1 - P2
-                        scale = max(1.0, float(np.max(np.abs(P1))),
-                                    float(np.max(np.abs(P2))))
-                        res_serre = max(res_serre,
-                                        float(np.max(np.abs(s))) / scale)
+
+    # E_i F_j - F_j E_i - delta_ij [K_i] for all (i, j) at once: relation
+    # i * r + j takes block (i, j) of [E; ...] [F, ...] and of the targets
+    # and block (j, i) of [F; ...] [E, ...]
+    Ev, Eh = (_stack([V.E[i] for i in gens], vertical) for vertical in (True, False))
+    Fv, Fh = (_stack([V.F[i] for i in gens], vertical) for vertical in (True, False))
+    own = np.arange(r * r)
+    diag = np.arange(r * d)
+    targets = SparseMatrix((r * d, r * d), diag, diag,
+                           q_int(V.weights.T.reshape(-1), q))
+    ones = np.ones(r * r)
+    res_comm = _relation_residual(
+        [(Ev @ Fh, own, ones),
+         (Fv @ Eh, own.reshape(r, r).T.reshape(-1), -ones),
+         (targets, own, -ones)], r * r, r, d)
+
+    # q-Serre: block (x, y) of P = [A; ...] [A, ...] is A_x A_y, block
+    # (x * r + y, z) of P3 = P (rows by (x, y)) [A, ...] is (A_x A_y) A_z.
+    # A distant pair x < y - 1 takes +P(x, y) - P(y, x); an adjacent ordered
+    # pair (X, Y) takes (X X) Y - [2]_q (X Y) X + (Y X) X.
+    res_serre = 0.0
+    distant = [(x, y) for x in range(r) for y in range(x + 2, r)]
+    adjacent = [p for x in range(r - 1) for p in ((x, x + 1), (x + 1, x))]
+    if distant or adjacent:
+        rel_p, coef_p = np.full(r * r, -1), np.zeros(r * r)
+        for n, (x, y) in enumerate(distant):
+            rel_p[[x * r + y, y * r + x]] = n
+            coef_p[[x * r + y, y * r + x]] = (1.0, -1.0)
+        rel3 = np.full((3, r ** 3), -1)
+        coef3 = np.array([[1.0], [-q_int(2, q)], [1.0]]) * np.ones(r ** 3)
+        for n, (x, y) in enumerate(adjacent, start=len(distant)):
+            rel3[[0, 1, 2], [(x * r + x) * r + y, (x * r + y) * r + x, (y * r + x) * r + x]] = n
+        for Av, Ah in ((Ev, Eh), (Fv, Fh)):
+            P = Av @ Ah
+            Prow = SparseMatrix((r * r * d, d), ((P.rows // d) * r + P.cols // d) * d + P.rows % d,
+                                P.cols % d, P.vals)
+            P3 = Prow @ Ah
+            res_serre = max(res_serre, _relation_residual(
+                [(P, rel_p, coef_p)] + [(P3, rel3[t], coef3[t]) for t in range(3)],
+                len(distant) + len(adjacent), r, d))
     report = {
         "unitarity": res_unit,
         "grading": res_grad,

@@ -5,7 +5,6 @@ import os
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qcartan import asympt, braiding, cli, sps

@@ -178,3 +178,17 @@ def test_ambiguous_rank_names_the_weight_block(builders):
         with pytest.raises(AmbiguousRank,
                            match=rf"{kind} weight space, weight block Weight\(0, 0\): rank gap"):
             space(T, strict)
+
+
+@pytest.mark.parametrize("coords, q, M", [((1,), 2.0, 12), ((1, 0), 1.5, 10),
+                                          ((1, 1), 1.5, 4), ((1, 0, 0), 1.0, 5)])
+def test_projected_generators_match_the_dense_projection(chains, coords, q, M):
+    """Level n+1 holds Q^T E_i Q of the tensor it was cut from, Q = w_n."""
+    ch = chains(coords, q, M)
+    for n in range(1, M):
+        T = repn.tensor(ch.base, ch.levels[n])
+        Q, lev = ch.w[n], ch.levels[n + 1]
+        for i in range(1, ch.N):
+            for got, X in ((lev.E[i], T.E[i]), (lev.F[i], T.F[i])):
+                want = Q.T @ X.to_dense() @ Q
+                assert np.max(np.abs(got.to_dense() - want)) <= 1e-14 * np.max(np.abs(want))

@@ -1,5 +1,7 @@
 """Pattern enumeration and the coupling-coefficient closed form."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,34 @@ def test_grid_layout():
         assert abs(closed - num) <= 1e-10
         if i == 1:
             assert abs(num - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("N, max_entry", [(3, 3), (4, 2)])
+def test_grid_solves_each_partition_once_and_matches_per_i_calls(monkeypatch, N, max_entry):
+    from qcartan import decomp
+    from qcartan.sps import GeneralWeightBuilder
+
+    solves = []
+    real = decomp.highest_weight_space
+
+    def counted(T, tol):
+        solves.append(T.dim)
+        return real(T, tol)
+
+    # only the grid's own solves: the module builder keeps the real function
+    monkeypatch.setattr(gtcg, "decomp", types.SimpleNamespace(highest_weight_space=counted))
+    rows = gtcg.cg_grid(N, 1.5, max_entry)
+    partitions = sorted({mu for mu, _, _, _ in rows})
+    assert len(solves) == len(partitions)
+    monkeypatch.undo()
+
+    builder = GeneralWeightBuilder(N, 1.5)
+    want = []
+    for mu in partitions:
+        for i in range(1, N + 1):
+            try:
+                num = gtcg.cg_numeric(i, mu, 1.5, builder=builder)
+            except MissingComponent:
+                continue
+            want.append((mu, i, gtcg.cg_closed_form(i, mu, 1.5), num))
+    assert sorted(rows) == want

@@ -21,7 +21,7 @@ def test_chain_levels_and_dimensions(chains):
     # every public level and isometry of a deep chain is float64
     deep = chains((1,), 1.5, 22)
     for lv in deep.levels:
-        assert all(m.dtype == np.float64 for m in (*lv.E.values(), *lv.F.values()))
+        assert all(m.vals.dtype == np.float64 for m in (*lv.E.values(), *lv.F.values()))
     assert all(w.dtype == np.float64 for w in deep.w)
 
 
@@ -277,3 +277,21 @@ def test_deep_q3_chain_keeps_the_rate_window(chains):
     ch = chains((1,), 3.0, 30)
     fit = asympt.rate_fit(asympt.conjecture_scan(chain=ch), "a")
     assert fit.t_hat <= 1 / 3.0 + 0.05
+
+
+def test_chain_build_and_scan_never_densify_a_large_generator(monkeypatch):
+    """Generators above dim V_lam stay sparse through the build and the scan."""
+    dense = repn.SparseMatrix.to_dense
+    dl = 3
+
+    def guarded(self):
+        if self.shape[0] == self.shape[1] > dl:
+            raise AssertionError(f"densified a {self.shape} generator")
+        return dense(self)
+
+    monkeypatch.setattr(repn.SparseMatrix, "to_dense", guarded)
+    ch = sps.CartanChain(Weight((1, 0)), 1.5, 8)
+    assert ch.base.dim == dl
+    assert len(asympt.conjecture_scan(ch).ns) > 0
+    with pytest.raises(AssertionError, match="densified"):
+        ch.levels[4].E[1].to_dense()
