@@ -22,6 +22,9 @@ scan, the left side of the f-estimate, and every star-commutation defect map
 D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Their operator norms are
 taken as largest block norms by the one helper that also certifies
 coassociativity, and each raises InvariantViolation on an off-block entry.
+The chain isometries are SparseMatrix triplets; the f-estimate stays on
+them, and the dense scan and star measurements call to_dense() once per
+isometry they read and pass their graded matrices back as triplets.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
 from .sps import (CartanChain, FockSpace, BlockOp, creation,
-                  right_creation, psi, _apply_left, _graded_norm)
+                  right_creation, psi, _apply_left, _apply_right, _graded_norm)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -121,7 +124,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         T = repn.tensor(base, lev)
         Qh = decomp.highest_weight_space(T, tol).basis_matrix(T.dim)
         Ql = decomp.lowest_weight_space(T, tol).basis_matrix(T.dim)
-        wn = chain.w[n]
+        wn = chain.w[n].to_dense()
         h_n, l_n = chain.hw_vector(n), chain.lowest_vector(n)
         keys_t = chain._weight_keys(1, n)
 
@@ -129,7 +132,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         b = _b(wn, h_lam, h_n)
         D = Qh @ Qh.T
         D[::dn, ::dn] -= np.eye(dl)
-        c = _graded_norm(D, keys_t, keys_t, f"c({n})")
+        c = _graded_norm(repn.SparseMatrix.from_dense(D), keys_t, keys_t, f"c({n})")
         a_l = _a(Ql, l_n, dl)
         b_l = _b(wn, l_lam, l_n)
 
@@ -144,8 +147,8 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         # f_{lam,n lam} (P^h_{lam,n lam} - P^h_lam (x) P^h_{n lam}) = 0
         M4 = (wn.T @ Qh) @ Qh.T
         M4[:, 0] -= wn[0, :]
-        r4 = _graded_norm(M4, chain._weight_keys(n + 1), keys_t,
-                          f"Cartan projector absorption at n={n}")
+        r4 = _graded_norm(repn.SparseMatrix.from_dense(M4), chain._weight_keys(n + 1),
+                          keys_t, f"Cartan projector absorption at n={n}")
         if r4 > 1e-8:
             raise InvariantViolation(
                 f"Cartan projector does not absorb the product projector "
@@ -220,7 +223,9 @@ def f_estimate_check(chain: CartanChain, n: int,
     """(lhs, rhs, holds) for ||f_{n+1} - (f_n (x) 1)(1 (x) f_n)|| <= a(n) + b(n-1).
 
     Both projectors are transported to V_lam (x) V_{n lam} coordinates: the
-    left side becomes ||w'_n w_n^T - (w_{n-1}^T (x) 1)(1 (x) w'_{n-1})||.
+    left side becomes ||w'_n w_n^T - (w_{n-1}^T (x) 1)(1 (x) w'_{n-1})||,
+    formed from triplets: 1 (x) w'_{n-1} is the identity joined against
+    w'_{n-1}^T, as in the coassociativity residual.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -228,8 +233,9 @@ def f_estimate_check(chain: CartanChain, n: int,
         raise ValueError(f"n={n} exceeds last isometry {chain.M - 1}")
     dl = chain.base.dim
     term1 = chain.right_isometry(n) @ chain.w[n].T
-    X = np.kron(np.eye(dl), chain.right_isometry(n - 1))
-    term2 = _apply_left(chain.w[n - 1].T, X, dl)
+    X = repn.SparseMatrix(*_apply_right(chain.right_isometry(n - 1).T,
+                                        repn.SparseMatrix.identity(term1.shape[1]), dl))
+    term2 = repn.SparseMatrix(*_apply_left(chain.w[n - 1], X, dl))
     lhs = _graded_norm(term1 - term2, chain._weight_keys(n, 1),
                        chain._weight_keys(1, n), f"f-estimate at n={n}")
 
@@ -240,7 +246,7 @@ def f_estimate_check(chain: CartanChain, n: int,
         T = repn.tensor(chain.base, chain.levels[n])
         Qh = decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim)
         a_n = _a(Qh, chain.hw_vector(n), dl)
-        b_prev = _b(chain.w[n - 1], chain.hw_vector(1), chain.hw_vector(n - 1))
+        b_prev = _b(chain.w[n - 1].to_dense(), chain.hw_vector(1), chain.hw_vector(n - 1))
     rhs = a_n + b_prev
     return lhs, rhs, bool(lhs <= rhs + 1e-7)
 
@@ -319,9 +325,11 @@ def _defect_maps(W: np.ndarray, G: np.ndarray, keys_lam: np.ndarray,
     Wc = W.reshape(dl, dnu, dmu).transpose(1, 0, 2).reshape(dnu, dl * dmu)
     D = blocks(G @ G.T) - qfac * (sigma.T @ blocks(Wc.T @ Wc))
     shift = (keys_lam[None, :] - keys_lam[:, None]).reshape(-1)   # (b, a) -> a - b
-    worst = max(_graded_norm(D[p].reshape(dmu, dmu), keys_mu, keys_mu + shift[p],
-                             "star-commutation defect") for p in range(dl * dl))
-    cols = _graded_norm(D.T, (keys_mu[:, None] - keys_mu[None, :]).reshape(-1), shift,
+    worst = max(_graded_norm(repn.SparseMatrix.from_dense(D[p].reshape(dmu, dmu)),
+                             keys_mu, keys_mu + shift[p], "star-commutation defect")
+                for p in range(dl * dl))
+    cols = _graded_norm(repn.SparseMatrix.from_dense(D.T),
+                        (keys_mu[:, None] - keys_mu[None, :]).reshape(-1), shift,
                         "matricized star-commutation defect")
     return DefectNorms(worst, cols)
 
@@ -349,7 +357,7 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
     if sigmas is None:
         sigmas = sigma_pair(chain.base, chain.tol)
     sig_h_inv, sig_l = sigmas
-    W, G = chain.w[n - 1], chain.w[n]
+    W, G = chain.w[n - 1].to_dense(), chain.w[n].to_dense()
     q, qq = chain.q, pairing(chain.lam, chain.lam)
     keys_lam, keys_mu = chain._weight_keys(1), chain._weight_keys(n)
     defect_h = _defect_maps(W, G, keys_lam, keys_mu, sig_h_inv, q ** (-qq))

@@ -18,7 +18,7 @@ violation, 2 ambiguous rank certificate, 3 configuration error.
 
 Cache file layout (all integers little-endian):
     8s    magic b"QCCACHE\\0"
-    u32   format version (1)
+    u32   format version (2)
     u32   N
     u32   M
     u16   len(q_str); q_str ascii, %.17g (bit-exact float round trip)
@@ -26,11 +26,15 @@ Cache file layout (all integers little-endian):
     u32   level count (M+1); per level u64 dim
     u32   payload record count
     u32   crc32 of the whole payload section
-then per record: u64 nbytes, u32 crc32, u64 rows, u64 cols, and the
-matrix data as little-endian float64 in column-major order.  Records are,
-in order: per level n = 0..M the weight table then E_i, F_i for
-i = 1..N-1; then the isometries w_0..w_{M-1}.  Writes are atomic
-(temp file + fsync + rename).
+then per record: u64 nbytes, u32 crc32, u64 rows, u64 cols, and the data.
+Records are, in order: per level n = 0..M the weight table then E_i, F_i for
+i = 1..N-1; then the isometries w_0..w_{M-1}.  The weight table is a dense
+record: rows * cols float64 in column-major order.  Every other record is a
+triplet record of a repn.SparseMatrix: nnz i64 row indices, nnz i64 column
+indices, then nnz float64 values (nbytes = 24 nnz), in canonical order.
+Loading checks each triplet record before building from it: indices in
+range, keys strictly increasing row-major, no exact zeros.  Writes are
+atomic (temp file + fsync + rename).
 """
 
 from __future__ import annotations
@@ -49,12 +53,12 @@ import numpy as np
 from .qcore import Weight
 from .numerics import (AmbiguousRank, DEFAULT_TOL, InvariantViolation,
                        ToleranceProfile)
-from .repn import QModule, check_module
+from .repn import QModule, SparseMatrix, check_module
 from .sps import CartanChain
 from . import asympt, gtcg, qda
 
 CACHE_MAGIC = b"QCCACHE\x00"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_ENV_VAR = "QCARTAN_CACHE_DIR"
 SCHEMA = "1"
 
@@ -449,39 +453,75 @@ def _chain_mismatch(a: CartanChain, b: CartanChain) -> str:
         if not np.array_equal(la.weights, lb.weights):
             return f"weights at level {n}"
         for i in range(1, a.N):
-            if not np.array_equal(la.E[i].to_dense(), lb.E[i].to_dense()):
+            if not _same_triplets(la.E[i], lb.E[i]):
                 return f"E_{i} at level {n}"
-            if not np.array_equal(la.F[i].to_dense(), lb.F[i].to_dense()):
+            if not _same_triplets(la.F[i], lb.F[i]):
                 return f"F_{i} at level {n}"
     for n in range(a.M):
-        if not np.array_equal(a.w[n], b.w[n]):
+        if not _same_triplets(a.w[n], b.w[n]):
             return f"isometry {n}"
     return ""
+
+
+def _same_triplets(a: SparseMatrix, b: SparseMatrix) -> bool:
+    return (a.shape == b.shape and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.cols, b.cols) and np.array_equal(a.vals, b.vals))
 
 
 # ---------------------------------------------------------------------------
 # chain cache file format
 # ---------------------------------------------------------------------------
 
+_RECORD = struct.Struct("<QIQQ")   # nbytes, crc32, rows, cols
+
+
+def _pack_record(shape, data: bytes) -> bytes:
+    return _RECORD.pack(len(data), zlib.crc32(data), *shape) + data
+
+
 def _pack_matrix(m: np.ndarray) -> bytes:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    data = m.astype("<f8").tobytes(order="F")
-    return (struct.pack("<QIQQ", len(data), zlib.crc32(data),
-                        m.shape[0], m.shape[1]) + data)
+    return _pack_record(m.shape, np.asarray(m, dtype="<f8").tobytes(order="F"))
 
 
-def _unpack_matrix(buf: memoryview, off: int):
-    nbytes, crc, rows, cols = struct.unpack_from("<QIQQ", buf, off)
-    off += struct.calcsize("<QIQQ")
+def _pack_triplets(S: SparseMatrix) -> bytes:
+    return _pack_record(S.shape, S.rows.astype("<i8").tobytes()
+                        + S.cols.astype("<i8").tobytes() + S.vals.astype("<f8").tobytes())
+
+
+def _unpack_record(buf: memoryview, off: int):
+    if off + _RECORD.size > len(buf):
+        raise InvariantViolation("cache payload truncated")
+    nbytes, crc, rows, cols = _RECORD.unpack_from(buf, off)
+    off += _RECORD.size
     data = bytes(buf[off:off + nbytes])
     if len(data) != nbytes or zlib.crc32(data) != crc:
         raise InvariantViolation("cache payload checksum mismatch")
-    if rows * cols * 8 != nbytes:
+    return (rows, cols), data, off + nbytes
+
+
+def _unpack_matrix(buf: memoryview, off: int):
+    (rows, cols), data, off = _unpack_record(buf, off)
+    if rows * cols * 8 != len(data):
         raise InvariantViolation("cache payload length mismatch")
     m = np.frombuffer(data, dtype="<f8").reshape((rows, cols), order="F")
-    return np.ascontiguousarray(m), off + nbytes
+    return np.ascontiguousarray(m), off
+
+
+def _unpack_triplets(buf: memoryview, off: int):
+    """A triplet record, checked to be canonical before it is wrapped."""
+    shape, data, off = _unpack_record(buf, off)
+    if len(data) % 24:
+        raise InvariantViolation("cache triplet record length mismatch")
+    nnz = len(data) // 24
+    r, c = np.frombuffer(data, dtype="<i8", count=2 * nnz).astype(np.int64).reshape(2, nnz)
+    v = np.frombuffer(data, dtype="<f8", offset=16 * nnz).astype(np.float64)
+    if nnz and (r.min() < 0 or r.max() >= shape[0] or c.min() < 0 or c.max() >= shape[1]):
+        raise InvariantViolation(f"cache triplet index out of range for shape {shape}")
+    if np.any(np.diff(r * shape[1] + c) <= 0):
+        raise InvariantViolation("cache triplet keys not strictly increasing row-major")
+    if np.any(v == 0.0):
+        raise InvariantViolation("cache triplet record holds an exact zero")
+    return SparseMatrix._canonical(shape, r, c, v), off
 
 
 def store_chain(chain: CartanChain, path: str) -> None:
@@ -490,10 +530,10 @@ def store_chain(chain: CartanChain, path: str) -> None:
     for lv in chain.levels:
         payloads.append(_pack_matrix(lv.weights.astype(np.float64)))
         for i in range(1, chain.N):
-            payloads.append(_pack_matrix(lv.E[i].to_dense()))
-            payloads.append(_pack_matrix(lv.F[i].to_dense()))
+            payloads.append(_pack_triplets(lv.E[i]))
+            payloads.append(_pack_triplets(lv.F[i]))
     for m in chain.w:
-        payloads.append(_pack_matrix(m))
+        payloads.append(_pack_triplets(m))
     body = b"".join(payloads)
 
     qstr = _fmt(chain.q).encode("ascii")
@@ -509,7 +549,8 @@ def store_chain(chain: CartanChain, path: str) -> None:
 
 
 def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
-    """Read a chain cache file; verifies checksums and shape bookkeeping.
+    """Read a chain cache file; verifies checksums, shape bookkeeping and
+    the canonical form of every triplet record.
 
     Substance verification (module relations, coassociativity) is the
     caller's job; cmd_cache replays both.
@@ -542,33 +583,29 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
         raise InvariantViolation(f"{path}: inconsistent cache header")
     if zlib.crc32(blob[off:]) != body_crc:
         raise InvariantViolation(f"{path}: cache body checksum mismatch")
-
-    mats = []
-    for _ in range(count):
-        m, off = _unpack_matrix(buf, off)
-        mats.append(m)
-    if off != len(blob):
-        raise InvariantViolation(f"{path}: trailing bytes in cache file")
     expect = (M + 1) * (1 + 2 * (N - 1)) + M
     if count != expect:
         raise InvariantViolation(f"{path}: expected {expect} payloads, got {count}")
 
     lam = Weight(tuple(int(c) for c in coords))
     levels = []
-    k = 0
     for n in range(M + 1):
-        weights = mats[k].astype(np.int64)
-        k += 1
+        weights, off = _unpack_matrix(buf, off)
+        weights = weights.astype(np.int64)
         E, F = {}, {}
         for i in range(1, N):
-            E[i] = mats[k]
-            F[i] = mats[k + 1]
-            k += 2
+            E[i], off = _unpack_triplets(buf, off)
+            F[i], off = _unpack_triplets(buf, off)
         if weights.shape != (dims[n], N - 1):
             raise InvariantViolation(f"{path}: level {n} dim mismatch")
         levels.append(QModule(N, q, weights, E, F,
                               highest_weight=lam * n, hw_index=0))
-    w = mats[k:]
+    w = []
+    for _ in range(M):
+        W, off = _unpack_triplets(buf, off)
+        w.append(W)
+    if off != len(blob):
+        raise InvariantViolation(f"{path}: trailing bytes in cache file")
     return CartanChain.from_parts(lam, q, M, tol, levels, w)
 
 

@@ -177,10 +177,11 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     also holds weights outside the submodule whose candidates are pure
     rounding noise, and ||F_i||_F over the whole module grows like q^n.  The
     projected module must pass check_module before it is returned.  Q is the
-    isometric intertwiner from the submodule into V.
+    isometric intertwiner from the submodule into V, a repn.SparseMatrix.
 
     The blocks F_i[nu, mu] come from one scatter of the triplets of each
-    F_i; the generators of the submodule are Q^T (E_i Q) with Q sparse.
+    F_i; Q is assembled from the orbit blocks B_nu, and the generators of
+    the submodule are Q^T (E_i Q).
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
@@ -253,18 +254,25 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
             f"submodule of weight {hw} has dim {k}, Weyl formula says {expected}"
         )
 
-    Q = np.zeros((V.dim, expected))
-    wmat = np.empty((expected, V.N - 1), dtype=np.int64)
-    c = 0
-    for nu, B in found:
-        Q[blocks[nu], c:c + B.shape[1]] = B
-        wmat[c:c + B.shape[1]] = nu
-        c += B.shape[1]
-    Q[:, 0] = seed  # exactly, entries below the support cut included
-    Qs = repn.SparseMatrix.from_dense(Q)
-    QsT = Qs.T
-    E = {i: QsT @ (V.E[i] @ Qs) for i in range(1, V.N)}
-    F = {i: QsT @ (V.F[i] @ Qs) for i in range(1, V.N)}
+    # Q from the orbit blocks: column 0 is the seed exactly, entries below
+    # the support cut included, and each later block B_nu fills rows
+    # blocks[nu] of the next B_nu.shape[1] columns.  Read column by column,
+    # the blocks list Q^T in canonical order, so only Q = (Q^T)^T sorts.
+    nz = np.flatnonzero(seed)
+    Bs = [seed[nz, None]] + [B for _, B in found[1:]]
+    rows_of = [r for r, B in zip([nz] + [blocks[nu] for nu, _ in found[1:]], Bs)
+               for _ in range(B.shape[1])]
+    rows = np.concatenate(rows_of)
+    cols = np.repeat(np.arange(expected), [r.size for r in rows_of])
+    vals = np.concatenate([B.T.ravel() for B in Bs])
+    keep = vals != 0.0
+    if not keep.all():
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    Q = repn.SparseMatrix._canonical((expected, V.dim), cols, rows, vals).T
+    wmat = np.repeat(np.array([nu for nu, _ in found], dtype=np.int64),
+                     [B.shape[1] for B in Bs], axis=0)
+    E = {i: Q.T @ (V.E[i] @ Q) for i in range(1, V.N)}
+    F = {i: Q.T @ (V.F[i] @ Q) for i in range(1, V.N)}
     sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0)
     repn.check_module(sub, tol, raise_on_fail=True)
     return sub, Q

@@ -43,6 +43,7 @@ class SparseMatrix:
     number of NumPy calls: one searchsorted join of the inner indices, one
     sort of the output positions and one bincount of the duplicates.
     Indexing returns dense entries; to_dense() gives the whole matrix.
+    The type is immutable, so T is computed once per matrix.
     """
 
     __array_ufunc__ = None  # ndarray @ SparseMatrix defers to __rmatmul__
@@ -59,6 +60,7 @@ class SparseMatrix:
         self.shape = (m, n)
         self.rows, self.cols = np.divmod(key, max(n, 1))
         self.vals = vals
+        self._T = None
 
     @classmethod
     def _canonical(cls, shape, rows, cols, vals) -> "SparseMatrix":
@@ -66,7 +68,13 @@ class SparseMatrix:
         out = cls.__new__(cls)
         out.shape = shape
         out.rows, out.cols, out.vals = rows, cols, vals
+        out._T = None
         return out
+
+    @classmethod
+    def identity(cls, n: int) -> "SparseMatrix":
+        diag = np.arange(n, dtype=np.int64)
+        return cls._canonical((n, n), diag, diag, np.ones(n))
 
     @classmethod
     def from_dense(cls, A) -> "SparseMatrix":
@@ -86,23 +94,41 @@ class SparseMatrix:
 
     @property
     def T(self) -> "SparseMatrix":
-        order = np.argsort(self.cols * self.shape[0] + self.rows, kind="stable")
-        return SparseMatrix._canonical(self.shape[::-1], self.cols[order],
-                                       self.rows[order], self.vals[order])
+        if self._T is None:
+            order = np.argsort(self.cols * self.shape[0] + self.rows, kind="stable")
+            self._T = SparseMatrix._canonical(self.shape[::-1], self.cols[order],
+                                              self.rows[order], self.vals[order])
+            self._T._T = self
+        return self._T
 
     def __mul__(self, scalar) -> "SparseMatrix":
         return SparseMatrix(self.shape, self.rows, self.cols, self.vals * float(scalar))
 
     __rmul__ = __mul__
 
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """self - other, each entry one subtraction: one sort of both triplet sets."""
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError("shapes differ")
+        return SparseMatrix(self.shape, np.concatenate([self.rows, other.rows]),
+                            np.concatenate([self.cols, other.cols]),
+                            np.concatenate([self.vals, -other.vals]))
+
+    def __rsub__(self, other) -> np.ndarray:
+        """Dense other - self, dense: dense code may subtract a sparse matrix."""
+        out = np.array(other, dtype=np.float64)
+        if out.shape != self.shape:
+            raise ValueError("shapes differ")
+        out[self.rows, self.cols] -= self.vals
+        return out
+
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
             if self.shape[1] != other.shape[0]:
                 raise ValueError("inner dimensions differ")
-            lo = np.searchsorted(other.rows, self.cols, "left")
-            cnt = np.searchsorted(other.rows, self.cols, "right") - lo
-            a = np.repeat(np.arange(self.vals.size), cnt)
-            b = np.arange(a.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+            a, b = _join(self.cols, other.rows)
             return SparseMatrix((self.shape[0], other.shape[1]), self.rows[a],
                                 other.cols[b], self.vals[a] * other.vals[b])
         X = np.asarray(other, dtype=np.float64)
@@ -124,6 +150,16 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix(shape={self.shape}, nnz={self.vals.size})"
+
+
+def _join(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple:
+    """Index arrays (a, b) of every pair keys[a] == sorted_keys[b], grouped by
+    a in ascending order; sorted_keys must be sorted."""
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    cnt = np.searchsorted(sorted_keys, keys, "right") - lo
+    a = np.repeat(np.arange(keys.size), cnt)
+    b = np.arange(a.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    return a, b
 
 
 def _sum_duplicates(key: np.ndarray, vals: np.ndarray) -> tuple:

@@ -9,17 +9,21 @@ weight vector is the 0-th basis vector and the seed column of w_n is one-hot),
 and the right maps w'_n : V_{(n+1)lam} -> V_{n lam} (x) V_lam obtained as the
 (n,1) pair isometries.
 
-Pair isometries w_{k,l} : V_{(k+l)lam} -> V_{k lam} (x) V_{l lam} are built by
-composing the w maps left-greedily and re-orthonormalizing once with a polar
-factor per weight block (columns grouped by the weights of V_{(k+l)lam}, rows
-by the summed weights of the two factors), so every w_{k,l} has exact zeros
-off its weight blocks; coassociativity is then certified numerically rather
-than assumed, as the largest block norm of a difference whose off-block
-entries are checked to be exactly 0.
+Every isometry is a repn.SparseMatrix of canonical triplets: the w_n are
+0.2-0.7 % nonzero.  Pair isometries w_{k,l} : V_{(k+l)lam} -> V_{k lam} (x)
+V_{l lam} are built by composing the w maps left-greedily and
+re-orthonormalizing once with a polar factor per weight block (columns
+grouped by the weights of V_{(k+l)lam}, rows by the summed weights of the two
+factors), so no w_{k,l} has a triplet off its weight blocks.  A factor
+W (x) 1 or 1 (x) W is applied as one join of the triplets against W^T, never
+as a Kronecker product.  Coassociativity is certified numerically rather
+than assumed, as the largest block norm of a difference whose triplets are
+checked to lie inside the blocks.
 
-Truncated Fock space operators are kept block-per-level (BlockOp): creation
-S_xi, its adjoint, right creation R_xi, level projectors, the compression maps
-psi_{n,n+k} and the transfer operator Theta.
+Truncated Fock space operators are kept block-per-level (BlockOp) as dense
+blocks: creation S_xi (scattered from the triplets of w_n), its adjoint,
+right creation R_xi, level projectors, the compression maps psi_{n,n+k} (which
+densify their one pair isometry) and the transfer operator Theta.
 """
 from __future__ import annotations
 
@@ -47,19 +51,30 @@ __all__ = [
 ]
 
 
-def _apply_left(W: np.ndarray, X: np.ndarray, dright: int) -> np.ndarray:
-    """(W (x) 1_dright) @ X without forming the Kronecker product."""
-    p, m = W.shape
-    c = X.shape[1]
-    Xr = X.reshape(m, dright, c)
-    return np.tensordot(W, Xr, axes=([1], [0])).reshape(p * dright, c)
+def _apply_left(WT: repn.SparseMatrix, X, dright: int) -> tuple:
+    """(W (x) 1_dright) @ X for W = WT.T, as (shape, rows, cols, vals).
+
+    Row j * dright + b of X meets column j of W, which is row j of the
+    canonical WT, so the product is one searchsorted join and no Kronecker
+    product is formed.  Positions may repeat: the caller sums them once,
+    when it builds a SparseMatrix from the triplets.
+    """
+    j, b = np.divmod(X.rows, dright)
+    x, y = repn._join(j, WT.rows)
+    return ((WT.shape[1] * dright, X.shape[1]), WT.cols[y] * dright + b[x],
+            X.cols[x], WT.vals[y] * X.vals[x])
 
 
-def _apply_right(W: np.ndarray, X: np.ndarray, dleft: int) -> np.ndarray:
-    """(1_dleft (x) W) @ X without forming the Kronecker product."""
-    p, m = W.shape
-    c = X.shape[1]
-    return np.matmul(W, X.reshape(dleft, m, c)).reshape(dleft * p, c)
+def _apply_right(WT: repn.SparseMatrix, X, dleft: int) -> tuple:
+    """(1_dleft (x) W) @ X for W = WT.T, as (shape, rows, cols, vals).
+
+    Row a * m + j of X meets column j of W (m columns); see _apply_left.
+    """
+    m, p = WT.shape
+    a, j = np.divmod(X.rows, m)
+    x, y = repn._join(j, WT.rows)
+    return ((dleft * p, X.shape[1]), a[x] * p + WT.cols[y], X.cols[x],
+            WT.vals[y] * X.vals[x])
 
 
 def _weight_radix(levels) -> np.ndarray:
@@ -68,69 +83,80 @@ def _weight_radix(levels) -> np.ndarray:
     return span ** np.arange(levels[0].weights.shape[1], dtype=np.int64)
 
 
-def _graded_blocks(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _graded_blocks(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
                    what: str) -> tuple:
     """Weight blocks of X, whose row/column weights have keys rows/cols.
 
-    Returns (r, c, v, blocks): X[r, c] = v are the entries inside the blocks,
-    and blocks holds (row index (B, h), column index (B, m)) for every block
-    shape h x m with h > 0 and m > 1, the same-shape blocks stacked.  A block
-    may be wide, or have no rows at all: its columns are then zero.  Raises
-    InvariantViolation unless every entry off the blocks is exactly 0.0;
-    only then is X the direct sum of its blocks.
+    Returns (norms, multi, blocks): norms holds the column norms of X,
+    multi marks the columns of blocks with more than one column, and blocks
+    holds (row index (B, h), column index (B, m), stacked blocks (B, h, m))
+    for every such block shape h x m with h > 0, the same-shape blocks
+    stacked.  A block may be wide, or have no rows at all: its columns are
+    then zero.  Raises InvariantViolation unless every stored triplet joins
+    a row and a column of the same key; canonical triplets hold no exact
+    zeros, so only then is X the direct sum of its blocks.
     """
-    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
-    rorder = np.argsort(rows, kind="stable")
-    start = np.searchsorted(rows[rorder], keys, "left")
-    h = np.searchsorted(rows[rorder], keys, "right") - start
-    lengths = h[inv]
-    c = np.repeat(np.arange(cols.size), lengths)
-    r = rorder[np.arange(c.size)
-               - np.repeat(np.cumsum(lengths) - lengths - start[inv], lengths)]
-    v = X[r, c]
-    if np.count_nonzero(v) != np.count_nonzero(X):
-        off = X.copy()
-        off[r, c] = 0.0
+    off = rows[X.rows] != cols[X.cols]
+    if off.any():
         raise InvariantViolation(
-            f"{what}: entry {np.max(np.abs(off)):.3e} off the weight blocks")
+            f"{what}: entry {np.max(np.abs(X.vals[off])):.3e} off the weight blocks")
+    norms = np.sqrt(np.bincount(X.cols, weights=X.vals * X.vals, minlength=X.shape[1]))
+    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
+    multi = m[inv] > 1
+    blocks = []
+    if not multi.any():
+        return norms, multi, blocks
+    rorder = np.argsort(rows, kind="stable")
+    rsorted = rows[rorder]
+    start = np.searchsorted(rsorted, keys, "left")
+    h = np.searchsorted(rsorted, keys, "right") - start
+    rplace = np.empty(rows.size, dtype=np.intp)   # place of a row in its block
+    rplace[rorder] = np.arange(rows.size) - np.searchsorted(rsorted, rsorted, "left")
     corder = np.argsort(inv, kind="stable")
     cstart = np.cumsum(m) - m
-    blocks = []
+    cplace = np.empty(cols.size, dtype=np.intp)
+    cplace[corder] = np.arange(cols.size) - cstart[inv[corder]]
+    kt = inv[X.cols]                              # block of each triplet
     stacked = (h > 0) & (m > 1)
     for shape in sorted(set(zip(h[stacked].tolist(), m[stacked].tolist()))):
-        sel = (h == shape[0]) & (m == shape[1])
+        sel = np.flatnonzero((h == shape[0]) & (m == shape[1]))
+        slot = np.full(keys.size, -1)
+        slot[sel] = np.arange(sel.size)
+        t = slot[kt] >= 0
+        S = np.zeros((sel.size,) + shape)
+        S[slot[kt[t]], rplace[X.rows[t]], cplace[X.cols[t]]] = X.vals[t]
         blocks.append((rorder[start[sel][:, None] + np.arange(shape[0])],
-                       corder[cstart[sel][:, None] + np.arange(shape[1])]))
-    return r, c, v, blocks
+                       corder[cstart[sel][:, None] + np.arange(shape[1])], S))
+    return norms, multi, blocks
 
 
-def _graded_polar(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  what: str) -> np.ndarray:
+def _graded_polar(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
+                  what: str) -> repn.SparseMatrix:
     """Nearest isometry to the weight-graded X, one weight block at a time.
 
     Every block of X must have near-unit singular values.  The polar factor
     of a direct sum is the direct sum of the block polar factors, so the
-    result keeps exact zeros off the blocks; a one-column block is just
+    result has no triplet off the blocks; a one-column block is just
     normalized.
     """
-    r, c, v, blocks = _graded_blocks(X, rows, cols, what)
-    if any(ri.shape[1] < ci.shape[1] for ri, ci in blocks):
+    norms, multi, blocks = _graded_blocks(X, rows, cols, what)
+    if any(ri.shape[1] < ci.shape[1] for ri, ci, _ in blocks):
         raise InvariantViolation(f"{what}: a weight block has more columns than rows")
-    norms = np.sqrt(np.bincount(c, weights=v * v, minlength=X.shape[1]))
-    svds = [np.linalg.svd(X[ri[:, :, None], ci[:, None, :]], full_matrices=False)
-            for ri, ci in blocks]
+    svds = [np.linalg.svd(S, full_matrices=False) for _, _, S in blocks]
     smin = min([norms.min(initial=np.inf)] + [s[:, -1].min() for _, s, _ in svds])
     if smin < 0.5:
         raise InvariantViolation(
             f"{what} composition nearly rank-deficient (sigma_min={smin:.3e})")
-    W = np.zeros_like(X)
-    W[r, c] = v / norms[c]
-    for (ri, ci), (U, _, Vt) in zip(blocks, svds):
-        W[ri[:, :, None], ci[:, None, :]] = U @ Vt
-    return W
+    one = ~multi[X.cols]
+    parts = [(X.rows[one], X.cols[one], X.vals[one] / norms[X.cols[one]])]
+    for (ri, ci, _), (U, _, Vt) in zip(blocks, svds):
+        P = U @ Vt
+        parts.append((np.broadcast_to(ri[:, :, None], P.shape).ravel(),
+                      np.broadcast_to(ci[:, None, :], P.shape).ravel(), P.ravel()))
+    return repn.SparseMatrix(X.shape, *map(np.concatenate, zip(*parts)))
 
 
-def _graded_norm(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _graded_norm(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
                  what: str) -> float:
     """Operator norm of the weight-graded X: its largest block norm.
 
@@ -138,11 +164,10 @@ def _graded_norm(X: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     matrix is taken.  Every weight-graded norm of the package goes through
     here, so every one rejects an entry off the weight blocks.
     """
-    r, c, v, blocks = _graded_blocks(X, rows, cols, what)
-    worst = float(np.sqrt(np.bincount(c, weights=v * v).max(initial=0.0)))
-    for ri, ci in blocks:
-        s = np.linalg.svd(X[ri[:, :, None], ci[:, None, :]], compute_uv=False)
-        worst = max(worst, float(s[:, 0].max()))
+    norms, _, blocks = _graded_blocks(X, rows, cols, what)
+    worst = float(norms.max(initial=0.0))
+    for _, _, S in blocks:
+        worst = max(worst, float(np.linalg.svd(S, compute_uv=False)[:, 0].max()))
     return worst
 
 
@@ -180,7 +205,7 @@ class CartanChain:
         # with their q-integer-sized entries, stays a few ulp of the
         # products it checks.
         self.levels = [repn.trivial_module(self.N, self.q), base]
-        self.w = [np.eye(dl)]  # V_lam -> V_lam (x) V_0
+        self.w = [repn.SparseMatrix.identity(dl)]  # V_lam -> V_lam (x) V_0
         for n in range(1, M):
             T = repn.tensor(base, self.levels[-1])
             seed = np.zeros(T.dim)
@@ -200,7 +225,8 @@ class CartanChain:
 
         Only shape bookkeeping is checked here; callers that read the parts
         from disk must re-verify substance (check_module per level and
-        coassociativity) before trusting the instance.
+        coassociativity) before trusting the instance.  Dense isometries
+        are converted to SparseMatrix triplets.
         """
         if len(levels) != M + 1 or len(w) != M:
             raise ValueError("need M+1 levels and M isometries")
@@ -212,7 +238,7 @@ class CartanChain:
         self.N = lam.N
         self.base = levels[1]
         self.levels = list(levels)
-        self.w = [np.asarray(m, dtype=np.float64) for m in w]
+        self.w = [repn._as_sparse(m) for m in w]
         dl = self.base.dim
         for n, mat in enumerate(self.w):
             want = (dl * levels[n].dim, levels[n + 1].dim)
@@ -255,44 +281,47 @@ class CartanChain:
             keys = (keys[:, None] + self.levels[n].weights @ self._radix).reshape(-1)
         return keys
 
-    def pair_isometry(self, k: int, l: int) -> np.ndarray:
+    def pair_isometry(self, k: int, l: int) -> repn.SparseMatrix:
         """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected."""
         if k + l > self.M:
             raise ValueError(f"pair ({k},{l}) exceeds truncation {self.M}")
         if k == 0 or l == 0:
-            return np.eye(self.levels[k + l].dim)
+            return repn.SparseMatrix.identity(self.levels[k + l].dim)
         if k == 1:
             return self.w[l]
         key = (k, l)
         if key not in self._pair_cache:
-            dl = self.base.dim
-            dlev = [lv.dim for lv in self.levels]
             X = self.w[k + l - 1]                       # -> V_lam (x) V_{(k+l-1)lam}
-            X = _apply_right(self.pair_isometry(k - 1, l), X, dl)
-            X = _apply_left(self.w[k - 1].T, X, dlev[l])
+            X = repn.SparseMatrix(*_apply_right(self.pair_isometry(k - 1, l).T, X,
+                                                self.base.dim))
+            # w_{k-1}^T (x) 1, whose transpose w_{k-1} is already canonical
+            X = repn.SparseMatrix(*_apply_left(self.w[k - 1], X, self.levels[l].dim))
             W = _graded_polar(X, self._weight_keys(k, l), self._weight_keys(k + l),
                               f"pair isometry ({k},{l})")
-            res = np.max(np.abs(W.T @ W - np.eye(W.shape[1])))
+            res = repn._max_abs((W.T @ W - repn.SparseMatrix.identity(W.shape[1])).vals)
             if res > self.tol.identity_tol:
                 raise InvariantViolation(f"pair isometry ({k},{l}) not isometric: {res:.3e}")
             self._pair_cache[key] = W
         return self._pair_cache[key]
 
-    def right_isometry(self, n: int) -> np.ndarray:
+    def right_isometry(self, n: int) -> repn.SparseMatrix:
         """w'_n: V_{(n+1)lam} -> V_{n lam} (x) V_lam."""
         return self.pair_isometry(n, 1)
 
     def coassociativity_residual(self, k: int, l: int, n: int) -> float:
         """|| (w_{k,l} (x) 1) w_{k+l,n} - (1 (x) w_{l,n}) w_{k,l+n} ||.
 
-        The difference is weight-graded with exact zeros off its blocks
-        (checked), so its operator norm is its largest block norm.
+        Both sides come as triplets from one join each and are summed once;
+        the difference must have no triplet off its weight blocks (checked),
+        so its operator norm is its largest block norm.
         """
         if min(k, l, n) == 0:
             return 0.0
-        dlev = [lv.dim for lv in self.levels]
-        D = _apply_left(self.pair_isometry(k, l), self.pair_isometry(k + l, n), dlev[n])
-        D -= _apply_right(self.pair_isometry(l, n), self.pair_isometry(k, l + n), dlev[k])
+        P = self.pair_isometry
+        shape, r1, c1, v1 = _apply_left(P(k, l).T, P(k + l, n), self.levels[n].dim)
+        _, r2, c2, v2 = _apply_right(P(l, n).T, P(k, l + n), self.levels[k].dim)
+        D = repn.SparseMatrix(shape, np.concatenate([r1, r2]), np.concatenate([c1, c2]),
+                              np.concatenate([v1, -v2]))
         return _graded_norm(D, self._weight_keys(k, l, n), self._weight_keys(k + l + n),
                             f"coassociativity ({k},{l},{n})")
 
@@ -450,21 +479,25 @@ class BlockOp:
 
 
 def _creation_block(chain: CartanChain, xi: np.ndarray, n: int) -> np.ndarray:
-    """w_n^T (xi (x) .) : V_{n lam} -> V_{(n+1)lam}."""
-    dl = chain.base.dim
-    dn = chain.levels[n].dim
-    dn1 = chain.levels[n + 1].dim
-    Wr = chain.w[n].reshape(dl, dn, dn1)
-    return np.tensordot(xi, Wr, axes=([0], [0])).T
+    """w_n^T (xi (x) .) : V_{n lam} -> V_{(n+1)lam}, scattered from w_n.
+
+    Entry (c, j) sums xi[a] w_n[a * dn + j, c] over a.
+    """
+    W, dn = chain.w[n], chain.levels[n].dim
+    a, j = np.divmod(W.rows, dn)
+    return np.bincount(W.cols * dn + j, weights=xi[a] * W.vals,
+                       minlength=W.shape[1] * dn).reshape(W.shape[1], dn)
 
 
 def _right_creation_block(chain: CartanChain, xi: np.ndarray, n: int) -> np.ndarray:
-    """w'_n^T (. (x) xi) : V_{n lam} -> V_{(n+1)lam}."""
-    dl = chain.base.dim
-    dn = chain.levels[n].dim
-    dn1 = chain.levels[n + 1].dim
-    Wr = chain.right_isometry(n).reshape(dn, dl, dn1)
-    return np.tensordot(xi, Wr, axes=([0], [1])).T
+    """w'_n^T (. (x) xi) : V_{n lam} -> V_{(n+1)lam}, scattered from w'_n.
+
+    Entry (c, j) sums xi[a] w'_n[j * dl + a, c] over a.
+    """
+    W, dn = chain.right_isometry(n), chain.levels[n].dim
+    j, a = np.divmod(W.rows, chain.base.dim)
+    return np.bincount(W.cols * dn + j, weights=xi[a] * W.vals,
+                       minlength=W.shape[1] * dn).reshape(W.shape[1], dn)
 
 
 def creation(chain: CartanChain, xi: np.ndarray, fock: FockSpace) -> BlockOp:
@@ -494,9 +527,9 @@ def level_projector(fock: FockSpace, n: int) -> BlockOp:
 
 def psi(chain: CartanChain, n: int, k: int, T: np.ndarray) -> np.ndarray:
     """Compression w_{n,k}^T (T (x) 1) w_{n,k} : B(V_{n lam}) -> B(V_{(n+k)lam})."""
-    W = chain.pair_isometry(n, k)
-    dk = chain.levels[k].dim
-    return W.T @ _apply_left(T, W, dk)
+    W = chain.pair_isometry(n, k).to_dense()
+    Wr = W.reshape(chain.levels[n].dim, chain.levels[k].dim, W.shape[1])
+    return W.T @ np.tensordot(T, Wr, axes=([1], [0])).reshape(W.shape)
 
 
 def theta(chain: CartanChain, X: BlockOp) -> BlockOp:

@@ -46,7 +46,7 @@ def test_classical_limit_values(table_q1):
 
 def test_scan_rejects_tampered_isometries(chains):
     ch = chains((1,), 1.5, 10)
-    w = [m.copy() for m in ch.w]
+    w = [m.to_dense() for m in ch.w]
     w[3] = w[3] * 1.02
     bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol,
                                      list(ch.levels), w)
@@ -231,7 +231,8 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
         dmu = ch.levels[n].dim
         for got, sigma, qfac in ((rep.defect_h, sig_h_inv, q ** -qq),
                                  (rep.defect_l, sig_l, q ** qq)):
-            basis, matric = _dense_defect(ch.w[n - 1], ch.w[n], dl, dmu, sigma, qfac)
+            basis, matric = _dense_defect(ch.w[n - 1].to_dense(), ch.w[n].to_dense(),
+                                          dl, dmu, sigma, qfac)
             assert _near(got.basis_max, basis)
             assert _near(got.matricized, matric)
 
@@ -242,22 +243,25 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
         D = Qh @ Qh.T
         D[::dn, ::dn] -= np.eye(dl)
         assert _near(table.c[i], np.max(np.abs(np.linalg.eigvalsh(D))))
-        wn = ch.w[n]
+        wn = ch.w[n].to_dense()
         M4 = (wn.T @ Qh) @ Qh.T
         M4[:, 0] -= wn[0, :]
-        r4 = sps._graded_norm(M4, ch._weight_keys(n + 1), ch._weight_keys(1, n), "r4")
+        r4 = sps._graded_norm(repn.SparseMatrix.from_dense(M4), ch._weight_keys(n + 1),
+                              ch._weight_keys(1, n), "r4")
         assert _near(r4, operator_norm(M4))
 
     for n in range(2, M):
         lhs, _, _ = asympt.f_estimate_check(ch, n)
-        term1 = ch.right_isometry(n) @ ch.w[n].T
-        term2 = np.kron(ch.w[n - 1].T, np.eye(dl)) @ np.kron(np.eye(dl), ch.right_isometry(n - 1))
+        wr, w, wr1, w1 = (m.to_dense() for m in (ch.right_isometry(n), ch.w[n],
+                                                 ch.right_isometry(n - 1), ch.w[n - 1]))
+        term1 = wr @ w.T
+        term2 = np.kron(w1.T, np.eye(dl)) @ np.kron(np.eye(dl), wr1)
         assert _near(lhs, operator_norm(term1 - term2))
 
 
 def test_star_defect_rejects_an_off_block_entry(chains):
     ch = chains((1, 0), 1.5, 6)
-    w = [m.copy() for m in ch.w]
+    w = [m.to_dense() for m in ch.w]
     off = ch._weight_keys(1, 3)[:, None] != ch._weight_keys(4)[None, :]
     r, c = np.argwhere(off)[0]
     w[3][r, c] = 1e-13    # G = w[3] at n = 3

@@ -5,9 +5,10 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcartan import asympt, braiding, cli, sps
+from qcartan import asympt, braiding, cli, repn, sps
 from qcartan.numerics import AmbiguousRank, InvariantViolation
 from qcartan.qcore import Weight
 
@@ -282,6 +283,26 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(bytes(versioned))
     with pytest.raises(InvariantViolation, match="version"):
         cli.load_chain(str(path))
+    versioned[8] = 1  # dense records, before triplets
+    path.write_bytes(bytes(versioned))
+    with pytest.raises(InvariantViolation, match="unsupported cache version 1"):
+        cli.load_chain(str(path))
+
+    # triplet records that are not canonical fail although every CRC matches
+    W = ch.w[3]
+    rows = W.rows.copy()
+    rows[-1] = W.shape[0]
+    for bad, why in [
+            (repn.SparseMatrix._canonical(W.shape, W.rows[::-1], W.cols[::-1], W.vals[::-1]),
+             "strictly increasing"),
+            (repn.SparseMatrix._canonical(W.shape, W.rows, W.cols,
+                                          np.where(np.arange(W.vals.size) == 1, 0.0, W.vals)),
+             "exact zero"),
+            (repn.SparseMatrix._canonical(W.shape, rows, W.cols, W.vals), "out of range")]:
+        cli.store_chain(sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels,
+                                                   ch.w[:3] + [bad]), str(path))
+        with pytest.raises(InvariantViolation, match=why):
+            cli.load_chain(str(path))
 
 
 def test_cache_env_dir(tmp_path, monkeypatch, capsys):

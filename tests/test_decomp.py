@@ -57,7 +57,8 @@ def test_generate_submodule_extracts_top_component(intertwining_residual):
     T = repn.tensor(V, V)
     seed = np.zeros(4)
     seed[0] = 1.0
-    sub, W = decomp.generate_submodule(T, seed)
+    sub, Q = decomp.generate_submodule(T, seed)
+    W = Q.to_dense()
     assert sub.dim == 3 == weyl_dim(Weight((2,)))
     assert sub.highest_weight == Weight((2,))
     assert sub.hw_index == 0
@@ -92,7 +93,8 @@ def test_generate_submodule_rejects_bad_seeds():
 def test_cartan_component_of_distinct_factors(intertwining_residual):
     q = 1.5
     A = repn.standard_module(3, q)
-    sub, W = decomp.cartan_component(A, A)
+    sub, Q = decomp.cartan_component(A, A)
+    W = Q.to_dense()
     assert sub.dim == weyl_dim(Weight((2, 0)))
     assert intertwining_residual(sub, repn.tensor(A, A), W) <= 1e-12
     P = W @ W.T

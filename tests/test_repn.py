@@ -100,8 +100,13 @@ def test_sparse_matrix_products_and_canonical_form():
     assert np.allclose(SA @ X[:, 0], A @ X[:, 0], rtol=0, atol=1e-15)
     assert np.allclose(X.T @ SA.T, X.T @ A.T, rtol=0, atol=1e-15)
     assert np.array_equal(SA.T.to_dense(), A.T)
+    assert SA.T is SA.T and SA.T.T is SA  # the transpose is computed once
     assert np.array_equal((-2.0 * SA).to_dense(), -2.0 * A)
     assert np.array_equal(SA[:, [1, 3]], A[:, [1, 3]])
+    assert np.array_equal((SA - 2.0 * SA).to_dense(), A - 2.0 * A)
+    assert (SA - SA).vals.size == 0
+    assert np.array_equal(repn.SparseMatrix.identity(3).to_dense(), np.eye(3))
+    assert np.array_equal(np.ones((5, 4)) - SA, np.ones((5, 4)) - A)
     # duplicates are summed in the order given, exact zeros dropped
     S = repn.SparseMatrix((2, 2), [1, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 0.0])
     assert S.rows.tolist() == [0, 1] and S.cols.tolist() == [1, 0]

@@ -22,13 +22,13 @@ def test_chain_levels_and_dimensions(chains):
     deep = chains((1,), 1.5, 22)
     for lv in deep.levels:
         assert all(m.vals.dtype == np.float64 for m in (*lv.E.values(), *lv.F.values()))
-    assert all(w.dtype == np.float64 for w in deep.w)
+    assert all(w.vals.dtype == np.float64 for w in deep.w)
 
 
 def test_chain_isometries_intertwine_and_fix_phases(chains, intertwining_residual):
     ch = chains((1,), 1.5, 10)
     for n in range(1, ch.M):
-        W = ch.w[n]
+        W = ch.w[n].to_dense()
         assert np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-12
         # phase law: the top vector maps to the product of top vectors, exactly
         col = W[:, 0]
@@ -57,14 +57,15 @@ def test_chain_input_validation():
 
 def test_pair_isometries(chains):
     ch = chains((1,), 1.5, 10)
-    assert np.array_equal(ch.pair_isometry(0, 4), np.eye(5))
-    assert np.array_equal(ch.pair_isometry(4, 0), np.eye(5))
+    assert np.array_equal(ch.pair_isometry(0, 4).to_dense(), np.eye(5))
+    assert np.array_equal(ch.pair_isometry(4, 0).to_dense(), np.eye(5))
     assert ch.pair_isometry(1, 6) is ch.w[6]
     W = ch.pair_isometry(4, 3)
     assert W.shape == (5 * 4, 8)
-    assert np.max(np.abs(W.T @ W - np.eye(8))) <= 1e-12
+    Wd = W.to_dense()
+    assert np.max(np.abs(Wd.T @ Wd - np.eye(8))) <= 1e-12
     assert ch.pair_isometry(4, 3) is W  # cached
-    assert np.array_equal(ch.right_isometry(5), ch.pair_isometry(5, 1))
+    assert np.array_equal(ch.right_isometry(5).to_dense(), ch.pair_isometry(5, 1).to_dense())
     with pytest.raises(ValueError):
         ch.pair_isometry(6, 5)
 
@@ -91,12 +92,12 @@ def test_pair_isometries_are_exactly_graded(chains, coords, q, M):
     ch = chains(coords, q, M)
     for k in range(1, M):
         for l in range(1, M - k + 1):
-            off = ch.pair_isometry(k, l)[_off_block(ch, k, l)]
+            off = ch.pair_isometry(k, l).to_dense()[_off_block(ch, k, l)]
             assert off.size and np.all(off == 0.0), (k, l)
 
 
 def _dense_coassociativity(ch, k, l, n):
-    P, eye = ch.pair_isometry, (lambda m: np.eye(ch.levels[m].dim))
+    P, eye = (lambda a, b: ch.pair_isometry(a, b).to_dense()), (lambda m: np.eye(ch.levels[m].dim))
     return operator_norm(np.kron(P(k, l), eye(n)) @ P(k + l, n)
                          - np.kron(eye(k), P(l, n)) @ P(k, l + n))
 
@@ -122,7 +123,7 @@ def test_coassociativity_residual_is_the_dense_norm(chains):
     i, j = next((i, j) for i in range(len(wts)) for j in range(i + 1, len(wts))
                 if np.array_equal(wts[i], wts[j]))
     c, s = np.cos(0.3), np.sin(0.3)
-    w = [m.copy() for m in ch.w]
+    w = [m.to_dense() for m in ch.w]
     w[3][:, [i, j]] = w[3][:, [i, j]] @ np.array([[c, -s], [s, c]])
     bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, w)
     worst = 0.0
@@ -133,9 +134,90 @@ def test_coassociativity_residual_is_the_dense_norm(chains):
     assert worst > 0.1
 
 
+# The former dense composition of the pair isometries: (W (x) 1) X and
+# (1 (x) W) X by reshapes, and the polar factor per weight block of a dense
+# matrix whose off-block entries are exactly zero.
+
+def _dense_apply_left(W, X, dright):
+    p, m = W.shape
+    return np.tensordot(W, X.reshape(m, dright, -1), axes=([1], [0])).reshape(p * dright, -1)
+
+
+def _dense_apply_right(W, X, dleft):
+    p, m = W.shape
+    return np.matmul(W, X.reshape(dleft, m, -1)).reshape(dleft * p, -1)
+
+
+def _dense_graded_polar(X, rows, cols):
+    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
+    rorder = np.argsort(rows, kind="stable")
+    start = np.searchsorted(rows[rorder], keys, "left")
+    h = np.searchsorted(rows[rorder], keys, "right") - start
+    lengths = h[inv]
+    c = np.repeat(np.arange(cols.size), lengths)
+    r = rorder[np.arange(c.size) - np.repeat(np.cumsum(lengths) - lengths - start[inv], lengths)]
+    v = X[r, c]
+    assert np.count_nonzero(v) == np.count_nonzero(X)
+    corder = np.argsort(inv, kind="stable")
+    cstart = np.cumsum(m) - m
+    W = np.zeros_like(X)
+    W[r, c] = v / np.sqrt(np.bincount(c, weights=v * v, minlength=X.shape[1]))[c]
+    for key in np.flatnonzero((h > 0) & (m > 1)):
+        ri = rorder[start[key] + np.arange(h[key])]
+        ci = corder[cstart[key] + np.arange(m[key])]
+        U, _, Vt = np.linalg.svd(X[np.ix_(ri, ci)], full_matrices=False)
+        W[np.ix_(ri, ci)] = U @ Vt
+    return W
+
+
+def _dense_pair_isometries(ch):
+    """Every w_{k,l}, k + l <= M, k, l >= 1, by the former dense composition."""
+    w = [m.to_dense() for m in ch.w]
+    pairs = {(1, l): w[l] for l in range(1, ch.M)}
+    for k in range(2, ch.M):
+        for l in range(1, ch.M - k + 1):
+            X = _dense_apply_right(pairs[k - 1, l], w[k + l - 1], ch.base.dim)
+            X = _dense_apply_left(w[k - 1].T, X, ch.levels[l].dim)
+            pairs[k, l] = _dense_graded_polar(X, ch._weight_keys(k, l), ch._weight_keys(k + l))
+    return pairs
+
+
+@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 8), ((1, 1), 1.0, 5)],
+                         ids=["omega1-q1.5-M8", "rho-q1-M5"])
+def test_pair_isometries_match_the_dense_composition(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for (k, l), ref in _dense_pair_isometries(ch).items():
+        assert np.max(np.abs(ch.pair_isometry(k, l).to_dense() - ref)) <= 1e-14, (k, l)
+
+
+def test_certify_coassociativity_never_densifies_a_tall_matrix(monkeypatch):
+    """Nothing taller than w_{M-1} is densified or built by np.kron."""
+    ch = sps.CartanChain(Weight((1, 0)), 1.5, 10)
+    tall = ch.base.dim * ch.levels[ch.M - 1].dim
+    dense, kron = repn.SparseMatrix.to_dense, np.kron
+
+    def guarded_dense(self):
+        if self.shape[0] > tall:
+            raise AssertionError(f"densified a {self.shape} matrix")
+        return dense(self)
+
+    def guarded_kron(a, b):
+        if np.shape(a)[0] * np.shape(b)[0] > tall:
+            raise AssertionError("formed a tall Kronecker product")
+        return kron(a, b)
+
+    monkeypatch.setattr(repn.SparseMatrix, "to_dense", guarded_dense)
+    monkeypatch.setattr(np, "kron", guarded_kron)
+    assert ch.certify_coassociativity() <= 1e-12
+    with pytest.raises(AssertionError, match="densified"):
+        ch.pair_isometry(5, 5).to_dense()
+    with pytest.raises(AssertionError, match="Kronecker"):
+        np.kron(np.eye(2), np.eye(tall))
+
+
 def test_off_block_entry_raises(chains):
     ch = chains((1, 0), 1.5, 6)
-    w = [m.copy() for m in ch.w]
+    w = [m.to_dense() for m in ch.w]
     r, c = np.argwhere(_off_block(ch, 1, 3))[0]
     w[3][r, c] = 1e-13
     bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, w)
@@ -148,7 +230,7 @@ def test_from_parts_round_trip(chains):
     re = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol,
                                     list(ch.levels), list(ch.w))
     assert re.dims == ch.dims
-    assert np.array_equal(re.w[3], ch.w[3])
+    assert np.array_equal(re.w[3].to_dense(), ch.w[3].to_dense())
     assert re.coassociativity_residual(2, 2, 2) <= 1e-12
     with pytest.raises(ValueError):
         sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol,
