@@ -22,9 +22,15 @@ scan, the left side of the f-estimate, and every star-commutation defect map
 D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Their operator norms are
 taken as largest block norms by the one helper that also certifies
 coassociativity, and each raises InvariantViolation on an off-block entry.
-The chain isometries are SparseMatrix triplets; the f-estimate stays on
-them, and the dense scan and star measurements call to_dense() once per
-isometry they read and pass their graded matrices back as triplets.
+
+Everything is formed from the SparseMatrix triplets of the chain isometries,
+and no matrix of level size squared is ever dense.  The scan multiplies the
+extreme-weight columns Q^h as triplets; the star defects of one level take
+the Gram triplets G_b G_a^T and W_a^T W_b once for both braidings, mix the
+braiding in with one join, and lay all dim(V_lam)^2 maps D_(b,a) out
+block-diagonally, so one graded norm gives their largest norm.  Only
+matrices of size dim V_lam times a level dimension (the contractions of _b,
+the columns Q^h) are dense.
 """
 
 from __future__ import annotations
@@ -87,19 +93,22 @@ def _a(Q: np.ndarray, x: np.ndarray, dleft: int) -> float:
     return operator_norm(Qz.reshape(dleft * dsub, r))
 
 
-def _b(W: np.ndarray, x_left: np.ndarray, x: np.ndarray) -> float:
-    """||f ((1 - x_left x_left^T) (x) x x^T)|| for a component isometry W."""
-    dleft = x_left.shape[0]
-    dsub = x.shape[0]
-    W3 = W.reshape(dleft, dsub, -1)
-    G = np.einsum("abc,b->ac", W3, x)
+def _b(W: repn.SparseMatrix, x_left: np.ndarray, x: np.ndarray) -> float:
+    """||f ((1 - x_left x_left^T) (x) x x^T)|| for a component isometry W.
+
+    The contraction G[a, c] = sum_b W[a * dsub + b, c] x[b] is one bincount
+    of the triplets of W.
+    """
+    dleft, dsub, m = x_left.size, x.size, W.shape[1]
+    a, b = np.divmod(W.rows, dsub)
+    G = np.bincount(a * m + W.cols, weights=W.vals * x[b],
+                    minlength=dleft * m).reshape(dleft, m)
     return operator_norm(G - np.outer(x_left, x_left @ G))
 
 
-def _rank_should_stabilize(lam: Weight, weights: np.ndarray, n: int) -> bool:
-    """True once n*lam + nu is dominant for every weight nu of the base."""
-    shifted = n * lam.as_array()[None, :] + weights
-    return bool(np.all(shifted >= 0))
+def _dominant_shifts(lam: Weight, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per weight nu of the base, whether n*lam + nu is dominant."""
+    return np.all(n * lam.as_array()[None, :] + weights >= 0, axis=1)
 
 
 def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
@@ -108,14 +117,18 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
     Raises InvariantViolation when any structural property fails: entries
     must be norms of contractions (<= 1), c(n) must dominate a(n) and (up
     to slack) b(n), the Cartan projector must kill P^h_{lam,n lam} minus
-    the product projector, and for regular lam the rank of P^h_{lam,n lam}
-    must equal dim V_lam once all shifted weights are dominant.
+    the product projector, and the ranks of P^h_{lam,n lam} and
+    P^l_{lam,n lam} must count the components of V_lam (x) V_{n lam}: for
+    regular lam, dim V_lam once all shifted weights are dominant; for a
+    fundamental (so minuscule) lam, the weights nu of V_lam with n lam + nu
+    dominant, at every n.
     """
     lam, q, M, tol = chain.lam, chain.q, chain.M, chain.tol
     base = chain.base
     dl = base.dim
     h_lam, l_lam = chain.hw_vector(1), chain.lowest_vector(1)
     regular = is_regular(lam)
+    minuscule = sum(lam.coords) == 1
 
     ns, A, B, C, AL, BL = [], [], [], [], [], []
     for n in range(1, M - GUARD_LEVELS + 1):
@@ -124,15 +137,28 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         T = repn.tensor(base, lev)
         Qh = decomp.highest_weight_space(T, tol).basis_matrix(T.dim)
         Ql = decomp.lowest_weight_space(T, tol).basis_matrix(T.dim)
-        wn = chain.w[n].to_dense()
+        dominant = _dominant_shifts(lam, base.weights, n)
+        if minuscule:   # every weight of V_lam is simple
+            want = int(dominant.sum())
+            for side, Qx in (("h", Qh), ("l", Ql)):
+                if Qx.shape[1] != want:
+                    raise InvariantViolation(
+                        f"rank P^{side} = {Qx.shape[1]} != {want} components "
+                        f"of V_lam (x) V_(n lam) at n={n}")
+        if regular and dominant.all() and Qh.shape[1] != dl:
+            raise InvariantViolation(
+                f"rank P^h = {Qh.shape[1]} != dim V_lam = {dl} at n={n}")
+        wn = chain.w[n]
+        Qs = repn.SparseMatrix.from_dense(Qh)
         h_n, l_n = chain.hw_vector(n), chain.lowest_vector(n)
         keys_t = chain._weight_keys(1, n)
 
         a = _a(Qh, h_n, dl)
         b = _b(wn, h_lam, h_n)
-        D = Qh @ Qh.T
-        D[::dn, ::dn] -= np.eye(dl)
-        c = _graded_norm(repn.SparseMatrix.from_dense(D), keys_t, keys_t, f"c({n})")
+        units = np.arange(dl) * dn   # 1 (x) P^h_{n lam}: a unit at (a dn, a dn)
+        c = _graded_norm(Qs @ Qs.T - repn.SparseMatrix((T.dim, T.dim), units, units,
+                                                       np.ones(dl)),
+                         keys_t, keys_t, f"c({n})")
         a_l = _a(Ql, l_n, dl)
         b_l = _b(wn, l_lam, l_n)
 
@@ -144,20 +170,17 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         if b > c + 1e-7:
             raise InvariantViolation(f"b({n}) = {b} > c({n}) = {c} + slack")
 
-        # f_{lam,n lam} (P^h_{lam,n lam} - P^h_lam (x) P^h_{n lam}) = 0
-        M4 = (wn.T @ Qh) @ Qh.T
-        M4[:, 0] -= wn[0, :]
-        r4 = _graded_norm(repn.SparseMatrix.from_dense(M4), chain._weight_keys(n + 1),
-                          keys_t, f"Cartan projector absorption at n={n}")
+        # f_{lam,n lam} (P^h_{lam,n lam} - P^h_lam (x) P^h_{n lam}) = 0: the
+        # product projector leaves column 0 of f = w_n^T, which is row 0 of w_n
+        head = _leading_rows(wn, 1)
+        f0 = repn.SparseMatrix((wn.shape[1], T.dim), head.cols, np.zeros_like(head.cols),
+                               head.vals)
+        r4 = _graded_norm((wn.T @ Qs) @ Qs.T - f0, chain._weight_keys(n + 1), keys_t,
+                          f"Cartan projector absorption at n={n}")
         if r4 > 1e-8:
             raise InvariantViolation(
                 f"Cartan projector does not absorb the product projector "
                 f"at n={n}: residual {r4:.3e}")
-
-        if regular and _rank_should_stabilize(lam, base.weights, n) \
-                and Qh.shape[1] != dl:
-            raise InvariantViolation(
-                f"rank P^h = {Qh.shape[1]} != dim V_lam = {dl} at n={n}")
 
         ns.append(n)
         A.append(a); B.append(b); C.append(c); AL.append(a_l); BL.append(b_l)
@@ -165,6 +188,13 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
     return ConvergenceTable(lam, q, M, np.array(ns),
                             np.array(A), np.array(B), np.array(C),
                             np.array(AL), np.array(BL), tol)
+
+
+def _leading_rows(X: repn.SparseMatrix, m: int) -> repn.SparseMatrix:
+    """Rows 0..m-1 of X: a prefix of its row-major triplets."""
+    k = int(np.searchsorted(X.rows, m))
+    return repn.SparseMatrix._canonical((m, X.shape[1]), X.rows[:k], X.cols[:k],
+                                        X.vals[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +276,7 @@ def f_estimate_check(chain: CartanChain, n: int,
         T = repn.tensor(chain.base, chain.levels[n])
         Qh = decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim)
         a_n = _a(Qh, chain.hw_vector(n), dl)
-        b_prev = _b(chain.w[n - 1].to_dense(), chain.hw_vector(1), chain.hw_vector(n - 1))
+        b_prev = _b(chain.w[n - 1], chain.hw_vector(1), chain.hw_vector(n - 1))
     rhs = a_n + b_prev
     return lhs, rhs, bool(lhs <= rhs + 1e-7)
 
@@ -281,7 +311,8 @@ class StarCommuteReport:
 
 
 def sigma_pair(base, tol: ToleranceProfile) -> tuple:
-    """(sigma_h_inv, sigma_l): both map V_lam-bar (x) V_lam -> V_lam (x) V_lam-bar.
+    """(sigma_h_inv, sigma_l) as SparseMatrix triplets, built once per chain:
+    both map V_lam-bar (x) V_lam -> V_lam (x) V_lam-bar.
 
     The creation pairing zeta-bar |-> L_zeta^* identifies the conjugate basis
     with the module basis index-by-index.  That identification is equivariant
@@ -303,39 +334,70 @@ def sigma_pair(base, tol: ToleranceProfile) -> tuple:
     scale = (1.0 / d[idx % dl])[:, None] * d[idx // dl][None, :]
     sig_h_inv = braid_sigma_inverse(base, bar, tol) * scale
     sig_l = braid_sigma(bar, base).matrix * scale
-    return sig_h_inv, sig_l
+    return repn.SparseMatrix.from_dense(sig_h_inv), repn.SparseMatrix.from_dense(sig_l)
 
 
-def _defect_maps(W: np.ndarray, G: np.ndarray, keys_lam: np.ndarray,
-                 keys_mu: np.ndarray, sigma: np.ndarray, qfac: float) -> DefectNorms:
+def _grams(W: repn.SparseMatrix, G: repn.SparseMatrix, dmu: int) -> tuple:
+    """(B, A): the Gram maps of one level, shared by both braidings.
+
+    B(b, a) = G_b G_a^T and A(a, b) = W_a^T W_b, where G_b and W_a are the
+    row blocks of G and W with left tensor index b and a.  B is one
+    SparseMatrix in the block-diagonal layout of _defect_maps, map
+    p = b * dl + a; A is the triplets (p, i, j, v) of A(a, b)[i, j] at
+    p = a * dl + b.  B comes from the product G G^T and A from Wc^T Wc,
+    where Wc[k, a * dmu + i] = W_a[k, i] moves the left index of W to its
+    columns.
+    """
+    dl = G.shape[0] // dmu
+    dnu = W.shape[0] // dl
+    a, k = np.divmod(W.rows, dnu)
+    Wc = repn.SparseMatrix((dnu, dl * dmu), k, a * dmu + W.cols, W.vals)
+
+    def split(P):   # (x * dmu + i, y * dmu + j) -> (x * dl + y, i, j)
+        x, i = np.divmod(P.rows, dmu)
+        y, j = np.divmod(P.cols, dmu)
+        return x * dl + y, i, j, P.vals
+
+    p, i, j, v = split(G @ G.T)
+    side = dl * dl * dmu
+    return repn.SparseMatrix((side, side), p * dmu + i, p * dmu + j, v), split(Wc.T @ Wc)
+
+
+def _defect_maps(B: repn.SparseMatrix, A: tuple, sigma: repn.SparseMatrix, qfac: float,
+                 keys_lam: np.ndarray, keys_mu: np.ndarray) -> DefectNorms:
     """Norms of x -> B(x) - qfac * A(sigma x) on the (dl x dl)-dim domain.
 
-    A(e_a (x) e_b) = W_a^T W_b and B(e_b (x) e_a) = G_b G_a^T, where W_a and
-    G_b are the row blocks of W and G with left tensor index a and b; both
-    Gram stacks come from one GEMM each, the sigma mixing from one more.
-    D_(b,a) = B(e_b (x) e_a) - qfac * A(sigma(e_b (x) e_a)) is graded with
-    weight shift wt(e_a) - wt(e_b), so both norms are graded block norms.
+    D_(b,a) = B(e_b (x) e_a) - qfac * sum_r sigma[r, (b,a)] A(r), the sum one
+    join of A's stack index r against the rows of sigma.  The maps D_p are
+    laid out block-diagonally, D_p[i, j] at (p * dmu + i, p * dmu + j); D_p
+    shifts weights by wt(e_a) - wt(e_b), so the row key key_mu[i] * dl^2 + p
+    and the column key (key_mu[j] + shift_p) * dl^2 + p grade them all at
+    once, and one graded norm is the largest map norm.  The matricized norm
+    reads the same triplets as the (dmu^2, dl^2) matrix with rows (i, j),
+    numbering only the rows that hold an entry.
     """
-    dl, dmu = keys_lam.size, keys_mu.size
-    dnu = W.shape[0] // dl
+    dl2, dmu = keys_lam.size ** 2, keys_mu.size
+    r, i, j, v = A
+    x, y = repn._join(r, sigma.rows)
+    p = sigma.cols[y]
+    D = B - qfac * repn.SparseMatrix(B.shape, p * dmu + i[x], p * dmu + j[x],
+                                     sigma.vals[y] * v[x])
 
-    def blocks(X):   # (dl dmu) x (dl dmu) with blocks [x, y] -> row x*dl + y
-        return X.reshape(dl, dmu, dl, dmu).transpose(0, 2, 1, 3).reshape(dl * dl, -1)
-
-    Wc = W.reshape(dl, dnu, dmu).transpose(1, 0, 2).reshape(dnu, dl * dmu)
-    D = blocks(G @ G.T) - qfac * (sigma.T @ blocks(Wc.T @ Wc))
     shift = (keys_lam[None, :] - keys_lam[:, None]).reshape(-1)   # (b, a) -> a - b
-    worst = max(_graded_norm(repn.SparseMatrix.from_dense(D[p].reshape(dmu, dmu)),
-                             keys_mu, keys_mu + shift[p], "star-commutation defect")
-                for p in range(dl * dl))
-    cols = _graded_norm(repn.SparseMatrix.from_dense(D.T),
-                        (keys_mu[:, None] - keys_mu[None, :]).reshape(-1), shift,
+    maps = np.arange(dl2)[:, None]
+    worst = _graded_norm(D, (keys_mu[None, :] * dl2 + maps).reshape(-1),
+                         ((keys_mu[None, :] + shift[:, None]) * dl2 + maps).reshape(-1),
+                         "star-commutation defect")
+    p, i = np.divmod(D.rows, dmu)
+    ij, row = np.unique(i * dmu + D.cols % dmu, return_inverse=True)
+    cols = _graded_norm(repn.SparseMatrix((ij.size, dl2), row, p, D.vals),
+                        keys_mu[ij // dmu] - keys_mu[ij % dmu], shift,
                         "matricized star-commutation defect")
     return DefectNorms(worst, cols)
 
 
-def _bounds(Q: np.ndarray, W: np.ndarray, G: np.ndarray, x_lam: np.ndarray,
-            x_mu: np.ndarray, x_nu: np.ndarray) -> float:
+def _bounds(Q: np.ndarray, W: repn.SparseMatrix, G: repn.SparseMatrix,
+            x_lam: np.ndarray, x_mu: np.ndarray, x_nu: np.ndarray) -> float:
     """b(lam, mu) + b(lam, mu-lam) + a(lam, mu) at the extreme vectors x_*.
 
     Q spans the extreme vectors of V_lam (x) V_mu of the same kind as x_*.
@@ -357,11 +419,13 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
     if sigmas is None:
         sigmas = sigma_pair(chain.base, chain.tol)
     sig_h_inv, sig_l = sigmas
-    W, G = chain.w[n - 1].to_dense(), chain.w[n].to_dense()
+    W, G = chain.w[n - 1], chain.w[n]
     q, qq = chain.q, pairing(chain.lam, chain.lam)
     keys_lam, keys_mu = chain._weight_keys(1), chain._weight_keys(n)
-    defect_h = _defect_maps(W, G, keys_lam, keys_mu, sig_h_inv, q ** (-qq))
-    defect_l = _defect_maps(W, G, keys_lam, keys_mu, sig_l, q ** (+qq))
+    dmu, dnu = keys_mu.size, chain.levels[n - 1].dim
+    B, A = _grams(W, G, dmu)
+    defect_h = _defect_maps(B, A, sig_h_inv, q ** (-qq), keys_lam, keys_mu)
+    defect_l = _defect_maps(B, A, sig_l, q ** (+qq), keys_lam, keys_mu)
 
     T = repn.tensor(chain.base, chain.levels[n])
     bound_h = _bounds(decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim),
@@ -369,11 +433,12 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
     bound_l = _bounds(decomp.lowest_weight_space(T, chain.tol).basis_matrix(T.dim),
                       W, G, *(chain.lowest_vector(k) for k in (1, n, n - 1)))
 
-    # highest-weight fixed point: B(xi-bar (x) xi) xi_mu = xi_mu = A(...) xi_mu
-    dmu, dnu = chain.levels[n].dim, chain.levels[n - 1].dim
+    # highest-weight fixed point: B(xi-bar (x) xi) xi_mu = xi_mu = A(...) xi_mu,
+    # from the rows of G and W with left tensor index 0
     e0 = chain.hw_vector(n)
-    rB = np.linalg.norm(G[:dmu, :] @ (G[:dmu, :].T @ e0) - e0)
-    rA = np.linalg.norm(W[:dnu, :].T @ (W[:dnu, :] @ e0) - e0)
+    G0, W0 = _leading_rows(G, dmu), _leading_rows(W, dnu)
+    rB = np.linalg.norm(G0 @ (G0.T @ e0) - e0)
+    rA = np.linalg.norm(W0.T @ (W0 @ e0) - e0)
     return StarCommuteReport(chain.lam, chain.lam * n, q, defect_h, bound_h,
                              defect_l, bound_l, max(float(rB), float(rA)))
 

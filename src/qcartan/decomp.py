@@ -63,13 +63,22 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
 
 def _target_blocks(V, sgn: int) -> tuple:
     """Per generator i, the block number of wt + sgn * alpha_i for every
-    weight block (numbered as in V.weight_blocks()), or -1 if V has none."""
-    blocks = V.weight_blocks()
-    number = {wt: k for k, wt in enumerate(blocks)}
-    return tuple(
-        np.array([number.get(tuple(w + sgn * a for w, a in zip(wt, alpha)), -1)
-                  for wt in blocks], dtype=np.intp)
-        for alpha in (simple_root(i, V.N).coords for i in range(1, V.N)))
+    weight block (numbered as in V.weight_blocks()), or -1 if V has none.
+
+    The weights are coded as integers whose digits, in a radix above twice
+    the largest shifted coordinate, are the coordinates with the last one
+    leading; weight_blocks() lists the blocks in that lexicographic order,
+    so the codes ascend and each generator takes one searchsorted.
+    """
+    wts = np.array(list(V.weight_blocks()), dtype=np.int64).reshape(-1, V.N - 1)
+    radix = (2 * int(np.abs(wts).max(initial=0)) + 5) ** np.arange(V.N - 1, dtype=np.int64)
+    keys = wts @ radix
+    out = []
+    for i in range(1, V.N):
+        want = keys + sgn * int(simple_root(i, V.N).as_array() @ radix)
+        k = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        out.append(np.where(keys[k] == want, k, -1).astype(np.intp))
+    return tuple(out)
 
 
 def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:

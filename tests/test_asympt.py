@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcartan import asympt, decomp, repn, sps
-from qcartan.numerics import InvariantViolation, operator_norm
+from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
 from qcartan.qcore import Weight, pairing, q_int
 
 
@@ -219,12 +219,14 @@ def _near(got, ref):
     return abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("coords, q, M", [((1, 1), 1.0, 5), ((1, 0), 1.5, 8)])
+@pytest.mark.parametrize("coords, q, M", [((1, 1), 1.0, 5), ((1, 0), 1.5, 8),
+                                          ((1, 0, 0), 1.5, 6)])
 def test_graded_norms_match_dense_norms(chains, coords, q, M):
-    # rho's tensor blocks have multiplicity > 1, so the block SVD path runs
+    # rho's tensor blocks have multiplicity > 1, so the block SVD path runs;
+    # N=4 has 16 defect maps per braiding
     ch = chains(coords, q, M)
     dl = ch.base.dim
-    sig_h_inv, sig_l = asympt.sigma_pair(ch.base, ch.tol)
+    sig_h_inv, sig_l = (s.to_dense() for s in asympt.sigma_pair(ch.base, ch.tol))
     qq = pairing(ch.lam, ch.lam)
     for n in range(1, M):
         rep = asympt.star_commute_defect_chain(ch, n)
@@ -268,3 +270,67 @@ def test_star_defect_rejects_an_off_block_entry(chains):
     bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, list(ch.levels), w)
     with pytest.raises(InvariantViolation, match="off the weight blocks"):
         asympt.star_commute_defect_chain(bad, 3)
+
+
+def test_scan_and_star_never_densify_a_level_sized_matrix(monkeypatch):
+    """No matrix above dim(V_lam)^2 dim(V_{M lam}) entries is densified or
+    converted from dense by the scan, the f-estimate or the star defects."""
+    ch = sps.CartanChain(Weight((1, 0)), 1.5, 10)
+    limit = ch.base.dim ** 2 * ch.levels[ch.M].dim
+    to_dense, from_dense = repn.SparseMatrix.to_dense, repn.SparseMatrix.from_dense
+
+    def guarded_to_dense(self):
+        if self.shape[0] * self.shape[1] > limit:
+            raise AssertionError(f"densified a {self.shape} matrix")
+        return to_dense(self)
+
+    def guarded_from_dense(cls, A):
+        if np.size(A) > limit:
+            raise AssertionError(f"converted a dense {np.shape(A)} matrix")
+        return from_dense(A)
+
+    monkeypatch.setattr(repn.SparseMatrix, "to_dense", guarded_to_dense)
+    monkeypatch.setattr(repn.SparseMatrix, "from_dense", classmethod(guarded_from_dense))
+    top = ch.M - asympt.GUARD_LEVELS
+    table = asympt.conjecture_scan(ch)
+    for n in range(2, top + 1):
+        assert asympt.f_estimate_check(ch, n, table)[2]
+    for n in range(1, top + 1):
+        assert asympt.star_commute_defect_chain(ch, n).defect_h.basis_max < 1.0
+    with pytest.raises(AssertionError, match="densified"):
+        ch.w[ch.M - 1].to_dense()
+    with pytest.raises(AssertionError, match="converted"):
+        repn.SparseMatrix.from_dense(np.ones((limit + 1, 1)))
+
+
+@pytest.mark.parametrize("coords, count", [((1,), 2), ((1, 0), 2), ((0, 1), 2),
+                                           ((1, 0, 0), 2), ((0, 0, 1), 2),
+                                           ((0, 1, 0), 3)])
+def test_minuscule_rank_counts_the_components(chains, coords, count):
+    # V_lam (x) V_{n lam} has one component per weight nu of V_lam with
+    # n lam + nu dominant; the scan gates both extreme-weight ranks on it
+    ch = chains(coords, 1.5, 5)
+    top = ch.M - asympt.GUARD_LEVELS
+    for n in range(1, top + 1):
+        T = repn.tensor(ch.base, ch.levels[n])
+        assert decomp.highest_weight_space(T).total == count
+        assert decomp.lowest_weight_space(T).total == count
+    assert list(asympt.conjecture_scan(ch).ns) == list(range(1, top + 1))
+
+
+@pytest.mark.parametrize("space, side", [("highest_weight_space", "h"),
+                                         ("lowest_weight_space", "l")])
+def test_minuscule_rank_gate_catches_a_dropped_column(chains, monkeypatch, space, side):
+    ch = chains((0, 1), 1.5, 5)
+    full = getattr(decomp, space)
+
+    def dropped(V, tol=DEFAULT_TOL):
+        rep = full(V, tol)
+        if len(rep.components) < 2:
+            return rep
+        return decomp.HighestWeightReport(rep.components[:-1],
+                                          rep.total - rep.components[-1][1].shape[1])
+
+    monkeypatch.setattr(decomp, space, dropped)
+    with pytest.raises(InvariantViolation, match=rf"rank P\^{side} = 1 != 2 components"):
+        asympt.conjecture_scan(ch)

@@ -194,3 +194,29 @@ def test_projected_generators_match_the_dense_projection(chains, coords, q, M):
             for got, X in ((lev.E[i], T.E[i]), (lev.F[i], T.F[i])):
                 want = Q.T @ X.to_dense() @ Q
                 assert np.max(np.abs(got.to_dense() - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _target_blocks_loop(V, sgn):
+    """Reference: the per-block dict lookup of each shifted weight tuple."""
+    blocks = V.weight_blocks()
+    number = {wt: k for k, wt in enumerate(blocks)}
+    return tuple(
+        np.array([number.get(tuple(w + sgn * a for w, a in zip(wt, alpha)), -1)
+                  for wt in blocks], dtype=np.intp)
+        for alpha in (simple_root(i, V.N).coords for i in range(1, V.N)))
+
+
+@pytest.mark.parametrize("coords, q, n", [((1,), 2.0, 9), ((1, 0), 1.5, 6),
+                                          ((1, 1), 1.0, 3), ((1, 0, 0), 1.0, 4),
+                                          ((0, 1, 0), 1.5, 2)])
+def test_target_blocks_match_the_per_block_loop(chains, coords, q, n):
+    ch = chains(coords, q, n + 1)
+    modules = [ch.base, ch.levels[n], repn.tensor(ch.base, ch.levels[n]),
+               repn.contragredient(ch.levels[n]), repn.trivial_module(ch.N, q)]
+    for V in modules:
+        for sgn in (1, -1):
+            got, want = decomp._target_blocks(V, sgn), _target_blocks_loop(V, sgn)
+            assert len(got) == len(want) == V.N - 1
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert any((w >= 0).any() for w in want) or V.dim == 1
