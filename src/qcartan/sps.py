@@ -16,9 +16,12 @@ re-orthonormalizing once with a polar factor per weight block (columns
 grouped by the weights of V_{(k+l)lam}, rows by the summed weights of the two
 factors), so no w_{k,l} has a triplet off its weight blocks.  A factor
 W (x) 1 or 1 (x) W is applied as one join of the triplets against W^T, never
-as a Kronecker product.  Coassociativity is certified numerically rather
-than assumed, as the largest block norm of a difference whose triplets are
-checked to lie inside the blocks.
+as a Kronecker product.  The joined triplets are not sorted: each one is
+checked to lie inside the weight blocks and summed straight into a flat
+buffer of the blocks (_graded_layout), whose nonzero entries are already
+canonical triplets.  Coassociativity is certified numerically rather than
+assumed: the left side is summed into the buffer, the right side is
+subtracted in place, and the residual is the largest block norm.
 
 Truncated Fock space operators are kept block-per-level (BlockOp) as dense
 blocks: creation S_xi (scattered from the triplets of w_n), its adjoint,
@@ -56,8 +59,8 @@ def _apply_left(WT: repn.SparseMatrix, X, dright: int) -> tuple:
 
     Row j * dright + b of X meets column j of W, which is row j of the
     canonical WT, so the product is one searchsorted join and no Kronecker
-    product is formed.  Positions may repeat: the caller sums them once,
-    when it builds a SparseMatrix from the triplets.
+    product is formed.  Positions may repeat: the caller sums them, into a
+    weight-block layout (_graded_sum) or a SparseMatrix.
     """
     j, b = np.divmod(X.rows, dright)
     x, y = repn._join(j, WT.rows)
@@ -83,92 +86,160 @@ def _weight_radix(levels) -> np.ndarray:
     return span ** np.arange(levels[0].weights.shape[1], dtype=np.int64)
 
 
-def _graded_blocks(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
-                   what: str) -> tuple:
-    """Weight blocks of X, whose row/column weights have keys rows/cols.
+@dataclass(frozen=True)
+class _Layout:
+    """Flat buffer of the weight blocks of a matrix; see _graded_layout."""
 
-    Returns (norms, multi, blocks): norms holds the column norms of X,
-    multi marks the columns of blocks with more than one column, and blocks
-    holds (row index (B, h), column index (B, m), stacked blocks (B, h, m))
-    for every such block shape h x m with h > 0, the same-shape blocks
-    stacked.  A block may be wide, or have no rows at all: its columns are
-    then zero.  Raises InvariantViolation unless every stored triplet joins
-    a row and a column of the same key; canonical triplets hold no exact
-    zeros, so only then is X the direct sum of its blocks.
+    block: np.ndarray    # block of each row, -1 if no column has its key
+    start: np.ndarray    # offset of each row's segment
+    width: np.ndarray    # length of each row's segment: its block's width
+    corder: np.ndarray   # columns grouped by block, ascending in each
+    cstart: np.ndarray   # offset of each block in corder
+    rcode: np.ndarray    # block * 2^32 + start, per row
+    ccode: np.ndarray    # place in its block - block * 2^32, per column
+    size: int
+
+
+def _graded_layout(rows: np.ndarray, cols: np.ndarray) -> _Layout:
+    """Layout of the weight blocks of a matrix whose row and column weights
+    have the integer keys rows and cols.
+
+    Blocks are numbered by ascending key; block b holds the columns
+    corder[cstart[b]:cstart[b + 1]], in ascending order.  Row r owns the
+    segment start[r]:start[r] + width[r] of a flat buffer, one place per
+    column of its block, so the buffer read in order is row-major and its
+    nonzero entries are canonical triplets.  rcode[r] + ccode[c] lies in
+    [0, 2^32) exactly when (r, c) joins equal keys, and is then the place
+    of the entry in the buffer (buffers stay far below 2^32 entries).
     """
-    off = rows[X.rows] != cols[X.cols]
-    if off.any():
-        raise InvariantViolation(
-            f"{what}: entry {np.max(np.abs(X.vals[off])):.3e} off the weight blocks")
-    norms = np.sqrt(np.bincount(X.cols, weights=X.vals * X.vals, minlength=X.shape[1]))
     keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
-    multi = m[inv] > 1
-    blocks = []
-    if not multi.any():
-        return norms, multi, blocks
-    rorder = np.argsort(rows, kind="stable")
-    rsorted = rows[rorder]
-    start = np.searchsorted(rsorted, keys, "left")
-    h = np.searchsorted(rsorted, keys, "right") - start
-    rplace = np.empty(rows.size, dtype=np.intp)   # place of a row in its block
-    rplace[rorder] = np.arange(rows.size) - np.searchsorted(rsorted, rsorted, "left")
     corder = np.argsort(inv, kind="stable")
     cstart = np.cumsum(m) - m
-    cplace = np.empty(cols.size, dtype=np.intp)
-    cplace[corder] = np.arange(cols.size) - cstart[inv[corder]]
-    kt = inv[X.cols]                              # block of each triplet
-    stacked = (h > 0) & (m > 1)
-    for shape in sorted(set(zip(h[stacked].tolist(), m[stacked].tolist()))):
-        sel = np.flatnonzero((h == shape[0]) & (m == shape[1]))
-        slot = np.full(keys.size, -1)
-        slot[sel] = np.arange(sel.size)
-        t = slot[kt] >= 0
-        S = np.zeros((sel.size,) + shape)
-        S[slot[kt[t]], rplace[X.rows[t]], cplace[X.cols[t]]] = X.vals[t]
-        blocks.append((rorder[start[sel][:, None] + np.arange(shape[0])],
-                       corder[cstart[sel][:, None] + np.arange(shape[1])], S))
-    return norms, multi, blocks
+    ccode = np.empty(cols.size, dtype=np.int64)
+    ccode[corder] = np.arange(cols.size) - cstart[inv[corder]]
+    ccode -= inv.astype(np.int64) << 32
+    block = np.searchsorted(keys, rows)
+    hit = block < keys.size
+    hit[hit] = keys[block[hit]] == rows[hit]
+    block[~hit] = -1
+    width = np.where(hit, m[block], 0)
+    start = np.cumsum(width) - width
+    return _Layout(block, start, width, corder, cstart,
+                   (block.astype(np.int64) << 32) + start, ccode, int(width.sum()))
 
 
-def _graded_polar(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
-                  what: str) -> repn.SparseMatrix:
-    """Nearest isometry to the weight-graded X, one weight block at a time.
+def _graded_positions(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
+    """Buffer positions of the triplets; raises InvariantViolation unless
+    every triplet joins a row and a column of the same key."""
+    pos = lay.rcode[rows] + lay.ccode[cols]
+    off = (pos >> 32) != 0
+    if off.any():
+        raise InvariantViolation(
+            f"{what}: entry {np.max(np.abs(vals[off])):.3e} off the weight blocks")
+    return pos
 
-    Every block of X must have near-unit singular values.  The polar factor
-    of a direct sum is the direct sum of the block polar factors, so the
-    result has no triplet off the blocks; a one-column block is just
-    normalized.
+
+def _graded_sum(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
+    """The triplets summed into the buffer of lay, each position in the
+    order the triplets are given (a stable sort and a bincount would sum
+    them in the same order)."""
+    return np.bincount(_graded_positions(lay, rows, cols, vals, what), weights=vals,
+                       minlength=lay.size)
+
+
+def _graded_matrix(buf: np.ndarray, lay: _Layout, shape) -> repn.SparseMatrix:
+    """The nonzero entries of the buffer as canonical triplets, without a sort."""
+    pos = np.flatnonzero(buf)
+    r = np.searchsorted(lay.start, pos, "right") - 1
+    c = lay.corder[lay.cstart[lay.block[r]] + pos - lay.start[r]]
+    return repn.SparseMatrix._canonical(tuple(shape), r, c, buf[pos])
+
+
+def _graded_blocks(buf: np.ndarray, lay: _Layout) -> tuple:
+    """Column norms and block stacks of the weight-graded buffer buf.
+
+    Returns (norms, one, blocks): norms holds the column norms, each summed
+    in row order; one holds (rows, cols) of the one-column blocks, one pair
+    per row; blocks holds (buffer positions (B, h, m), stacked blocks
+    (B, h, m)) for every shape h x m of the blocks with more than one
+    column, the same-shape blocks stacked in key order.  A block may be
+    wide, or have no rows at all: its columns are then zero.
     """
-    norms, multi, blocks = _graded_blocks(X, rows, cols, what)
-    if any(ri.shape[1] < ci.shape[1] for ri, ci, _ in blocks):
+    r1 = np.flatnonzero(lay.width == 1)
+    c1 = lay.corder[lay.cstart[lay.block[r1]]]
+    v1 = buf[lay.start[r1]]
+    sq = np.bincount(c1, weights=v1 * v1, minlength=lay.ccode.size)
+    blocks = []
+    rm = np.flatnonzero(lay.width > 1)
+    if rm.size:
+        m = np.diff(np.append(lay.cstart, lay.ccode.size))
+        rm = rm[np.argsort(lay.block[rm], kind="stable")]
+        h = np.bincount(lay.block[rm], minlength=m.size)
+        hstart = np.cumsum(h) - h
+        for shape in sorted(set(zip(h[h > 0].tolist(), m[h > 0].tolist()))):
+            sel = np.flatnonzero((h == shape[0]) & (m == shape[1]))
+            ri = rm[hstart[sel][:, None] + np.arange(shape[0])]
+            ci = lay.corder[lay.cstart[sel][:, None] + np.arange(shape[1])]
+            pos = lay.start[ri][:, :, None] + np.arange(shape[1])
+            S = buf[pos]
+            sq += np.bincount(np.broadcast_to(ci[:, None, :], S.shape).ravel(),
+                              weights=(S * S).ravel(), minlength=lay.ccode.size)
+            blocks.append((pos, S))
+    return np.sqrt(sq), (r1, c1), blocks
+
+
+def _graded_polar(buf: np.ndarray, lay: _Layout, what: str) -> np.ndarray:
+    """Nearest isometry to the weight-graded buffer, one block at a time.
+
+    Every block must have near-unit singular values.  The polar factor of
+    a direct sum is the direct sum of the block polar factors, so it fills
+    the same layout; a one-column block is just normalized.  buf is
+    overwritten and returned.
+    """
+    norms, (r1, c1), blocks = _graded_blocks(buf, lay)
+    if any(pos.shape[1] < pos.shape[2] for pos, _ in blocks):
         raise InvariantViolation(f"{what}: a weight block has more columns than rows")
-    svds = [np.linalg.svd(S, full_matrices=False) for _, _, S in blocks]
+    svds = [np.linalg.svd(S, full_matrices=False) for _, S in blocks]
     smin = min([norms.min(initial=np.inf)] + [s[:, -1].min() for _, s, _ in svds])
     if smin < 0.5:
         raise InvariantViolation(
             f"{what} composition nearly rank-deficient (sigma_min={smin:.3e})")
-    one = ~multi[X.cols]
-    parts = [(X.rows[one], X.cols[one], X.vals[one] / norms[X.cols[one]])]
-    for (ri, ci, _), (U, _, Vt) in zip(blocks, svds):
-        P = U @ Vt
-        parts.append((np.broadcast_to(ri[:, :, None], P.shape).ravel(),
-                      np.broadcast_to(ci[:, None, :], P.shape).ravel(), P.ravel()))
-    return repn.SparseMatrix(X.shape, *map(np.concatenate, zip(*parts)))
+    buf[lay.start[r1]] /= norms[c1]
+    for (pos, _), (U, _, Vt) in zip(blocks, svds):
+        buf[pos] = U @ Vt
+    return buf
+
+
+def _graded_gram_defect(buf: np.ndarray, lay: _Layout) -> float:
+    """Largest entry of |W^T W - 1| for the weight-graded buffer W: W^T W
+    is the direct sum of the block Grams."""
+    norms, _, blocks = _graded_blocks(buf, lay)
+    res = float(np.abs(norms * norms - 1.0).max(initial=0.0))
+    for _, S in blocks:
+        res = max(res, float(np.abs(np.swapaxes(S, 1, 2) @ S - np.eye(S.shape[2])).max()))
+    return res
+
+
+def _layout_norm(buf: np.ndarray, lay: _Layout) -> float:
+    """Operator norm of the weight-graded buffer: its largest block norm.
+
+    A one-column block contributes its vector norm; no SVD of a tall
+    matrix is taken.
+    """
+    norms, _, blocks = _graded_blocks(buf, lay)
+    worst = float(norms.max(initial=0.0))
+    for _, S in blocks:
+        worst = max(worst, float(np.linalg.svd(S, compute_uv=False)[:, 0].max()))
+    return worst
 
 
 def _graded_norm(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
                  what: str) -> float:
-    """Operator norm of the weight-graded X: its largest block norm.
-
-    A one-column block contributes its vector norm; no SVD of a tall
-    matrix is taken.  Every weight-graded norm of the package goes through
-    here, so every one rejects an entry off the weight blocks.
-    """
-    norms, _, blocks = _graded_blocks(X, rows, cols, what)
-    worst = float(norms.max(initial=0.0))
-    for _, _, S in blocks:
-        worst = max(worst, float(np.linalg.svd(S, compute_uv=False)[:, 0].max()))
-    return worst
+    """Operator norm of the weight-graded X, whose row/column weights have
+    keys rows/cols.  Every weight-graded norm of the package goes through
+    _layout_norm, so every one rejects an entry off the weight blocks."""
+    lay = _graded_layout(rows, cols)
+    return _layout_norm(_graded_sum(lay, X.rows, X.cols, X.vals, what), lay)
 
 
 class CartanChain:
@@ -261,14 +332,24 @@ class CartanChain:
         return v
 
     def lowest_vector(self, n: int) -> np.ndarray:
-        """Unit lowest weight vector of level n (cached; sign-fixed)."""
+        """Unit lowest weight vector of level n (cached).
+
+        The lowest weight w0(n lam) = -reversed(n lam) of V_{n lam} is
+        simple, so the vector is the unit vector at the one basis index of
+        that weight, which no F_i may move: no F_i triplet sits in its
+        column.
+        """
         if n not in self._lowest_cache:
-            cols = decomp.lowest_weight_space(self.levels[n], self.tol).basis_matrix(
-                self.levels[n].dim)
-            if cols.shape[1] != 1:
+            lv = self.levels[n]
+            low = -n * np.array(self.lam.coords[::-1], dtype=np.int64)
+            idx = np.flatnonzero((lv.weights == low).all(axis=1))
+            if idx.size != 1 or any((F.cols == idx[0]).any() for F in lv.F.values()):
                 raise InvariantViolation(
-                    f"level {n} has {cols.shape[1]} lowest weight vectors")
-            self._lowest_cache[n] = cols[:, 0]
+                    f"level {n} has no simple lowest weight vector of weight "
+                    f"{Weight(tuple(low.tolist()))}")
+            v = np.zeros(lv.dim)
+            v[idx[0]] = 1.0
+            self._lowest_cache[n] = v
         return self._lowest_cache[n]
 
     # -- pair isometries ----------------------------------------------------
@@ -291,17 +372,20 @@ class CartanChain:
             return self.w[l]
         key = (k, l)
         if key not in self._pair_cache:
-            X = self.w[k + l - 1]                       # -> V_lam (x) V_{(k+l-1)lam}
-            X = repn.SparseMatrix(*_apply_right(self.pair_isometry(k - 1, l).T, X,
-                                                self.base.dim))
-            # w_{k-1}^T (x) 1, whose transpose w_{k-1} is already canonical
-            X = repn.SparseMatrix(*_apply_left(self.w[k - 1], X, self.levels[l].dim))
-            W = _graded_polar(X, self._weight_keys(k, l), self._weight_keys(k + l),
-                              f"pair isometry ({k},{l})")
-            res = repn._max_abs((W.T @ W - repn.SparseMatrix.identity(W.shape[1])).vals)
+            what, cols = f"pair isometry ({k},{l})", self._weight_keys(k + l)
+            # (1 (x) w_{k-1,l}^T) w_{k+l-1}, into V_lam (x) V_{(k-1)lam} (x) V_{l lam}
+            shape, *t = _apply_right(self.pair_isometry(k - 1, l).T, self.w[k + l - 1],
+                                     self.base.dim)
+            lay = _graded_layout(self._weight_keys(1, k - 1, l), cols)
+            X = _graded_matrix(_graded_sum(lay, *t, what), lay, shape)
+            # then w_{k-1}^T (x) 1, whose transpose w_{k-1} is already canonical
+            shape, *t = _apply_left(self.w[k - 1], X, self.levels[l].dim)
+            lay = _graded_layout(self._weight_keys(k, l), cols)
+            W = _graded_polar(_graded_sum(lay, *t, what), lay, what)
+            res = _graded_gram_defect(W, lay)
             if res > self.tol.identity_tol:
                 raise InvariantViolation(f"pair isometry ({k},{l}) not isometric: {res:.3e}")
-            self._pair_cache[key] = W
+            self._pair_cache[key] = _graded_matrix(W, lay, shape)
         return self._pair_cache[key]
 
     def right_isometry(self, n: int) -> repn.SparseMatrix:
@@ -311,19 +395,21 @@ class CartanChain:
     def coassociativity_residual(self, k: int, l: int, n: int) -> float:
         """|| (w_{k,l} (x) 1) w_{k+l,n} - (1 (x) w_{l,n}) w_{k,l+n} ||.
 
-        Both sides come as triplets from one join each and are summed once;
-        the difference must have no triplet off its weight blocks (checked),
-        so its operator norm is its largest block norm.
+        Each side comes as triplets from one join, checked to lie inside the
+        weight blocks.  The left side is summed into the block layout and
+        the right side subtracted in place, so every position is summed in
+        the order of the triplets, and the operator norm of the difference
+        is its largest block norm.
         """
         if min(k, l, n) == 0:
             return 0.0
-        P = self.pair_isometry
-        shape, r1, c1, v1 = _apply_left(P(k, l).T, P(k + l, n), self.levels[n].dim)
-        _, r2, c2, v2 = _apply_right(P(l, n).T, P(k, l + n), self.levels[k].dim)
-        D = repn.SparseMatrix(shape, np.concatenate([r1, r2]), np.concatenate([c1, c2]),
-                              np.concatenate([v1, -v2]))
-        return _graded_norm(D, self._weight_keys(k, l, n), self._weight_keys(k + l + n),
-                            f"coassociativity ({k},{l},{n})")
+        P, what = self.pair_isometry, f"coassociativity ({k},{l},{n})"
+        lay = _graded_layout(self._weight_keys(k, l, n), self._weight_keys(k + l + n))
+        D = _graded_sum(lay, *_apply_left(P(k, l).T, P(k + l, n), self.levels[n].dim)[1:],
+                        what)
+        _, r, c, v = _apply_right(P(l, n).T, P(k, l + n), self.levels[k].dim)
+        np.add.at(D, _graded_positions(lay, r, c, v, what), -v)
+        return _layout_norm(D, lay)
 
     def certify_coassociativity(self, max_total: int | None = None) -> float:
         """Max residual over all k,l,n >= 1 with k+l+n <= max_total."""

@@ -1,9 +1,11 @@
 """Chains of Cartan components, pair isometries, Fock blocks, transfer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qcartan import asympt, braiding, repn, sps
+from qcartan import asympt, braiding, decomp, repn, sps
 from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
 from qcartan.qcore import Weight, weyl_dim
 
@@ -223,6 +225,163 @@ def test_off_block_entry_raises(chains):
     bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, w)
     with pytest.raises(InvariantViolation, match="off the weight blocks"):
         bad.coassociativity_residual(1, 3, 1)
+
+
+# The former summation of the compositions, kept as the reference of the
+# weight-block layout: each side is built as a SparseMatrix (one stable
+# sort of the joined triplets, duplicates summed in their given order), the
+# two coassociativity sides are concatenated, and the blocks are read from
+# the sorted triplets.
+
+def _former_graded_blocks(X, rows, cols):
+    off = rows[X.rows] != cols[X.cols]
+    if off.any():
+        raise InvariantViolation("off the weight blocks")
+    norms = np.sqrt(np.bincount(X.cols, weights=X.vals * X.vals, minlength=X.shape[1]))
+    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
+    multi = m[inv] > 1
+    blocks = []
+    if not multi.any():
+        return norms, multi, blocks
+    rorder = np.argsort(rows, kind="stable")
+    rsorted = rows[rorder]
+    start = np.searchsorted(rsorted, keys, "left")
+    h = np.searchsorted(rsorted, keys, "right") - start
+    rplace = np.empty(rows.size, dtype=np.intp)
+    rplace[rorder] = np.arange(rows.size) - np.searchsorted(rsorted, rsorted, "left")
+    corder = np.argsort(inv, kind="stable")
+    cstart = np.cumsum(m) - m
+    cplace = np.empty(cols.size, dtype=np.intp)
+    cplace[corder] = np.arange(cols.size) - cstart[inv[corder]]
+    kt = inv[X.cols]
+    stacked = (h > 0) & (m > 1)
+    for shape in sorted(set(zip(h[stacked].tolist(), m[stacked].tolist()))):
+        sel = np.flatnonzero((h == shape[0]) & (m == shape[1]))
+        slot = np.full(keys.size, -1)
+        slot[sel] = np.arange(sel.size)
+        t = slot[kt] >= 0
+        S = np.zeros((sel.size,) + shape)
+        S[slot[kt[t]], rplace[X.rows[t]], cplace[X.cols[t]]] = X.vals[t]
+        blocks.append((rorder[start[sel][:, None] + np.arange(shape[0])],
+                       corder[cstart[sel][:, None] + np.arange(shape[1])], S))
+    return norms, multi, blocks
+
+
+def _former_graded_polar(X, rows, cols):
+    norms, multi, blocks = _former_graded_blocks(X, rows, cols)
+    one = ~multi[X.cols]
+    parts = [(X.rows[one], X.cols[one], X.vals[one] / norms[X.cols[one]])]
+    for ri, ci, S in blocks:
+        U, _, Vt = np.linalg.svd(S, full_matrices=False)
+        P = U @ Vt
+        parts.append((np.broadcast_to(ri[:, :, None], P.shape).ravel(),
+                      np.broadcast_to(ci[:, None, :], P.shape).ravel(), P.ravel()))
+    return repn.SparseMatrix(X.shape, *map(np.concatenate, zip(*parts)))
+
+
+def _former_graded_norm(X, rows, cols):
+    norms, _, blocks = _former_graded_blocks(X, rows, cols)
+    worst = float(norms.max(initial=0.0))
+    for _, _, S in blocks:
+        worst = max(worst, float(np.linalg.svd(S, compute_uv=False)[:, 0].max()))
+    return worst
+
+
+def _former_pair_isometries(ch):
+    pairs = {(1, l): ch.w[l] for l in range(1, ch.M)}
+    for k in range(2, ch.M):
+        for l in range(1, ch.M - k + 1):
+            X = repn.SparseMatrix(*sps._apply_right(pairs[k - 1, l].T, ch.w[k + l - 1],
+                                                    ch.base.dim))
+            X = repn.SparseMatrix(*sps._apply_left(ch.w[k - 1], X, ch.levels[l].dim))
+            pairs[k, l] = _former_graded_polar(X, ch._weight_keys(k, l),
+                                               ch._weight_keys(k + l))
+    return pairs
+
+
+def _former_coassociativity(ch, k, l, n):
+    P = ch.pair_isometry
+    shape, r1, c1, v1 = sps._apply_left(P(k, l).T, P(k + l, n), ch.levels[n].dim)
+    _, r2, c2, v2 = sps._apply_right(P(l, n).T, P(k, l + n), ch.levels[k].dim)
+    D = repn.SparseMatrix(shape, np.concatenate([r1, r2]), np.concatenate([c1, c2]),
+                          np.concatenate([v1, -v2]))
+    return _former_graded_norm(D, ch._weight_keys(k, l, n), ch._weight_keys(k + l + n))
+
+
+@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 10), ((1, 1), 1.0, 5)],
+                         ids=["omega1-q1.5-M10", "rho-q1-M5"])
+def test_layout_sums_are_bit_identical_to_the_sorted_sums(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for (k, l), ref in _former_pair_isometries(ch).items():
+        W = ch.pair_isometry(k, l)
+        for got, want in ((W.rows, ref.rows), (W.cols, ref.cols), (W.vals, ref.vals)):
+            assert np.array_equal(got, want), (k, l)
+    for k, l, n in _triples(M):
+        assert ch.coassociativity_residual(k, l, n) == _former_coassociativity(ch, k, l, n)
+
+
+def test_off_block_triplet_in_either_side_alone_raises(chains):
+    # w_{2,1} enters only the left side of the triple (2,1,1) and only the
+    # right side of (1,2,1)
+    ch = chains((1, 0), 1.5, 6)
+    bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, ch.w)
+    for k, l in ((3, 1), (2, 2)):
+        bad.pair_isometry(k, l)
+    W = bad.pair_isometry(2, 1).to_dense()
+    r = np.flatnonzero(_off_block(ch, 2, 1)[:, 0])[0]
+    W[r, 0] = 1e-13     # column 0 meets the highest weight rows of both sides
+    bad._pair_cache[2, 1] = repn.SparseMatrix.from_dense(W)
+    for triple in ((2, 1, 1), (1, 2, 1)):
+        with pytest.raises(InvariantViolation, match="off the weight blocks"):
+            bad.coassociativity_residual(*triple)
+
+
+def test_off_block_triplets_raise_even_when_they_cancel():
+    lay = sps._graded_layout(np.array([0, 1]), np.array([0]))
+    with pytest.raises(InvariantViolation, match="off the weight blocks"):
+        sps._graded_sum(lay, np.array([0, 1, 1]), np.array([0, 0, 0]),
+                        np.array([1.0, 0.5, -0.5]), "cancelling pair")
+
+
+def test_certify_coassociativity_memory_peak():
+    """tracemalloc peak of a rho chain's build and certificate (12.8 MB when
+    the two sides were concatenated and sorted)."""
+    tracemalloc.start()
+    try:
+        assert sps.CartanChain(Weight((1, 1)), 1.0, 5).certify_coassociativity() <= 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 10), ((1, 0, 0), 1.5, 6),
+                                        ((1, 1), 1.0, 5)],
+                         ids=["omega1-q1.5-M10", "N4-q1.5-M6", "rho-q1-M5"])
+def test_lowest_vector_is_the_lowest_weight_kernel(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for n, lv in enumerate(ch.levels):
+        ref = decomp.lowest_weight_space(lv).basis_matrix(lv.dim)
+        assert ref.shape[1] == 1
+        assert np.array_equal(ch.lowest_vector(n), ref[:, 0]), n
+
+
+def test_lowest_vector_rejects_a_tampered_level(chains):
+    ch = chains((1, 0), 1.5, 4)
+    lv = ch.levels[3]
+    low = int(np.flatnonzero((lv.weights == [0, -3]).all(axis=1))[0])
+    F = dict(lv.F)    # an F_1 triplet in the lowest column
+    F[1] = repn.SparseMatrix(F[1].shape, np.append(F[1].rows, 0), np.append(F[1].cols, low),
+                             np.append(F[1].vals, 1.0))
+    weights = lv.weights.copy()   # a second basis vector of the lowest weight
+    weights[low - 1] = weights[low]
+    for bad_level in (repn.QModule(lv.N, lv.q, lv.weights, lv.E, F),
+                      repn.QModule(lv.N, lv.q, weights, lv.E, lv.F)):
+        levels = ch.levels[:3] + [bad_level] + ch.levels[4:]
+        bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, levels, ch.w)
+        with pytest.raises(InvariantViolation, match="no simple lowest weight"):
+            bad.lowest_vector(3)
+        assert np.array_equal(bad.lowest_vector(2), ch.lowest_vector(2))
 
 
 def test_from_parts_round_trip(chains):
