@@ -14,7 +14,9 @@ vacuum-state limits, and the level-compression (compactification) defect.
 The h- and l-quantities go through the same two helpers, _a and _b, which
 contract against the chain's extreme vectors: chain.hw_vector(k), one-hot
 at index 0 in chain coordinates, and chain.lowest_vector(k).  Every
-measurement reads its modules, isometries and weight keys from one chain.
+measurement reads its modules, the tensor products V_lam (x) V_{n lam} that
+the build formed, its isometries, weight keys and column sides from one
+chain.
 
 The square matrices measured here are weight-graded with exact zeros off
 their weight blocks: c(n) and the Cartan-projector absorption residual of the
@@ -45,7 +47,8 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
 from .sps import (CartanChain, FockSpace, BlockOp, creation,
-                  right_creation, psi, _apply_left, _apply_right, _graded_norm)
+                  right_creation, psi, _apply_left, _apply_right, _columns,
+                  _graded_norm)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -134,7 +137,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
     for n in range(1, M - GUARD_LEVELS + 1):
         lev = chain.levels[n]
         dn = lev.dim
-        T = repn.tensor(base, lev)
+        T = chain.tensor(n)
         Qh = decomp.highest_weight_space(T, tol).basis_matrix(T.dim)
         Ql = decomp.lowest_weight_space(T, tol).basis_matrix(T.dim)
         dominant = _dominant_shifts(lam, base.weights, n)
@@ -151,14 +154,14 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         wn = chain.w[n]
         Qs = repn.SparseMatrix.from_dense(Qh)
         h_n, l_n = chain.hw_vector(n), chain.lowest_vector(n)
-        keys_t = chain._weight_keys(1, n)
+        keys_t, cols_t = chain._weight_keys(1, n), chain._column_side(1, n)
 
         a = _a(Qh, h_n, dl)
         b = _b(wn, h_lam, h_n)
         units = np.arange(dl) * dn   # 1 (x) P^h_{n lam}: a unit at (a dn, a dn)
         c = _graded_norm(Qs @ Qs.T - repn.SparseMatrix((T.dim, T.dim), units, units,
                                                        np.ones(dl)),
-                         keys_t, keys_t, f"c({n})")
+                         keys_t, cols_t, f"c({n})")
         a_l = _a(Ql, l_n, dl)
         b_l = _b(wn, l_lam, l_n)
 
@@ -175,7 +178,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         head = _leading_rows(wn, 1)
         f0 = repn.SparseMatrix((wn.shape[1], T.dim), head.cols, np.zeros_like(head.cols),
                                head.vals)
-        r4 = _graded_norm((wn.T @ Qs) @ Qs.T - f0, chain._weight_keys(n + 1), keys_t,
+        r4 = _graded_norm((wn.T @ Qs) @ Qs.T - f0, chain._weight_keys(n + 1), cols_t,
                           f"Cartan projector absorption at n={n}")
         if r4 > 1e-8:
             raise InvariantViolation(
@@ -267,13 +270,13 @@ def f_estimate_check(chain: CartanChain, n: int,
                                         repn.SparseMatrix.identity(term1.shape[1]), dl))
     term2 = repn.SparseMatrix(*_apply_left(chain.w[n - 1], X, dl))
     lhs = _graded_norm(term1 - term2, chain._weight_keys(n, 1),
-                       chain._weight_keys(1, n), f"f-estimate at n={n}")
+                       chain._column_side(1, n), f"f-estimate at n={n}")
 
     if table is not None and n in table.ns and (n - 1) in table.ns:
         a_n = float(table.a[list(table.ns).index(n)])
         b_prev = float(table.b[list(table.ns).index(n - 1)])
     else:
-        T = repn.tensor(chain.base, chain.levels[n])
+        T = chain.tensor(n)
         Qh = decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim)
         a_n = _a(Qh, chain.hw_vector(n), dl)
         b_prev = _b(chain.w[n - 1], chain.hw_vector(1), chain.hw_vector(n - 1))
@@ -378,7 +381,7 @@ def _defect_maps(B: repn.SparseMatrix, A: tuple, sigma: repn.SparseMatrix, qfac:
     """
     dl2, dmu = keys_lam.size ** 2, keys_mu.size
     r, i, j, v = A
-    x, y = repn._join(r, sigma.rows)
+    x, y = repn._join(r, sigma)
     p = sigma.cols[y]
     D = B - qfac * repn.SparseMatrix(B.shape, p * dmu + i[x], p * dmu + j[x],
                                      sigma.vals[y] * v[x])
@@ -386,12 +389,13 @@ def _defect_maps(B: repn.SparseMatrix, A: tuple, sigma: repn.SparseMatrix, qfac:
     shift = (keys_lam[None, :] - keys_lam[:, None]).reshape(-1)   # (b, a) -> a - b
     maps = np.arange(dl2)[:, None]
     worst = _graded_norm(D, (keys_mu[None, :] * dl2 + maps).reshape(-1),
-                         ((keys_mu[None, :] + shift[:, None]) * dl2 + maps).reshape(-1),
+                         _columns(((keys_mu[None, :] + shift[:, None]) * dl2
+                                   + maps).reshape(-1)),
                          "star-commutation defect")
     p, i = np.divmod(D.rows, dmu)
     ij, row = np.unique(i * dmu + D.cols % dmu, return_inverse=True)
     cols = _graded_norm(repn.SparseMatrix((ij.size, dl2), row, p, D.vals),
-                        keys_mu[ij // dmu] - keys_mu[ij % dmu], shift,
+                        keys_mu[ij // dmu] - keys_mu[ij % dmu], _columns(shift),
                         "matricized star-commutation defect")
     return DefectNorms(worst, cols)
 
@@ -427,7 +431,7 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
     defect_h = _defect_maps(B, A, sig_h_inv, q ** (-qq), keys_lam, keys_mu)
     defect_l = _defect_maps(B, A, sig_l, q ** (+qq), keys_lam, keys_mu)
 
-    T = repn.tensor(chain.base, chain.levels[n])
+    T = chain.tensor(n)
     bound_h = _bounds(decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim),
                       W, G, *(chain.hw_vector(k) for k in (1, n, n - 1)))
     bound_l = _bounds(decomp.lowest_weight_space(T, chain.tol).basis_matrix(T.dim),

@@ -76,9 +76,17 @@ def _raise_index(N: int, n: int) -> np.ndarray:
     return R
 
 
+@lru_cache(maxsize=None)
+def _exponents(N: int, n: int) -> np.ndarray:
+    """monomials(N, n) as a read-only (count, N) integer array."""
+    D = np.array(monomials(N, n))
+    D.setflags(write=False)
+    return D
+
+
 def _creation_table(N: int, n: int, q: float) -> np.ndarray:
     """S[c, i]: S_{i+1} u_d = S[c, i] u_{d+delta_{i+1}} on unit monomials of H_n."""
-    D = np.array(monomials(N, n))
+    D = _exponents(N, n)
     prev = np.cumsum(D, axis=1) - D  # exponent mass strictly left of each letter
     return (q ** (-prev) * q ** ((n - D) / 2.0)
             * np.sqrt(q_int(D + 1, q) / q_int(n + 1, q)))

@@ -39,11 +39,13 @@ class SparseMatrix:
     """Real float64 matrix as canonical COO triplets rows, cols, vals.
 
     Canonical: sorted row-major, one triplet per position (duplicates are
-    summed, in the order given), no exact zeros.  A product is a fixed
-    number of NumPy calls: one searchsorted join of the inner indices, one
-    sort of the output positions and one bincount of the duplicates.
-    Indexing returns dense entries; to_dense() gives the whole matrix.
-    The type is immutable, so T is computed once per matrix.
+    summed, in the order given), no exact zeros, so row i holds the
+    triplets indptr[i]:indptr[i + 1].  A product is a fixed number of NumPy
+    calls: one join of the inner indices through the row pointers of the
+    right factor (no search), one sort of the output positions and one
+    bincount of the duplicates.  Indexing returns dense entries; to_dense()
+    gives the whole matrix.  The type is immutable, so T and indptr are
+    computed once per matrix.
     """
 
     __array_ufunc__ = None  # ndarray @ SparseMatrix defers to __rmatmul__
@@ -61,6 +63,7 @@ class SparseMatrix:
         self.rows, self.cols = np.divmod(key, max(n, 1))
         self.vals = vals
         self._T = None
+        self._indptr = None
 
     @classmethod
     def _canonical(cls, shape, rows, cols, vals) -> "SparseMatrix":
@@ -69,6 +72,7 @@ class SparseMatrix:
         out.shape = shape
         out.rows, out.cols, out.vals = rows, cols, vals
         out._T = None
+        out._indptr = None
         return out
 
     @classmethod
@@ -101,6 +105,14 @@ class SparseMatrix:
             self._T._T = self
         return self._T
 
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row pointers: row i holds the triplets indptr[i]:indptr[i + 1]."""
+        if self._indptr is None:
+            self._indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=self._indptr[1:])
+        return self._indptr
+
     def __mul__(self, scalar) -> "SparseMatrix":
         return SparseMatrix(self.shape, self.rows, self.cols, self.vals * float(scalar))
 
@@ -128,7 +140,7 @@ class SparseMatrix:
         if isinstance(other, SparseMatrix):
             if self.shape[1] != other.shape[0]:
                 raise ValueError("inner dimensions differ")
-            a, b = _join(self.cols, other.rows)
+            a, b = _join(self.cols, other)
             return SparseMatrix((self.shape[0], other.shape[1]), self.rows[a],
                                 other.cols[b], self.vals[a] * other.vals[b])
         X = np.asarray(other, dtype=np.float64)
@@ -152,11 +164,12 @@ class SparseMatrix:
         return f"SparseMatrix(shape={self.shape}, nnz={self.vals.size})"
 
 
-def _join(keys: np.ndarray, sorted_keys: np.ndarray) -> tuple:
-    """Index arrays (a, b) of every pair keys[a] == sorted_keys[b], grouped by
-    a in ascending order; sorted_keys must be sorted."""
-    lo = np.searchsorted(sorted_keys, keys, "left")
-    cnt = np.searchsorted(sorted_keys, keys, "right") - lo
+def _join(keys: np.ndarray, S: SparseMatrix) -> tuple:
+    """Index arrays (a, b) of every pair keys[a] == S.rows[b], grouped by a
+    in ascending order, read from the row pointers of S; every key must be
+    a row index of S."""
+    lo = S.indptr[keys]
+    cnt = S.indptr[keys + 1] - lo
     a = np.repeat(np.arange(keys.size), cnt)
     b = np.arange(a.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
     return a, b

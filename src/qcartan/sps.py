@@ -15,13 +15,19 @@ V_{l lam} are built by composing the w maps left-greedily and
 re-orthonormalizing once with a polar factor per weight block (columns
 grouped by the weights of V_{(k+l)lam}, rows by the summed weights of the two
 factors), so no w_{k,l} has a triplet off its weight blocks.  A factor
-W (x) 1 or 1 (x) W is applied as one join of the triplets against W^T, never
-as a Kronecker product.  The joined triplets are not sorted: each one is
-checked to lie inside the weight blocks and summed straight into a flat
-buffer of the blocks (_graded_layout), whose nonzero entries are already
-canonical triplets.  Coassociativity is certified numerically rather than
-assumed: the left side is summed into the buffer, the right side is
-subtracted in place, and the residual is the largest block norm.
+W (x) 1 or 1 (x) W is applied as one join of the triplets through the row
+pointers of W^T (repn._join), never as a Kronecker product.  The joined
+triplets are not sorted: each one is checked to lie inside the weight blocks
+and summed straight into a flat buffer of the blocks (_graded_layout), whose
+nonzero entries are already canonical triplets.  A layout has a column side
+(_columns: the blocks, and each column's place in its block), which depends
+on the domain alone, and a row mapping, one searchsorted of the row weight
+keys against the block keys.  A chain builds the column side once per
+domain factor tuple (CartanChain._column_side): (t,) for every pair
+isometry and coassociativity triple of total t, (1, n) for the scan and the
+f-estimate.  Coassociativity is certified numerically rather than assumed:
+the left side is summed into the buffer, the right side is subtracted in
+place, and the residual is the largest block norm.
 
 Truncated Fock space operators are kept block-per-level (BlockOp) as dense
 blocks: creation S_xi (scattered from the triplets of w_n), its adjoint,
@@ -58,12 +64,12 @@ def _apply_left(WT: repn.SparseMatrix, X, dright: int) -> tuple:
     """(W (x) 1_dright) @ X for W = WT.T, as (shape, rows, cols, vals).
 
     Row j * dright + b of X meets column j of W, which is row j of the
-    canonical WT, so the product is one searchsorted join and no Kronecker
-    product is formed.  Positions may repeat: the caller sums them, into a
-    weight-block layout (_graded_sum) or a SparseMatrix.
+    canonical WT, so the product is one join through the row pointers of WT
+    and no Kronecker product is formed.  Positions may repeat: the caller
+    sums them, into a weight-block layout (_graded_sum) or a SparseMatrix.
     """
     j, b = np.divmod(X.rows, dright)
-    x, y = repn._join(j, WT.rows)
+    x, y = repn._join(j, WT)
     return ((WT.shape[1] * dright, X.shape[1]), WT.cols[y] * dright + b[x],
             X.cols[x], WT.vals[y] * X.vals[x])
 
@@ -75,7 +81,7 @@ def _apply_right(WT: repn.SparseMatrix, X, dleft: int) -> tuple:
     """
     m, p = WT.shape
     a, j = np.divmod(X.rows, m)
-    x, y = repn._join(j, WT.rows)
+    x, y = repn._join(j, WT)
     return ((dleft * p, X.shape[1]), a[x] * p + WT.cols[y], X.cols[x],
             WT.vals[y] * X.vals[x])
 
@@ -84,6 +90,34 @@ def _weight_radix(levels) -> np.ndarray:
     """c with wt -> wt @ c injective on sums of up to three level weights."""
     span = 6 * max(int(np.abs(lv.weights).max(initial=0)) for lv in levels) + 1
     return span ** np.arange(levels[0].weights.shape[1], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Column side of the weight-block layouts of one set of column keys;
+    see _columns."""
+
+    keys: np.ndarray     # distinct column keys, ascending: block b has keys[b]
+    counts: np.ndarray   # columns of each block
+    corder: np.ndarray   # columns grouped by block, ascending in each
+    cstart: np.ndarray   # offset of each block in corder
+    ccode: np.ndarray    # place in its block - block * 2^32, per column
+
+
+def _columns(cols: np.ndarray) -> _Columns:
+    """Column side of a weight-block layout whose column weights have the
+    integer keys cols: blocks numbered by ascending key, block b holding the
+    columns corder[cstart[b]:cstart[b + 1]] in ascending order.  It depends
+    on the columns alone, so a chain builds it once per factor tuple
+    (CartanChain._column_side) and every matrix with those columns reuses it.
+    """
+    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
+    corder = np.argsort(inv, kind="stable")
+    cstart = np.cumsum(m) - m
+    ccode = np.empty(cols.size, dtype=np.int64)
+    ccode[corder] = np.arange(cols.size) - cstart[inv[corder]]
+    ccode -= inv.astype(np.int64) << 32
+    return _Columns(keys, m, corder, cstart, ccode)
 
 
 @dataclass(frozen=True)
@@ -100,32 +134,26 @@ class _Layout:
     size: int
 
 
-def _graded_layout(rows: np.ndarray, cols: np.ndarray) -> _Layout:
-    """Layout of the weight blocks of a matrix whose row and column weights
-    have the integer keys rows and cols.
+def _graded_layout(rows: np.ndarray, cs: _Columns) -> _Layout:
+    """Layout of the weight blocks of a matrix whose row weights have the
+    integer keys rows and whose columns have the column side cs.
 
-    Blocks are numbered by ascending key; block b holds the columns
-    corder[cstart[b]:cstart[b + 1]], in ascending order.  Row r owns the
-    segment start[r]:start[r] + width[r] of a flat buffer, one place per
-    column of its block, so the buffer read in order is row-major and its
-    nonzero entries are canonical triplets.  rcode[r] + ccode[c] lies in
-    [0, 2^32) exactly when (r, c) joins equal keys, and is then the place
-    of the entry in the buffer (buffers stay far below 2^32 entries).
+    The rows are mapped to the blocks by one searchsorted against cs.keys.
+    Row r owns the segment start[r]:start[r] + width[r] of a flat buffer,
+    one place per column of its block, so the buffer read in order is
+    row-major and its nonzero entries are canonical triplets.
+    rcode[r] + ccode[c] lies in [0, 2^32) exactly when (r, c) joins equal
+    keys, and is then the place of the entry in the buffer (buffers stay far
+    below 2^32 entries).
     """
-    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
-    corder = np.argsort(inv, kind="stable")
-    cstart = np.cumsum(m) - m
-    ccode = np.empty(cols.size, dtype=np.int64)
-    ccode[corder] = np.arange(cols.size) - cstart[inv[corder]]
-    ccode -= inv.astype(np.int64) << 32
-    block = np.searchsorted(keys, rows)
-    hit = block < keys.size
-    hit[hit] = keys[block[hit]] == rows[hit]
+    block = np.searchsorted(cs.keys, rows)
+    np.minimum(block, cs.keys.size - 1, out=block)
+    hit = cs.keys[block] == rows
     block[~hit] = -1
-    width = np.where(hit, m[block], 0)
+    width = np.where(hit, cs.counts[block], 0)
     start = np.cumsum(width) - width
-    return _Layout(block, start, width, corder, cstart,
-                   (block.astype(np.int64) << 32) + start, ccode, int(width.sum()))
+    return _Layout(block, start, width, cs.corder, cs.cstart,
+                   (block.astype(np.int64) << 32) + start, cs.ccode, int(width.sum()))
 
 
 def _graded_positions(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
@@ -233,11 +261,12 @@ def _layout_norm(buf: np.ndarray, lay: _Layout) -> float:
     return worst
 
 
-def _graded_norm(X: repn.SparseMatrix, rows: np.ndarray, cols: np.ndarray,
+def _graded_norm(X: repn.SparseMatrix, rows: np.ndarray, cols: _Columns,
                  what: str) -> float:
-    """Operator norm of the weight-graded X, whose row/column weights have
-    keys rows/cols.  Every weight-graded norm of the package goes through
-    _layout_norm, so every one rejects an entry off the weight blocks."""
+    """Operator norm of the weight-graded X, whose row weights have keys rows
+    and whose columns have the column side cols.  Every weight-graded norm
+    of the package goes through _layout_norm, so every one rejects an entry
+    off the weight blocks."""
     lay = _graded_layout(rows, cols)
     return _layout_norm(_graded_sum(lay, X.rows, X.cols, X.vals, what), lay)
 
@@ -247,6 +276,7 @@ class CartanChain:
 
     levels[n]   -- QModule for V_{n lam} (level 0 is the trivial module)
     w[n]        -- left isometry V_{(n+1)lam} -> V_lam (x) V_{n lam}, n <= M-1
+    tensor(n)   -- V_lam (x) V_{n lam}, 1 <= n <= M-1, kept from the build
     All highest weight vectors are basis vector 0 of their level.
     """
 
@@ -277,8 +307,9 @@ class CartanChain:
         # products it checks.
         self.levels = [repn.trivial_module(self.N, self.q), base]
         self.w = [repn.SparseMatrix.identity(dl)]  # V_lam -> V_lam (x) V_0
+        self._tensors = {}
         for n in range(1, M):
-            T = repn.tensor(base, self.levels[-1])
+            T = self._tensors[n] = repn.tensor(base, self.levels[-1])
             seed = np.zeros(T.dim)
             seed[0] = 1.0  # xi_lam (x) xi_{n lam} in chain coordinates
             sub, Q = decomp.generate_submodule(T, seed, tol)
@@ -288,6 +319,7 @@ class CartanChain:
         self._radix = _weight_radix(self.levels)
         self._pair_cache: dict = {}
         self._lowest_cache: dict = {}
+        self._column_cache: dict = {}
 
     @classmethod
     def from_parts(cls, lam: Weight, q: float, M: int, tol: ToleranceProfile,
@@ -316,8 +348,10 @@ class CartanChain:
             if mat.shape != want:
                 raise ValueError(f"isometry {n} has shape {mat.shape}, want {want}")
         self._radix = _weight_radix(self.levels)
+        self._tensors = {}
         self._pair_cache = {}
         self._lowest_cache = {}
+        self._column_cache = {}
         return self
 
     # -- basic accessors ---------------------------------------------------
@@ -325,6 +359,14 @@ class CartanChain:
     @property
     def dims(self) -> list:
         return [lv.dim for lv in self.levels]
+
+    def tensor(self, n: int) -> repn.QModule:
+        """V_lam (x) V_{n lam}, 1 <= n <= M - 1: the module level n + 1 was
+        generated in, kept from the build (formed on first use after
+        from_parts)."""
+        if n not in self._tensors:
+            self._tensors[n] = repn.tensor(self.base, self.levels[n])
+        return self._tensors[n]
 
     def hw_vector(self, n: int) -> np.ndarray:
         v = np.zeros(self.levels[n].dim)
@@ -362,6 +404,13 @@ class CartanChain:
             keys = (keys[:, None] + self.levels[n].weights @ self._radix).reshape(-1)
         return keys
 
+    def _column_side(self, *ns: int) -> _Columns:
+        """Column side of the weight-block layouts of maps out of
+        V_{n1 lam} (x) ... (x) V_{nr lam}, built once per factor tuple."""
+        if ns not in self._column_cache:
+            self._column_cache[ns] = _columns(self._weight_keys(*ns))
+        return self._column_cache[ns]
+
     def pair_isometry(self, k: int, l: int) -> repn.SparseMatrix:
         """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected."""
         if k + l > self.M:
@@ -372,7 +421,7 @@ class CartanChain:
             return self.w[l]
         key = (k, l)
         if key not in self._pair_cache:
-            what, cols = f"pair isometry ({k},{l})", self._weight_keys(k + l)
+            what, cols = f"pair isometry ({k},{l})", self._column_side(k + l)
             # (1 (x) w_{k-1,l}^T) w_{k+l-1}, into V_lam (x) V_{(k-1)lam} (x) V_{l lam}
             shape, *t = _apply_right(self.pair_isometry(k - 1, l).T, self.w[k + l - 1],
                                      self.base.dim)
@@ -404,7 +453,7 @@ class CartanChain:
         if min(k, l, n) == 0:
             return 0.0
         P, what = self.pair_isometry, f"coassociativity ({k},{l},{n})"
-        lay = _graded_layout(self._weight_keys(k, l, n), self._weight_keys(k + l + n))
+        lay = _graded_layout(self._weight_keys(k, l, n), self._column_side(k + l + n))
         D = _graded_sum(lay, *_apply_left(P(k, l).T, P(k + l, n), self.levels[n].dim)[1:],
                         what)
         _, r, c, v = _apply_right(P(l, n).T, P(k, l + n), self.levels[k].dim)

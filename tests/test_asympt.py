@@ -249,7 +249,7 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
         M4 = (wn.T @ Qh) @ Qh.T
         M4[:, 0] -= wn[0, :]
         r4 = sps._graded_norm(repn.SparseMatrix.from_dense(M4), ch._weight_keys(n + 1),
-                              ch._weight_keys(1, n), "r4")
+                              ch._column_side(1, n), "r4")
         assert _near(r4, operator_norm(M4))
 
     for n in range(2, M):
@@ -259,6 +259,28 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
         term1 = wr @ w.T
         term2 = np.kron(w1.T, np.eye(dl)) @ np.kron(np.eye(dl), wr1)
         assert _near(lhs, operator_norm(term1 - term2))
+
+
+def test_scan_star_and_f_estimate_reuse_the_build_tensors(chains, monkeypatch):
+    """A built chain keeps V_lam (x) V_(n lam) from its build; a chain
+    reassembled from parts forms each one once, on first use."""
+    ch = chains((1, 0), 1.5, 8)
+    calls, tensor = [], repn.tensor
+
+    def counted(V, W):
+        calls.append(W.dim)
+        return tensor(V, W)
+
+    monkeypatch.setattr(repn, "tensor", counted)
+    asympt.conjecture_scan(ch)
+    asympt.star_commute_defect_chain(ch, ch.M - 1)
+    asympt.f_estimate_check(ch, 3)
+    assert calls == []
+    re = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, ch.w)
+    asympt.conjecture_scan(re)
+    asympt.conjecture_scan(re)
+    assert calls == [ch.levels[n].dim for n in range(1, ch.M - 1)]
+    assert re.tensor(2) is re.tensor(2)
 
 
 def test_star_defect_rejects_an_off_block_entry(chains):

@@ -121,6 +121,26 @@ def test_closed_forms_match_frozen_values():
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-15), i
 
 
+def _residual_tables(q):
+    return [(qda.q_arveson_residuals(n, q, N), qda.cuntz_pimsner_residual(n, q, N))
+            for N in (2, 3, 4) for n in range(21)]
+
+
+def test_cached_exponents_leave_the_residual_tables_unchanged(monkeypatch):
+    """The residual tables for N = 2..4, n <= 20 are bit-identical with the
+    exponent arrays cached (cold and warm) and converted on every call."""
+    qda._exponents.cache_clear()
+    for q in (0.7, 1.5):
+        cold, warm = _residual_tables(q), _residual_tables(q)
+        with monkeypatch.context() as m:
+            m.setattr(qda, "_exponents", lambda N, n: np.array(qda.monomials(N, n)))
+            former = _residual_tables(q)
+        assert cold == warm == former
+    D = qda._exponents(3, 4)
+    assert D is qda._exponents(3, 4) and not D.flags.writeable
+    assert D.tolist() == [list(d) for d in qda.monomials(3, 4)]
+
+
 def test_chain_intertwiner_is_unitary(chains):
     for key in (((1,), 1.5, 8), ((1, 0), 1.5, 6)):
         ch = chains(*key)

@@ -113,6 +113,33 @@ def test_sparse_matrix_products_and_canonical_form():
     assert S.vals.tolist() == [2.0, 4.0]
 
 
+def _former_join(keys, sorted_keys):
+    """The former join: two binary searches of keys in the sorted rows."""
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    cnt = np.searchsorted(sorted_keys, keys, "right") - lo
+    a = np.repeat(np.arange(keys.size), cnt)
+    b = np.arange(a.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    return a, b
+
+
+def test_join_through_row_pointers_matches_the_searchsorted_join():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.5)
+    A[[0, 3, 6]] = 0.0     # empty first, middle and last rows
+    S = repn.SparseMatrix.from_dense(A)
+    assert S.indptr is S.indptr     # computed once
+    assert np.array_equal(S.indptr, np.searchsorted(S.rows, np.arange(8)))
+    assert [S.indptr[i + 1] - S.indptr[i] for i in (0, 3, 6)] == [0, 0, 0]
+    empty = np.zeros(0, dtype=np.int64)
+    zero = repn.SparseMatrix((4, 3), [], [], [])
+    assert np.array_equal(zero.indptr, np.zeros(5))
+    for M, keys in ((S, rng.integers(0, 7, 40)), (S, np.repeat(np.arange(7), 3)),
+                    (S, empty), (zero, np.array([0, 3, 1, 3])), (zero, empty)):
+        got, want = repn._join(keys, M), _former_join(keys, M.rows)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
 def _dense_check_module(V):
     """Reference: the relation residuals formed from dense generators."""
     q = V.q

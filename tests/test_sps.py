@@ -1,5 +1,6 @@
 """Chains of Cartan components, pair isometries, Fock blocks, transfer."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -320,6 +321,58 @@ def test_layout_sums_are_bit_identical_to_the_sorted_sums(chains, coords, q, M):
         assert ch.coassociativity_residual(k, l, n) == _former_coassociativity(ch, k, l, n)
 
 
+# The former per-call layout, kept as the reference of the cached column
+# sides: one np.unique and one stable argsort of the columns per matrix.
+
+def _former_graded_layout(rows, cols):
+    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
+    corder = np.argsort(inv, kind="stable")
+    cstart = np.cumsum(m) - m
+    ccode = np.empty(cols.size, dtype=np.int64)
+    ccode[corder] = np.arange(cols.size) - cstart[inv[corder]]
+    ccode -= inv.astype(np.int64) << 32
+    block = np.searchsorted(keys, rows)
+    hit = block < keys.size
+    hit[hit] = keys[block[hit]] == rows[hit]
+    block[~hit] = -1
+    width = np.where(hit, m[block], 0)
+    start = np.cumsum(width) - width
+    return sps._Layout(block, start, width, corder, cstart,
+                       (block.astype(np.int64) << 32) + start, ccode, int(width.sum()))
+
+
+@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 10), ((1, 1), 1.0, 5),
+                                        ((1, 0, 0), 1.5, 6)],
+                         ids=["omega1-q1.5-M10", "rho-q1-M5", "N4-q1.5-M6"])
+def test_cached_column_sides_give_the_per_call_layouts(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    ch.certify_coassociativity()
+    factors = [((1, k - 1, l), (k + l,)) for k in range(2, M) for l in range(1, M - k + 1)]
+    factors += [((k, l), (k + l,)) for k in range(2, M) for l in range(1, M - k + 1)]
+    factors += [((k, l, n), (k + l + n,)) for k, l, n in _triples(M)]
+    for rows, cols in factors:
+        got = sps._graded_layout(ch._weight_keys(*rows), ch._column_side(*cols))
+        want = _former_graded_layout(ch._weight_keys(*rows), ch._weight_keys(*cols))
+        for f in dataclasses.fields(sps._Layout):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (rows, f.name)
+
+
+def test_certify_coassociativity_builds_each_column_side_once(chains, monkeypatch):
+    ch = chains((1, 0), 1.5, 10)
+    fresh = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, ch.w)
+    built, columns = [], sps._columns
+
+    def counted(cols):
+        built.append(cols.size)
+        return columns(cols)
+
+    monkeypatch.setattr(sps, "_columns", counted)
+    assert fresh.certify_coassociativity() <= 1e-12
+    # every pair isometry and triple maps out of one of the levels 3..M
+    assert sorted(built) == [ch.levels[t].dim for t in range(3, ch.M + 1)]
+    assert sorted(fresh._column_cache) == [(t,) for t in range(3, ch.M + 1)]
+
+
 def test_off_block_triplet_in_either_side_alone_raises(chains):
     # w_{2,1} enters only the left side of the triple (2,1,1) and only the
     # right side of (1,2,1)
@@ -337,7 +390,7 @@ def test_off_block_triplet_in_either_side_alone_raises(chains):
 
 
 def test_off_block_triplets_raise_even_when_they_cancel():
-    lay = sps._graded_layout(np.array([0, 1]), np.array([0]))
+    lay = sps._graded_layout(np.array([0, 1]), sps._columns(np.array([0])))
     with pytest.raises(InvariantViolation, match="off the weight blocks"):
         sps._graded_sum(lay, np.array([0, 1, 1]), np.array([0, 0, 0]),
                         np.array([1.0, 0.5, -0.5]), "cancelling pair")
