@@ -16,7 +16,10 @@ contract against the chain's extreme vectors: chain.hw_vector(k), one-hot
 at index 0 in chain coordinates, and chain.lowest_vector(k).  Every
 measurement reads its modules, the tensor products V_lam (x) V_{n lam} that
 the build formed, its isometries, weight keys and column sides from one
-chain.
+chain.  The extreme-weight columns Q^h and Q^l of V_lam (x) V_{n lam} come
+from _extreme_columns, which raises InvariantViolation unless their
+multiplicities equal the Brauer-Klimyk count qcore.tensor_components,
+weight by weight, for every lam.
 
 The square matrices measured here are weight-graded with exact zeros off
 their weight blocks: c(n) and the Cartan-projector absorption residual of the
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import Weight, is_regular, pairing
+from .qcore import Weight, pairing, tensor_components
 from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from . import decomp, repn
@@ -109,9 +112,28 @@ def _b(W: repn.SparseMatrix, x_left: np.ndarray, x: np.ndarray) -> float:
     return operator_norm(G - np.outer(x_left, x_left @ G))
 
 
-def _dominant_shifts(lam: Weight, weights: np.ndarray, n: int) -> np.ndarray:
-    """Per weight nu of the base, whether n*lam + nu is dominant."""
-    return np.all(n * lam.as_array()[None, :] + weights >= 0, axis=1)
+def _extreme_columns(chain: CartanChain, n: int, raising: bool) -> np.ndarray:
+    """Highest (raising) or lowest weight columns of V_lam (x) V_(n lam).
+
+    Their multiplicities must equal the Brauer-Klimyk count of the
+    components weight by weight (a lowest weight w is that of the component
+    -reversed(w)); InvariantViolation otherwise.
+    """
+    T = chain.tensor(n)
+    if raising:
+        report = decomp.highest_weight_space(T, chain.tol)
+        got = report.multiplicities
+    else:
+        report = decomp.lowest_weight_space(T, chain.tol)
+        got = {Weight(tuple(-c for c in reversed(w.coords))): m
+               for w, m in report.multiplicities.items()}
+    want = tensor_components(chain.base.weights, chain.lam * n)
+    if got != want:
+        raise InvariantViolation(
+            f"rank P^{'h' if raising else 'l'} = {report.total} != "
+            f"{sum(want.values())} components of V_lam (x) V_(n lam) at n={n}, "
+            f"weight by weight {got} != {want}")
+    return report.basis_matrix(T.dim)
 
 
 def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
@@ -121,36 +143,18 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
     must be norms of contractions (<= 1), c(n) must dominate a(n) and (up
     to slack) b(n), the Cartan projector must kill P^h_{lam,n lam} minus
     the product projector, and the ranks of P^h_{lam,n lam} and
-    P^l_{lam,n lam} must count the components of V_lam (x) V_{n lam}: for
-    regular lam, dim V_lam once all shifted weights are dominant; for a
-    fundamental (so minuscule) lam, the weights nu of V_lam with n lam + nu
-    dominant, at every n.
+    P^l_{lam,n lam} must count the components of V_lam (x) V_{n lam},
+    weight by weight (_extreme_columns).
     """
-    lam, q, M, tol = chain.lam, chain.q, chain.M, chain.tol
-    base = chain.base
-    dl = base.dim
+    lam, q, M = chain.lam, chain.q, chain.M
+    dl = chain.base.dim
     h_lam, l_lam = chain.hw_vector(1), chain.lowest_vector(1)
-    regular = is_regular(lam)
-    minuscule = sum(lam.coords) == 1
 
     ns, A, B, C, AL, BL = [], [], [], [], [], []
     for n in range(1, M - GUARD_LEVELS + 1):
-        lev = chain.levels[n]
-        dn = lev.dim
-        T = chain.tensor(n)
-        Qh = decomp.highest_weight_space(T, tol).basis_matrix(T.dim)
-        Ql = decomp.lowest_weight_space(T, tol).basis_matrix(T.dim)
-        dominant = _dominant_shifts(lam, base.weights, n)
-        if minuscule:   # every weight of V_lam is simple
-            want = int(dominant.sum())
-            for side, Qx in (("h", Qh), ("l", Ql)):
-                if Qx.shape[1] != want:
-                    raise InvariantViolation(
-                        f"rank P^{side} = {Qx.shape[1]} != {want} components "
-                        f"of V_lam (x) V_(n lam) at n={n}")
-        if regular and dominant.all() and Qh.shape[1] != dl:
-            raise InvariantViolation(
-                f"rank P^h = {Qh.shape[1]} != dim V_lam = {dl} at n={n}")
+        dn = chain.levels[n].dim
+        Qh = _extreme_columns(chain, n, True)
+        Ql = _extreme_columns(chain, n, False)
         wn = chain.w[n]
         Qs = repn.SparseMatrix.from_dense(Qh)
         h_n, l_n = chain.hw_vector(n), chain.lowest_vector(n)
@@ -159,7 +163,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         a = _a(Qh, h_n, dl)
         b = _b(wn, h_lam, h_n)
         units = np.arange(dl) * dn   # 1 (x) P^h_{n lam}: a unit at (a dn, a dn)
-        c = _graded_norm(Qs @ Qs.T - repn.SparseMatrix((T.dim, T.dim), units, units,
+        c = _graded_norm(Qs @ Qs.T - repn.SparseMatrix((dl * dn, dl * dn), units, units,
                                                        np.ones(dl)),
                          keys_t, cols_t, f"c({n})")
         a_l = _a(Ql, l_n, dl)
@@ -176,7 +180,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         # f_{lam,n lam} (P^h_{lam,n lam} - P^h_lam (x) P^h_{n lam}) = 0: the
         # product projector leaves column 0 of f = w_n^T, which is row 0 of w_n
         head = _leading_rows(wn, 1)
-        f0 = repn.SparseMatrix((wn.shape[1], T.dim), head.cols, np.zeros_like(head.cols),
+        f0 = repn.SparseMatrix((wn.shape[1], dl * dn), head.cols, np.zeros_like(head.cols),
                                head.vals)
         r4 = _graded_norm((wn.T @ Qs) @ Qs.T - f0, chain._weight_keys(n + 1), cols_t,
                           f"Cartan projector absorption at n={n}")
@@ -190,7 +194,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
 
     return ConvergenceTable(lam, q, M, np.array(ns),
                             np.array(A), np.array(B), np.array(C),
-                            np.array(AL), np.array(BL), tol)
+                            np.array(AL), np.array(BL), chain.tol)
 
 
 def _leading_rows(X: repn.SparseMatrix, m: int) -> repn.SparseMatrix:
@@ -235,7 +239,7 @@ def fit_geometric(ns, values, column: str = "") -> RateFit:
 def rate_fit(table, column: str, n_min: int = None, n_max: int = None) -> RateFit:
     """Geometric fit of a table column; defaults drop BURN_IN_ROWS rows."""
     ns = np.asarray(table.ns)
-    ys = table.column(column) if hasattr(table, "column") else table[column]
+    ys = table.column(column)
     if n_min is None:
         n_min = int(ns[BURN_IN_ROWS]) if len(ns) > BURN_IN_ROWS else int(ns[0])
     if n_max is None:
@@ -244,7 +248,7 @@ def rate_fit(table, column: str, n_min: int = None, n_max: int = None) -> RateFi
     if int(mask.sum()) < 4:
         raise ValueError(f"window [{n_min}, {n_max}] keeps {int(mask.sum())} "
                          "rows; need >= 4")
-    return fit_geometric(ns[mask], np.asarray(ys)[mask], column)
+    return fit_geometric(ns[mask], ys[mask], column)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +280,7 @@ def f_estimate_check(chain: CartanChain, n: int,
         a_n = float(table.a[list(table.ns).index(n)])
         b_prev = float(table.b[list(table.ns).index(n - 1)])
     else:
-        T = chain.tensor(n)
-        Qh = decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim)
-        a_n = _a(Qh, chain.hw_vector(n), dl)
+        a_n = _a(_extreme_columns(chain, n, True), chain.hw_vector(n), dl)
         b_prev = _b(chain.w[n - 1], chain.hw_vector(1), chain.hw_vector(n - 1))
     rhs = a_n + b_prev
     return lhs, rhs, bool(lhs <= rhs + 1e-7)
@@ -431,10 +433,9 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
     defect_h = _defect_maps(B, A, sig_h_inv, q ** (-qq), keys_lam, keys_mu)
     defect_l = _defect_maps(B, A, sig_l, q ** (+qq), keys_lam, keys_mu)
 
-    T = chain.tensor(n)
-    bound_h = _bounds(decomp.highest_weight_space(T, chain.tol).basis_matrix(T.dim),
+    bound_h = _bounds(_extreme_columns(chain, n, True),
                       W, G, *(chain.hw_vector(k) for k in (1, n, n - 1)))
-    bound_l = _bounds(decomp.lowest_weight_space(T, chain.tol).basis_matrix(T.dim),
+    bound_l = _bounds(_extreme_columns(chain, n, False),
                       W, G, *(chain.lowest_vector(k) for k in (1, n, n - 1)))
 
     # highest-weight fixed point: B(xi-bar (x) xi) xi_mu = xi_mu = A(...) xi_mu,
@@ -516,11 +517,10 @@ def compactification_defect(chain: CartanChain, x: BlockOp, n: int,
     return worst
 
 
-def compactification_table(chain: CartanChain, x: BlockOp, kmax: int,
-                           n_min: int = 1) -> tuple:
+def compactification_table(chain: CartanChain, x: BlockOp, kmax: int) -> tuple:
     """(ns, defects) with a full k-range 0..kmax at every reported n."""
     top = min(x.fock.M, chain.M) - GUARD_LEVELS
-    ns = np.arange(n_min, top - kmax + 1)
+    ns = np.arange(1, top - kmax + 1)
     if len(ns) == 0:
         raise ValueError("no levels left after the guard band; lower kmax")
     vals = np.array([compactification_defect(chain, x, int(n), kmax)

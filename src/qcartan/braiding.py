@@ -198,16 +198,14 @@ def _ermat2_residual(V, W, R: np.ndarray) -> float:
     return worst
 
 
-def certify_pair(V, W, sigma: BraidingOperator = None, R: np.ndarray = None) -> dict:
-    """Residuals of the braiding invariants on the pair (V, W):
-    generator intertwining of sigma and the R-matrix eigen-relations."""
+def certify_pair(V, W, R: np.ndarray = None) -> dict:
+    """Residuals of the braiding invariants on the pair (V, W): generator
+    intertwining of sigma = flip R and the R-matrix eigen-relations."""
     if R is None:
         R = r_matrix(V, W)
-    if sigma is None:
-        sigma = BraidingOperator((V, W), _flip(R, V.dim, W.dim))
     TVW = repn.tensor(V, W)
     TWV = repn.tensor(W, V)
-    S = sigma.matrix
+    S = _flip(R, V.dim, W.dim)
     worst = 0.0
     for i in range(1, V.N):
         for attr in ("E", "F"):

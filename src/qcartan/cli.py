@@ -430,6 +430,7 @@ def cmd_cache(cfg: RunConfig) -> int:
         store_chain(chain, path)
         loaded = load_chain(path, tol)
         mismatch = _chain_mismatch(chain, loaded)
+        del chain   # the checks below read the reloaded copy only
         if mismatch:
             raise InvariantViolation(f"cache round trip not bit-exact: {mismatch}")
         for n, lv in enumerate(loaded.levels):

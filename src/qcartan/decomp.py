@@ -1,5 +1,5 @@
 """Highest/lowest-weight extraction, generated submodules, Cartan components,
-fusion multiplicities.
+fusion multiplicities (checked against the Brauer-Klimyk count).
 
 All kernels are computed weight-block by weight-block (never on the whole
 space): the stacked generator matrix restricted to a block is small, and the
@@ -15,7 +15,7 @@ import numpy as np
 from . import repn
 from .numerics import (AmbiguousRank, DEFAULT_TOL, InvariantViolation,
                        ToleranceProfile, certified_rank, nullspace)
-from .qcore import Weight, simple_root, weyl_dim
+from .qcore import Weight, simple_root, tensor_components, weyl_dim
 
 __all__ = [
     "HighestWeightReport",
@@ -52,13 +52,9 @@ class HighestWeightReport:
 
 def _fix_signs(cols: np.ndarray) -> np.ndarray:
     """First coordinate of magnitude > 1e-12 * max is made positive."""
-    out = cols.copy()
-    for j in range(out.shape[1]):
-        c = out[:, j]
-        nz = np.nonzero(np.abs(c) > 1e-12 * np.max(np.abs(c)))[0]
-        if nz.size and c[nz[0]] < 0:
-            out[:, j] = -c
-    return out
+    mag = np.abs(cols)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    return np.where(cols[first, np.arange(cols.shape[1])] < 0, -cols, cols)
 
 
 def _target_blocks(V, sgn: int) -> tuple:
@@ -134,8 +130,8 @@ def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWei
         if K.shape[1] == 0:
             continue
         cols = np.zeros((V.dim, K.shape[1]))
-        cols[blocks[wts[k]], :] = K
-        components.append((Weight(wts[k]), _fix_signs(cols)))
+        cols[blocks[wts[k]], :] = _fix_signs(K)   # block rows ascend: same first entry
+        components.append((Weight(wts[k]), cols))
         total += K.shape[1]
     report = HighestWeightReport(components, total)
     _check_completeness(V, report, raising)
@@ -287,47 +283,26 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     return sub, Q
 
 
-def cartan_component(A, B, tensor_module=None, tol: ToleranceProfile = DEFAULT_TOL):
+def cartan_component(A, B, tol: ToleranceProfile = DEFAULT_TOL):
     """The copy of V_{lam+mu} inside A ox B generated by xi_lam ox xi_mu.
 
     Returns (QModule, isometry into the tensor product).
     """
     if A.highest_weight is None or B.highest_weight is None:
         raise ValueError("cartan_component needs simple inputs with fixed h.w. vectors")
-    T = tensor_module if tensor_module is not None else repn.tensor(A, B)
     seed = np.kron(A.hw_vector, B.hw_vector)
-    return generate_submodule(T, seed, tol)
+    return generate_submodule(repn.tensor(A, B), seed, tol)
 
 
 def fusion_multiplicities(Vl, Vm, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
-    """nu -> multiplicity of V_nu in Vl ox Vm, with the classical upper bound
-    (and its equality criterion) enforced as invariants."""
+    """nu -> multiplicity of V_nu in Vl ox Vm, read off the highest-weight
+    kernels of the tensor product; InvariantViolation unless they equal the
+    Brauer-Klimyk count qcore.tensor_components."""
     if Vl.highest_weight is None or Vm.highest_weight is None:
         raise ValueError("fusion_multiplicities needs simple inputs")
-    mu = Vm.highest_weight
-    T = repn.tensor(Vl, Vm)
-    report = highest_weight_space(T, tol)
-    mults = report.multiplicities
-
-    lam_weights = [Weight(w) for w in Vl.weight_blocks().keys()]
-    criterion = all(
-        lp(i) + mu(i) >= -1 for lp in lam_weights for i in range(1, Vl.N)
-    )
-    for nu, m in mults.items():
-        bound = len(Vl.weight_blocks().get((nu - mu).coords, ()))
-        if m > bound:
-            raise InvariantViolation(
-                f"multiplicity {m} of {nu} exceeds weight-multiplicity bound {bound}"
-            )
-    if criterion:
-        for lp in lam_weights:
-            nu = mu + lp
-            if not nu.is_dominant:
-                continue
-            bound = len(Vl.weight_blocks()[lp.coords])
-            if mults.get(nu, 0) != bound:
-                raise InvariantViolation(
-                    f"equality criterion met but mult({nu}) = "
-                    f"{mults.get(nu, 0)} != {bound}"
-                )
+    mults = highest_weight_space(repn.tensor(Vl, Vm), tol).multiplicities
+    want = tensor_components(Vl.weights, Vm.highest_weight)
+    if mults != want:
+        raise InvariantViolation(
+            f"highest-weight multiplicities {mults} != component count {want}")
     return mults

@@ -1,4 +1,5 @@
-"""q-arithmetic and the weight lattice of sl_N.
+"""q-arithmetic, the weight lattice of sl_N and the Brauer-Klimyk count of
+the components of a tensor product.
 
 Conventions: q is a positive float (q = 1 is an exact limit branch, not an
 epsilon). Weights are stored in fundamental coordinates lam(1..N-1); the
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +27,7 @@ __all__ = [
     "fundamental_weight",
     "rho",
     "weyl_dim",
-    "is_regular",
+    "tensor_components",
 ]
 
 
@@ -198,8 +200,25 @@ def weyl_dim(mu: Weight) -> int:
     return num // den
 
 
-def is_regular(lam: Weight) -> bool:
-    """True iff every lam(i) > 0 (interior of the dominant cone)."""
-    if not lam.is_dominant:
-        raise ValueError(f"is_regular needs a dominant weight, got {lam}")
-    return all(c > 0 for c in lam.coords)
+def tensor_components(weights, mu: Weight) -> dict:
+    """{kappa: multiplicity of V_kappa in V (x) V_mu}, from the weight rows of V.
+
+    The Brauer-Klimyk (Racah-Speiser) formula: each row nu moves mu + nu + rho
+    into the dominant chamber by sorting its partition coordinates in
+    descending order.  A repeated entry lies on a wall and contributes
+    nothing; otherwise the sign of the sorting permutation is added at
+    kappa = sorted - rho.
+    """
+    top = (mu + rho(mu.N)).partition
+    out = {}
+    for nu in np.asarray(weights).tolist():
+        # partition coordinates of nu: the tail sums of its coordinates, then 0
+        x = [a + b for a, b in zip(top, [*accumulate(reversed(nu))][::-1] + [0])]
+        order = sorted(range(mu.N), key=lambda i: -x[i])
+        s = [x[i] for i in order]
+        if any(a == b for a, b in zip(s, s[1:])):
+            continue
+        inversions = sum(i > j for k, i in enumerate(order) for j in order[k + 1:])
+        kappa = tuple(a - b - 1 for a, b in zip(s, s[1:]))
+        out[kappa] = out.get(kappa, 0) + (-1) ** inversions
+    return {Weight(kappa): m for kappa, m in out.items() if m}

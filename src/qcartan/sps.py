@@ -695,21 +695,9 @@ def eq_comm_residual(chain: CartanChain, sigma: np.ndarray, n: int) -> float:
     """
     dl = chain.base.dim
     qfac = chain.q ** (-pairing(chain.lam, chain.lam))
-    P = [[_creation_block(chain, np.eye(dl)[a], n + 1)
-          @ _creation_block(chain, np.eye(dl)[b], n) for b in range(dl)]
-         for a in range(dl)]
-    worst = 0.0
-    for i in range(dl):
-        for j in range(dl):
-            rhs = None
-            col = sigma[:, i * dl + j]
-            for a in range(dl):
-                for b in range(dl):
-                    cab = col[a * dl + b]
-                    if cab == 0.0:
-                        continue
-                    term = cab * P[a][b]
-                    rhs = term if rhs is None else rhs + term
-            D = P[i][j] - qfac * rhs
-            worst = max(worst, float(np.max(np.abs(D))))
-    return worst
+    # S[a] = _creation_block(chain, e_a, k) for every a: w_k with its left
+    # index split off, each block transposed
+    S0, S1 = (chain.w[k].to_dense().reshape(dl, chain.levels[k].dim, -1).transpose(0, 2, 1)
+              for k in (n, n + 1))
+    P = np.matmul(S1[:, None], S0[None, :]).reshape(dl * dl, -1)   # P[a, b] = S_a S_b
+    return float(np.max(np.abs(P - qfac * (sigma.T @ P))))

@@ -5,7 +5,7 @@ import pytest
 
 from qcartan import asympt, decomp, repn, sps
 from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
-from qcartan.qcore import Weight, pairing, q_int
+from qcartan.qcore import Weight, pairing, q_int, tensor_components
 
 
 @pytest.fixture(scope="module")
@@ -340,9 +340,27 @@ def test_minuscule_rank_counts_the_components(chains, coords, count):
     assert list(asympt.conjecture_scan(ch).ns) == list(range(1, top + 1))
 
 
-@pytest.mark.parametrize("space, side", [("highest_weight_space", "h"),
-                                         ("lowest_weight_space", "l")])
-def test_minuscule_rank_gate_catches_a_dropped_column(chains, monkeypatch, space, side):
+def _scan(ch):
+    asympt.conjecture_scan(ch)
+
+
+def _star(ch):
+    asympt.star_commute_defect_chain(ch, 2)
+
+
+def _f_estimate(ch):
+    asympt.f_estimate_check(ch, 2)
+
+
+@pytest.mark.parametrize("space, side, run", [
+    pytest.param("highest_weight_space", "h", _scan, id="highest_weight_space-h"),
+    pytest.param("lowest_weight_space", "l", _scan, id="lowest_weight_space-l"),
+    pytest.param("highest_weight_space", "h", _star, id="star-highest_weight_space-h"),
+    pytest.param("lowest_weight_space", "l", _star, id="star-lowest_weight_space-l"),
+    pytest.param("highest_weight_space", "h", _f_estimate,
+                 id="f_estimate-highest_weight_space-h")])
+def test_minuscule_rank_gate_catches_a_dropped_column(chains, monkeypatch, space, side,
+                                                      run):
     ch = chains((0, 1), 1.5, 5)
     full = getattr(decomp, space)
 
@@ -355,4 +373,37 @@ def test_minuscule_rank_gate_catches_a_dropped_column(chains, monkeypatch, space
 
     monkeypatch.setattr(decomp, space, dropped)
     with pytest.raises(InvariantViolation, match=rf"rank P\^{side} = 1 != 2 components"):
+        run(ch)
+
+
+@pytest.mark.parametrize("coords, q, M", [((1, 1), 1.5, 6), ((2, 0), 1.5, 6),
+                                          ((0, 1, 0), 1.5, 5), ((1, 0, 1), 1.5, 4),
+                                          ((0, 2, 0), 1.5, 4)])
+def test_component_count_matches_both_kernels(chains, coords, q, M):
+    # non-minuscule weights, regular or not: the Brauer-Klimyk count is the
+    # only rank gate these chains have
+    ch = chains(coords, q, M)
+    for n in range(1, M):
+        want = tensor_components(ch.base.weights, ch.lam * n)
+        T = ch.tensor(n)
+        assert decomp.highest_weight_space(T).multiplicities == want
+        lowest = decomp.lowest_weight_space(T).multiplicities
+        assert {Weight(tuple(-c for c in reversed(w.coords))): m
+                for w, m in lowest.items()} == want
+    assert list(asympt.conjecture_scan(ch).ns) == list(range(1, M - asympt.GUARD_LEVELS + 1))
+
+
+@pytest.mark.parametrize("space", ["highest_weight_space", "lowest_weight_space"])
+def test_rank_gate_catches_a_relabelled_component(chains, monkeypatch, space):
+    # same rank, one component moved to a weight that is no component
+    ch = chains((1, 1), 1.5, 5)
+    full = getattr(decomp, space)
+
+    def relabelled(V, tol=DEFAULT_TOL):
+        rep = full(V, tol)
+        (_, cols), rest = rep.components[-1], rep.components[:-1]
+        return decomp.HighestWeightReport(rest + [(Weight((7, 7)), cols)], rep.total)
+
+    monkeypatch.setattr(decomp, space, relabelled)
+    with pytest.raises(InvariantViolation, match="weight by weight"):
         asympt.conjecture_scan(ch)

@@ -121,6 +121,20 @@ def test_fusion_multiplicities_with_a_wall_weight(builders):
     assert std.dim * V.dim == sum(weyl_dim(w) * m for w, m in mults.items())
 
 
+def test_fusion_multiplicities_reject_kernels_off_the_component_count(monkeypatch):
+    std = repn.standard_module(3, 1.5)
+    full = decomp.highest_weight_space
+
+    def relabelled(V, tol=DEFAULT_TOL):
+        rep = full(V, tol)
+        (_, cols), rest = rep.components[0], rep.components[1:]
+        return decomp.HighestWeightReport([(Weight((1, 1)), cols)] + rest, rep.total)
+
+    monkeypatch.setattr(decomp, "highest_weight_space", relabelled)
+    with pytest.raises(InvariantViolation, match="component count"):
+        decomp.fusion_multiplicities(std, std)
+
+
 def test_extreme_space_completeness_guard_fires_on_corrupt_module():
     V = repn.standard_module(2, 1.5)
     # zero out F so that extra fake lowest-weight vectors appear

@@ -9,13 +9,13 @@ from qcartan.qcore import (
     check_q,
     fundamental_weight,
     inv_cartan_matrix,
-    is_regular,
     pairing,
     pairing_array,
     q_factorial,
     q_int,
     rho,
     simple_root,
+    tensor_components,
     weyl_dim,
 )
 
@@ -128,8 +128,6 @@ def test_weight_arithmetic():
 def test_weight_dominance_and_regularity():
     assert Weight((2, 0)).is_dominant
     assert not Weight((1, -1)).is_dominant
-    assert is_regular(Weight((1, 1)))
-    assert not is_regular(Weight((1, 0)))
 
 
 def test_weight_validation():
@@ -160,3 +158,19 @@ def test_weyl_dim_known_values():
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
         weyl_dim(Weight((1, -1)))
+
+
+# -- tensor product components ------------------------------------------------
+
+
+def test_tensor_components_hand_derived_decompositions():
+    # weights of the adjoint module of sl_3: the six roots and 0 twice
+    adjoint = [(2, -1), (-1, 2), (1, 1), (-2, 1), (1, -2), (-1, -1), (0, 0), (0, 0)]
+    assert tensor_components(adjoint, rho(3)) == {
+        Weight((2, 2)): 1, Weight((3, 0)): 1, Weight((0, 3)): 1,
+        Weight((1, 1)): 2, Weight((0, 0)): 1}
+    assert tensor_components([(2,), (0,), (-2,)], Weight((2,))) == {
+        Weight((4,)): 1, Weight((2,)): 1, Weight((0,)): 1}
+    # std (x) V_(2,0): mu + wt(e_3) + rho = (3, 0) lies on a wall
+    std = [(1, 0), (-1, 1), (0, -1)]
+    assert tensor_components(std, Weight((2, 0))) == {Weight((3, 0)): 1, Weight((1, 1)): 1}
