@@ -180,13 +180,15 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     certified_rank of their singular values against the largest local norm
     ||F_i[nu, mu]||_F; a global scale would not do, because the tensor module
     also holds weights outside the submodule whose candidates are pure
-    rounding noise, and ||F_i||_F over the whole module grows like q^n.  The
-    projected module must pass check_module before it is returned.  Q is the
-    isometric intertwiner from the submodule into V, a repn.SparseMatrix.
+    rounding noise, and ||F_i||_F over the whole module grows like q^n.  A
+    one-column candidate c takes no SVD: its singular value is ||c||, its
+    basis c / ||c||.  The projected module must pass check_module before it
+    is returned.  Q is the isometric intertwiner from the submodule into V,
+    a repn.SparseMatrix.
 
     The blocks F_i[nu, mu] come from one scatter of the triplets of each
-    F_i; Q is assembled from the orbit blocks B_nu, and the generators of
-    the submodule are Q^T (E_i Q).
+    F_i; Q is assembled from the orbit blocks B_nu with one sign fix, and
+    the generators of the submodule are Q^T (E_i Q).
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
@@ -207,50 +209,50 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
 
     blocks = V.weight_blocks()
     keys = list(blocks)
-    number = {wt: k for k, wt in enumerate(keys)}
     block, place = V.block_index()
     size = np.array([ix.size for ix in blocks.values()], dtype=np.intp)
-    targets = _target_blocks(V, -1)
     # Each F_i is scattered once into its dense blocks F_i[mu - alpha_i, mu],
     # row-major in one flat buffer per generator; F_i maps block mu into that
     # one block, so ||F_i[mu - alpha_i, mu]||_F^2 sums over the columns of mu.
-    flat, start, fro2 = [], [], []
-    for t, X in zip(targets, (V.F[i] for i in range(1, V.N))):
+    moves = [[] for _ in keys]  # per block mu: (target block, F_i block, its norm)
+    for t, X in zip(_target_blocks(V, -1), (V.F[i] for i in range(1, V.N))):
         src = block[X.cols]
         ok = block[X.rows] == t[src]
         k = src[ok]
         area = np.where(t >= 0, size[t] * size, 0)
-        start.append(np.cumsum(area) - area)
+        start = np.cumsum(area) - area
         buf = np.zeros(int(area.sum()))
-        buf[start[-1][k] + place[X.rows[ok]] * size[k] + place[X.cols[ok]]] = X.vals[ok]
-        flat.append(buf)
-        fro2.append(np.bincount(k, weights=X.vals[ok] ** 2, minlength=len(keys)))
+        buf[start[k] + place[X.rows[ok]] * size[k] + place[X.cols[ok]]] = X.vals[ok]
+        norm = np.sqrt(np.bincount(k, weights=X.vals[ok] ** 2, minlength=len(keys)))
+        for mu, (nu, a, m, n, f) in enumerate(zip(t.tolist(), start.tolist(), size[t].tolist(),
+                                                 size.tolist(), norm.tolist())):
+            if nu >= 0:
+                moves[mu].append((nu, buf[a:a + m * n].reshape(m, n), f))
 
-    def f_block(g, k):
-        a = start[g][k]
-        return flat[g][a:a + size[targets[g][k]] * size[k]].reshape(size[targets[g][k]], size[k])
-
-    layer = {hw.coords: seed[blocks[hw.coords], None]}
-    found = list(layer.items())  # (weight, orthonormal block columns)
+    layer = {int(block[support[0]]): seed[blocks[hw.coords], None]}
+    found = list(layer.items())  # (block number, orthonormal block columns)
     while layer:
-        sources = {}  # target block nu -> [(generator, source block, mu), ...]
-        for mu in layer:
-            k = number[mu]
-            for g, t in enumerate(targets):
-                if t[k] >= 0:
-                    sources.setdefault(int(t[k]), []).append((g, k, mu))
+        cands, scale = {}, {}  # target block -> candidate blocks, local scale
+        for mu, B in layer.items():
+            for nu, F, f in moves[mu]:
+                cands.setdefault(nu, []).append(F @ B)
+                scale[nu] = max(scale.get(nu, 0.0), f)
         next_layer = {}
-        for nu, pairs in sources.items():
-            cand = np.hstack([f_block(g, k) @ layer[mu] for g, k, mu in pairs])
-            U, s, _ = np.linalg.svd(cand, full_matrices=False)
+        for nu, parts in cands.items():
+            cand = np.hstack(parts) if len(parts) > 1 else parts[0]
+            one = cand.shape[1] == 1
+            if one:
+                s = np.hypot.reduce(cand)  # ||c||, as an array of one value
+            else:
+                U, s, _ = np.linalg.svd(cand, full_matrices=False)
             try:
-                r = certified_rank(s, np.sqrt(max(fro2[g][k] for g, k, _ in pairs)), tol)
+                r = certified_rank(s, scale[nu], tol)
             except AmbiguousRank as exc:
                 exc.args = (f"orbit of highest weight {hw}, weight block "
                             f"{Weight(keys[nu])}: {exc}",)
                 raise
             if r:
-                next_layer[keys[nu]] = _fix_signs(U[:, :r])
+                next_layer[nu] = cand / s if one else U[:, :r]
         found.extend(next_layer.items())
         layer = next_layer
     k = sum(B.shape[1] for _, B in found)
@@ -260,12 +262,12 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
         )
 
     # Q from the orbit blocks: column 0 is the seed exactly, entries below
-    # the support cut included, and each later block B_nu fills rows
-    # blocks[nu] of the next B_nu.shape[1] columns.  Read column by column,
+    # the support cut included, and each later block B_nu fills the rows of
+    # weight block nu in the next B_nu.shape[1] columns.  Read column by column,
     # the blocks list Q^T in canonical order, so only Q = (Q^T)^T sorts.
     nz = np.flatnonzero(seed)
     Bs = [seed[nz, None]] + [B for _, B in found[1:]]
-    rows_of = [r for r, B in zip([nz] + [blocks[nu] for nu, _ in found[1:]], Bs)
+    rows_of = [r for r, B in zip([nz] + [blocks[keys[nu]] for nu, _ in found[1:]], Bs)
                for _ in range(B.shape[1])]
     rows = np.concatenate(rows_of)
     cols = np.repeat(np.arange(expected), [r.size for r in rows_of])
@@ -273,8 +275,16 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     keep = vals != 0.0
     if not keep.all():
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    # One sign fix for all of Q: each column is one run of these triplets,
+    # rows ascending; its first entry above 1e-12 * its largest is made > 0.
+    run = np.flatnonzero(np.diff(cols, prepend=-1))
+    mag = np.abs(vals)
+    big = mag > 1e-12 * np.maximum.reduceat(mag, run)[cols]
+    flip = vals[np.minimum.reduceat(np.where(big, np.arange(vals.size), vals.size), run)] < 0
+    flip[0] = False  # column 0 stays the seed exactly
+    vals = np.where(flip[cols], -vals, vals)
     Q = repn.SparseMatrix._canonical((expected, V.dim), cols, rows, vals).T
-    wmat = np.repeat(np.array([nu for nu, _ in found], dtype=np.int64),
+    wmat = np.repeat(np.array([keys[nu] for nu, _ in found], dtype=np.int64),
                      [B.shape[1] for B in Bs], axis=0)
     E = {i: Q.T @ (V.E[i] @ Q) for i in range(1, V.N)}
     F = {i: Q.T @ (V.F[i] @ Q) for i in range(1, V.N)}

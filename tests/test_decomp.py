@@ -234,3 +234,118 @@ def test_target_blocks_match_the_per_block_loop(chains, coords, q, n):
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
             assert any((w >= 0).any() for w in want) or V.dim == 1
+
+
+def _per_block_orbit(T, seed, tol=DEFAULT_TOL):
+    """Reference: the former orbit, one SVD and one sign fix per weight block.
+
+    Returns the dense isometry, columns in orbit order, column 0 the seed.
+    """
+    blocks = T.weight_blocks()
+    seed = seed / np.linalg.norm(seed)
+    hw = tuple(int(c) for c in T.weights[np.argmax(np.abs(seed))])
+    layer = {hw: seed[blocks[hw], None]}
+    found = list(layer.items())
+    while layer:
+        sources = {}  # target weight -> [(F_i[nu, mu] @ B_mu, ||F_i[nu, mu]||_F), ...]
+        for mu, B in layer.items():
+            for i in range(1, T.N):
+                nu = tuple(w - a for w, a in zip(mu, simple_root(i, T.N).coords))
+                if nu in blocks:
+                    F = T.F[i][np.ix_(blocks[nu], blocks[mu])]
+                    sources.setdefault(nu, []).append((F @ B, np.linalg.norm(F)))
+        next_layer = {}
+        for nu, parts in sources.items():
+            U, s, _ = np.linalg.svd(np.hstack([c for c, _ in parts]), full_matrices=False)
+            r = certified_rank(s, max(f for _, f in parts), tol)
+            if r:
+                next_layer[nu] = decomp._fix_signs(U[:, :r])
+        found.extend(next_layer.items())
+        layer = next_layer
+    Q = np.zeros((T.dim, sum(B.shape[1] for _, B in found)))
+    Q[:, 0] = seed
+    j = 1
+    for nu, B in found[1:]:
+        Q[blocks[nu], j:j + B.shape[1]] = B
+        j += B.shape[1]
+    return Q
+
+
+def _top_seed(T):
+    seed = np.zeros(T.dim)
+    seed[0] = 1.0
+    return seed
+
+
+@pytest.mark.parametrize("coords, q, M", [((1,), 2.0, 12), ((1, 0), 1.5, 10),
+                                          ((1, 0, 0), 1.0, 6)])
+def test_orbit_matches_the_per_block_reference(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for n in range(1, M):
+        ref = _per_block_orbit(ch.tensor(n), _top_seed(ch.tensor(n)))
+        W = ch.w[n].to_dense()
+        assert W.shape == ref.shape
+        assert np.max(np.abs(W - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("coords, q, M", [((1, 1), 1.0, 5), ((1, 1), 1.5, 7)])
+def test_orbit_spans_the_per_block_reference_with_multiplicities(chains, coords, q, M):
+    # blocks of multiplicity > 1 may rotate, so compare the projectors Q Q^T;
+    # both isometries are weight-graded, so only the diagonal blocks are nonzero
+    ch = chains(coords, q, M)
+    for n in range(1, M):
+        T = ch.tensor(n)
+        ref = _per_block_orbit(T, _top_seed(T))
+        W = ch.w[n].to_dense()
+        assert W.shape == ref.shape == (T.dim, weyl_dim(ch.lam * (n + 1)))
+        for idx in T.weight_blocks().values():
+            assert np.max(np.abs(W[idx] @ W[idx].T - ref[idx] @ ref[idx].T)) <= 1e-12
+        assert repn.check_module(ch.levels[n + 1], DEFAULT_TOL)["max"] <= 1e-9
+
+
+def _leading_entries(W):
+    """Per column, the first entry above 1e-12 times the column's largest."""
+    mag = np.abs(W)
+    return W[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(W.shape[1])]
+
+
+@pytest.mark.parametrize("coords, q, M", [((1,), 2.0, 12), ((1, 0), 1.5, 10),
+                                          ((1, 0, 0), 1.0, 6), ((1, 1), 1.0, 5),
+                                          ((1, 1), 1.5, 7)])
+def test_every_isometry_column_leads_with_a_positive_entry(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for n in range(1, M):
+        assert (_leading_entries(ch.w[n].to_dense()) > 0).all()
+
+
+@pytest.mark.parametrize("coords, q, n", [((1,), 2.0, 5), ((1, 1), 1.5, 3)])
+def test_negated_seed_stays_column_zero_exactly(chains, coords, q, n):
+    # a seed that is not a basis vector: the highest weight vector of the
+    # second component of V_lam (x) V_{n lam}
+    T = chains(coords, q, n + 1).tensor(n)
+    seed = 3.0 * decomp.highest_weight_space(T).components[1][1][:, 0]
+    _, Q = decomp.generate_submodule(T, -seed)
+    W = Q.to_dense()
+    assert np.array_equal(W[:, 0], -seed / np.linalg.norm(seed))
+    assert _leading_entries(W)[0] < 0 and (_leading_entries(W)[1:] > 0).all()
+    Wp = decomp.generate_submodule(T, seed)[1].to_dense()
+    assert np.max(np.abs(W @ W.T - Wp @ Wp.T)) <= 1e-12
+
+
+def test_orbit_takes_no_block_sign_fix_and_no_one_column_svd(chains, monkeypatch):
+    T = chains((1, 1), 1.5, 4).tensor(3)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def no_sign_fix(cols):
+        raise AssertionError("per-block sign fix")
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(decomp, "_fix_signs", no_sign_fix)
+    sub, _ = decomp.generate_submodule(T, _top_seed(T))
+    assert sub.dim == weyl_dim(Weight((4, 4)))
+    assert shapes and all(s[1] > 1 for s in shapes)
