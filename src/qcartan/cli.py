@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qcore import Weight
+from .qcore import Weight, check_q
 from .numerics import (AmbiguousRank, DEFAULT_TOL, InvariantViolation,
                        ToleranceProfile)
 from .repn import QModule, SparseMatrix, check_module
@@ -136,19 +136,19 @@ def _parse_format(s: str) -> str:
     return s
 
 
-# config key -> (RunConfig field, parser)
+# config key -> (RunConfig field, parser, command-line flag or None)
 CONFIG_KEYS = {
-    "N": ("N", _parse_int),
-    "q": ("q", _parse_float_list),
-    "lambda": ("lam", _parse_int_list),
-    "max_level": ("max_level", _parse_int),
-    "outdir": ("outdir", str),
-    "cache_dir": ("cache_dir", str),
-    "format": ("fmt", _parse_format),
-    "max_entry": ("max_entry", _parse_int),
-    "nullspace_rel_tol": ("nullspace_rel_tol", _parse_float),
-    "gap_ratio_min": ("gap_ratio_min", _parse_float),
-    "identity_tol": ("identity_tol", _parse_float),
+    "N": ("N", _parse_int, "--N"),
+    "q": ("q", _parse_float_list, "--q"),
+    "lambda": ("lam", _parse_int_list, "--lambda"),
+    "max_level": ("max_level", _parse_int, "--max-level"),
+    "outdir": ("outdir", str, "--out"),
+    "cache_dir": ("cache_dir", str, None),
+    "format": ("fmt", _parse_format, "--format"),
+    "max_entry": ("max_entry", _parse_int, None),
+    "nullspace_rel_tol": ("nullspace_rel_tol", _parse_float, None),
+    "gap_ratio_min": ("gap_ratio_min", _parse_float, None),
+    "identity_tol": ("identity_tol", _parse_float, None),
 }
 
 
@@ -170,7 +170,7 @@ def parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        name, parser = CONFIG_KEYS[key]
+        name, parser, _ = CONFIG_KEYS[key]
         updates[name] = parser(value)
     return updates
 
@@ -186,12 +186,9 @@ def build_config(argv: list) -> RunConfig:
     for name in ("scan", "cg", "qda", "star", "cache"):
         p = sub.add_parser(name, add_help=True)
         p.add_argument("--config", default=None)
-        p.add_argument("--N", default=None)
-        p.add_argument("--q", default=None)
-        p.add_argument("--lambda", dest="lam", default=None)
-        p.add_argument("--max-level", dest="max_level", default=None)
-        p.add_argument("--out", dest="outdir", default=None)
-        p.add_argument("--format", dest="fmt", default=None)
+        for name, _, flag in CONFIG_KEYS.values():
+            if flag:
+                p.add_argument(flag, dest=name, default=None)
     args = parser.parse_args(argv)
     if args.command is None:
         raise ConfigError("missing subcommand (scan|cg|qda|star|cache)")
@@ -199,14 +196,10 @@ def build_config(argv: list) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config is not None:
         cfg = replace(cfg, **parse_config_file(args.config))
-    flag_parsers = {"N": _parse_int, "q": _parse_float_list,
-                    "lam": _parse_int_list, "max_level": _parse_int,
-                    "outdir": str, "fmt": _parse_format}
     overrides = {}
-    for name, parse in flag_parsers.items():
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = parse(value)
+    for name, parse, flag in CONFIG_KEYS.values():
+        if flag and getattr(args, name) is not None:
+            overrides[name] = parse(getattr(args, name))
     cfg = replace(cfg, **overrides)
     env_cache = os.environ.get(CACHE_ENV_VAR)
     if env_cache:
@@ -562,24 +555,30 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
     if bytes(buf[:8]) != CACHE_MAGIC:
         raise InvariantViolation(f"{path}: not a chain cache file")
     off = 8
-    version, N, M = struct.unpack_from("<III", buf, off)
-    off += 12
+
+    def take(fmt: str) -> tuple:
+        # the header precedes the body checksum: check its length first
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(blob):
+            raise InvariantViolation(f"{path}: cache header truncated")
+        off += size
+        return struct.unpack_from(fmt, buf, off - size)
+
+    version, N, M = take("<III")
     if version != CACHE_VERSION:
         raise InvariantViolation(f"{path}: unsupported cache version {version}")
-    (qlen,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    q = float(bytes(buf[off:off + qlen]).decode("ascii"))
-    off += qlen
-    (rank,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    coords = struct.unpack_from(f"<{rank}q", buf, off)
-    off += 8 * rank
-    (nlevels,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    dims = struct.unpack_from(f"<{nlevels}Q", buf, off)
-    off += 8 * nlevels
-    count, body_crc = struct.unpack_from("<II", buf, off)
-    off += 8
+    (qlen,) = take("<H")
+    (qstr,) = take(f"<{qlen}s")
+    try:
+        q = check_q(qstr.decode("ascii"))
+    except (UnicodeDecodeError, ValueError):
+        raise InvariantViolation(f"{path}: unreadable q {qstr!r} in the cache header")
+    (rank,) = take("<I")
+    coords = take(f"<{rank}q")
+    (nlevels,) = take("<I")
+    dims = take(f"<{nlevels}Q")
+    count, body_crc = take("<II")
     if rank != N - 1 or nlevels != M + 1:
         raise InvariantViolation(f"{path}: inconsistent cache header")
     if zlib.crc32(blob[off:]) != body_crc:

@@ -4,7 +4,9 @@ fusion multiplicities (checked against the Brauer-Klimyk count).
 All kernels are computed weight-block by weight-block (never on the whole
 space): the stacked generator matrix restricted to a block is small, and the
 rank certificates are much sharper there.  Blocks of the same shape share
-one batched SVD, but each keeps its own rank certificate.
+one batched SVD, but each keeps its own rank certificate.  The blocks come
+from the one weight-block layout of the package (repn._generator_stacks over
+QModule.column_side); this module maps no weight to a block itself.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 from . import repn
 from .numerics import (AmbiguousRank, DEFAULT_TOL, InvariantViolation,
                        ToleranceProfile, certified_rank, nullspace)
-from .qcore import Weight, simple_root, tensor_components, weyl_dim
+from .qcore import Weight, tensor_components, weyl_dim
 
 __all__ = [
     "HighestWeightReport",
@@ -57,83 +59,35 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
     return np.where(cols[first, np.arange(cols.shape[1])] < 0, -cols, cols)
 
 
-def _target_blocks(V, sgn: int) -> tuple:
-    """Per generator i, the block number of wt + sgn * alpha_i for every
-    weight block (numbered as in V.weight_blocks()), or -1 if V has none.
-
-    The weights are coded as integers whose digits, in a radix above twice
-    the largest shifted coordinate, are the coordinates with the last one
-    leading; weight_blocks() lists the blocks in that lexicographic order,
-    so the codes ascend and each generator takes one searchsorted.
-    """
-    wts = np.array(list(V.weight_blocks()), dtype=np.int64).reshape(-1, V.N - 1)
-    radix = (2 * int(np.abs(wts).max(initial=0)) + 5) ** np.arange(V.N - 1, dtype=np.int64)
-    keys = wts @ radix
-    out = []
-    for i in range(1, V.N):
-        want = keys + sgn * int(simple_root(i, V.N).as_array() @ radix)
-        k = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        out.append(np.where(keys[k] == want, k, -1).astype(np.intp))
-    return tuple(out)
-
-
 def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:
     """Joint kernel of the E_i (raising) or F_i, one weight block at a time.
 
     The generator block of weight nu stacks E_i[nu + alpha_i, nu] (or
-    F_i[nu - alpha_i, nu]) over i.  Blocks whose stacks have the same shape
-    are ranked by one nullspace call; the generator triplets are scattered
-    straight into the stacks.
+    F_i[nu - alpha_i, nu]) over i (repn._generator_stacks).  Blocks whose
+    stacks have the same shape are ranked by one nullspace call, highest
+    weight first; a block that no E_i (F_i) leaves is its own kernel.
     """
-    mats = V.E if raising else V.F
-    blocks = V.weight_blocks()
-    block, place = V.block_index()
-    size = np.array([ix.size for ix in blocks.values()], dtype=np.intp)
-    targets = _target_blocks(V, 1 if raising else -1)
-    # stacked rows of block k: the target blocks of E_1, E_2, ... in turn
-    heights = np.stack([np.where(t >= 0, size[t], 0) for t in targets])
-    row_off = np.cumsum(heights, axis=0) - heights
-    height = heights.sum(axis=0)
-    wts = list(blocks)
-    order = sorted(range(len(wts)), key=wts.__getitem__, reverse=True)
-
-    groups = {}   # shape of the stacked block -> block numbers, highest first
-    for k in order:
-        groups.setdefault((int(height[k]), int(size[k])), []).append(k)
-    start = np.empty(len(blocks), dtype=np.intp)   # flat offset of each stack
-    flat = 0
-    for (m, n), ks in groups.items():
-        start[ks] = flat + m * n * np.arange(len(ks))
-        flat += m * n * len(ks)
-    buf = np.zeros(flat)
-    for t, off, X in zip(targets, row_off, (mats[i] for i in range(1, V.N))):
-        k = block[X.cols]
-        ok = block[X.rows] == t[k]    # entries off the weight grading are not part of it
-        k = k[ok]
-        buf[start[k] + (off[k] + place[X.rows[ok]]) * size[k] + place[X.cols[ok]]] = X.vals[ok]
-
+    kind = "highest" if raising else "lowest"
+    cs = V.column_side()   # weight blocks, highest first
+    _, stacks = repn._generator_stacks(V, 1 if raising else -1, f"{kind} weight space")
     kernels = {}
-    for (m, n), ks in groups.items():
-        stack = buf[start[ks[0]]:start[ks[0]] + m * n * len(ks)].reshape(len(ks), m, n)
+    for ks, stack in stacks:
         try:
             K = nullspace(stack, tol)
         except AmbiguousRank as exc:
-            exc.args = (f"{'highest' if raising else 'lowest'} weight space, "
-                        f"weight block {Weight(wts[ks[exc.index]])}: {exc}",)
+            exc.args = (f"{kind} weight space, weight block "
+                        f"{V.weight_of(cs.corder[cs.cstart[ks[exc.index]]])}: {exc}",)
             raise
-        kernels.update(zip(ks, K))
+        kernels.update(zip(ks.tolist(), K))
 
     components = []
-    total = 0
-    for k in order:
-        K = kernels[k]
-        if K.shape[1] == 0:
-            continue
-        cols = np.zeros((V.dim, K.shape[1]))
-        cols[blocks[wts[k]], :] = _fix_signs(K)   # block rows ascend: same first entry
-        components.append((Weight(wts[k]), cols))
-        total += K.shape[1]
-    report = HighestWeightReport(components, total)
+    for k, m in enumerate(cs.counts.tolist()):
+        K = kernels[k] if k in kernels else np.eye(m)
+        if K.shape[1]:
+            cols = np.zeros((V.dim, K.shape[1]))
+            cols[cs.members(k), :] = _fix_signs(K)   # block rows ascend: same first entry
+            components.append((V.weight_of(cs.corder[cs.cstart[k]]), cols))
+    report = HighestWeightReport(components, sum(cols.shape[1] for _, cols in components))
     _check_completeness(V, report, raising)
     return report
 
@@ -145,19 +99,13 @@ def _check_completeness(V, report: HighestWeightReport, raising: bool):
     # the module exactly.
     s = 0
     for w, cols in report.components:
-        if raising:
-            if not w.is_dominant:
-                raise InvariantViolation(f"extreme vector at non-dominant weight {w}")
-            dom = w
-        else:
-            dom = Weight(tuple(-c for c in reversed(w.coords)))
-            if not dom.is_dominant:
-                raise InvariantViolation(f"extreme vector at non-anti-dominant weight {w}")
+        dom = w if raising else Weight(tuple(-c for c in reversed(w.coords)))
+        if not dom.is_dominant:
+            raise InvariantViolation(
+                f"extreme vector at non-{'' if raising else 'anti-'}dominant weight {w}")
         s += cols.shape[1] * weyl_dim(dom)
     if s != V.dim:
-        raise InvariantViolation(
-            f"isotypic dimensions sum to {s}, module has dim {V.dim}"
-        )
+        raise InvariantViolation(f"isotypic dimensions sum to {s}, module has dim {V.dim}")
 
 
 def highest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeightReport:
@@ -182,13 +130,11 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     also holds weights outside the submodule whose candidates are pure
     rounding noise, and ||F_i||_F over the whole module grows like q^n.  A
     one-column candidate c takes no SVD: its singular value is ||c||, its
-    basis c / ||c||.  The projected module must pass check_module before it
-    is returned.  Q is the isometric intertwiner from the submodule into V,
-    a repn.SparseMatrix.
-
-    The blocks F_i[nu, mu] come from one scatter of the triplets of each
-    F_i; Q is assembled from the orbit blocks B_nu with one sign fix, and
-    the generators of the submodule are Q^T (E_i Q).
+    basis c / ||c||.  The blocks F_i[nu, mu] are row segments of the stacks
+    of [F_1; F_2; ...] in the weight-block layout of V.  Q, the isometric
+    intertwiner from the submodule into V (a repn.SparseMatrix), is
+    assembled from the orbit blocks B_nu with one sign fix; the generators
+    Q^T (E_i Q) of the submodule must pass check_module.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
@@ -207,34 +153,38 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
         raise ValueError(f"seed weight {hw} is not dominant")
     expected = weyl_dim(hw)
 
-    blocks = V.weight_blocks()
-    keys = list(blocks)
-    block, place = V.block_index()
-    size = np.array([ix.size for ix in blocks.values()], dtype=np.intp)
-    # Each F_i is scattered once into its dense blocks F_i[mu - alpha_i, mu],
-    # row-major in one flat buffer per generator; F_i maps block mu into that
-    # one block, so ||F_i[mu - alpha_i, mu]||_F^2 sums over the columns of mu.
-    moves = [[] for _ in keys]  # per block mu: (target block, F_i block, its norm)
-    for t, X in zip(_target_blocks(V, -1), (V.F[i] for i in range(1, V.N))):
-        src = block[X.cols]
-        ok = block[X.rows] == t[src]
-        k = src[ok]
-        area = np.where(t >= 0, size[t] * size, 0)
-        start = np.cumsum(area) - area
-        buf = np.zeros(int(area.sum()))
-        buf[start[k] + place[X.rows[ok]] * size[k] + place[X.cols[ok]]] = X.vals[ok]
-        norm = np.sqrt(np.bincount(k, weights=X.vals[ok] ** 2, minlength=len(keys)))
-        for mu, (nu, a, m, n, f) in enumerate(zip(t.tolist(), start.tolist(), size[t].tolist(),
-                                                 size.tolist(), norm.tolist())):
-            if nu >= 0:
-                moves[mu].append((nu, buf[a:a + m * n].reshape(m, n), f))
+    cs = V.column_side()
+    nb, block = cs.keys.size, cs.block_of()
+    # The moves out of block mu are the row segments F_i[mu - alpha_i, mu]
+    # of its stack, read when mu is reached; F_i maps mu into one block, so
+    # ||F_i[mu - alpha_i, mu]||_F^2 sums over the columns of mu.
+    lay, stacks = repn._generator_stacks(V, -1, f"orbit of highest weight {hw}")
+    group, slot = np.zeros((2, nb), dtype=np.intp)
+    for g, (ks, _) in enumerate(stacks):
+        group[ks], slot[ks] = g, np.arange(ks.size)
+    group, slot = group.tolist(), slot.tolist()
+    segs = []  # per F_i, per source block: target block (-1: none), stack rows, norm
+    first = np.zeros(nb, dtype=np.intp)
+    for x in range(V.N - 1):
+        X, src = V.F[x + 1], lay.block[x * V.dim:(x + 1) * V.dim]
+        hit = src >= 0
+        target = np.full(nb, -1, dtype=np.intp)
+        target[src[hit]] = block[hit]
+        last = first + np.bincount(src[hit], minlength=nb)
+        norm = np.sqrt(np.bincount(block[X.cols], weights=X.vals ** 2, minlength=nb))
+        segs.append((target.tolist(), first.tolist(), last.tolist(), norm.tolist()))
+        first = last
 
-    layer = {int(block[support[0]]): seed[blocks[hw.coords], None]}
+    def moves(mu):  # (target block, F_i block, its norm) per F_i that leaves mu
+        return [(t[mu], stacks[group[mu]][1][slot[mu], a[mu]:b[mu]], f[mu])
+                for t, a, b, f in segs if t[mu] >= 0]
+
+    layer = {int(block[support[0]]): seed[cs.members(block[support[0]]), None]}
     found = list(layer.items())  # (block number, orthonormal block columns)
     while layer:
         cands, scale = {}, {}  # target block -> candidate blocks, local scale
         for mu, B in layer.items():
-            for nu, F, f in moves[mu]:
+            for nu, F, f in moves(mu):
                 cands.setdefault(nu, []).append(F @ B)
                 scale[nu] = max(scale.get(nu, 0.0), f)
         next_layer = {}
@@ -249,7 +199,7 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
                 r = certified_rank(s, scale[nu], tol)
             except AmbiguousRank as exc:
                 exc.args = (f"orbit of highest weight {hw}, weight block "
-                            f"{Weight(keys[nu])}: {exc}",)
+                            f"{V.weight_of(cs.corder[cs.cstart[nu]])}: {exc}",)
                 raise
             if r:
                 next_layer[nu] = cand / s if one else U[:, :r]
@@ -267,7 +217,7 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     # the blocks list Q^T in canonical order, so only Q = (Q^T)^T sorts.
     nz = np.flatnonzero(seed)
     Bs = [seed[nz, None]] + [B for _, B in found[1:]]
-    rows_of = [r for r, B in zip([nz] + [blocks[keys[nu]] for nu, _ in found[1:]], Bs)
+    rows_of = [r for r, B in zip([nz] + [cs.members(nu) for nu, _ in found[1:]], Bs)
                for _ in range(B.shape[1])]
     rows = np.concatenate(rows_of)
     cols = np.repeat(np.arange(expected), [r.size for r in rows_of])
@@ -284,7 +234,7 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     flip[0] = False  # column 0 stays the seed exactly
     vals = np.where(flip[cols], -vals, vals)
     Q = repn.SparseMatrix._canonical((expected, V.dim), cols, rows, vals).T
-    wmat = np.repeat(np.array([keys[nu] for nu, _ in found], dtype=np.int64),
+    wmat = np.repeat(V.weights[cs.corder[cs.cstart[[nu for nu, _ in found]]]],
                      [B.shape[1] for B in Bs], axis=0)
     E = {i: Q.T @ (V.E[i] @ Q) for i in range(1, V.N)}
     F = {i: Q.T @ (V.F[i] @ Q) for i in range(1, V.N)}

@@ -15,14 +15,23 @@ The tensor product uses the coproduct
 
 Generators are SparseMatrix triplets: a tensor generator has one nonzero
 per basis vector and factor generator entry, so more than 99.9 % of its
-dense entries would be exact zeros.
+dense entries would be exact zeros.  Every weight-graded matrix of the
+package is read through one weight-block layout (_graded_layout): the
+triplets are summed into a flat row-major buffer of the weight blocks, an
+entry off the blocks refused, and the blocks of one shape are gathered into
+one stack.  A module caches its blocks as the column side of the layouts
+(QModule.column_side); decomp ranks and closes its stacked generators there
+(_generator_stacks), and sps sums its isometry compositions there.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .numerics import InvariantViolation, ToleranceProfile, DEFAULT_TOL
-from .qcore import Weight, check_q, q_int, simple_root
+from .qcore import Weight, cartan_matrix, check_q, q_int, simple_root
 
 __all__ = [
     "SparseMatrix",
@@ -175,14 +184,20 @@ def _join(keys: np.ndarray, S: SparseMatrix) -> tuple:
     return a, b
 
 
+def _first_of_runs(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of key starts."""
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
 def _sum_duplicates(key: np.ndarray, vals: np.ndarray) -> tuple:
     """Sorted distinct keys and the sums of their values, each sum taken in
     the order the values are given."""
     order = np.argsort(key, kind="stable")
     key, vals = key[order], vals[order]
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _first_of_runs(key)
     if first.all():
         return key, vals
     return key[first], np.bincount(np.cumsum(first) - 1, weights=vals)
@@ -190,6 +205,168 @@ def _sum_duplicates(key: np.ndarray, vals: np.ndarray) -> tuple:
 
 def _as_sparse(A) -> SparseMatrix:
     return A if isinstance(A, SparseMatrix) else SparseMatrix.from_dense(A)
+
+
+# -- the weight-block layout ------------------------------------------------
+
+
+def _radix(bound: int, r: int) -> np.ndarray:
+    """c with wt -> wt @ c injective on weights of r coordinates of size at most
+    bound, and ascending as the weights descend: blocks go highest first."""
+    return -(2 * int(bound) + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """Column side of the weight-block layouts of one set of column keys;
+    see _columns."""
+
+    keys: np.ndarray     # distinct column keys, ascending: block b has keys[b]
+    counts: np.ndarray   # columns of each block
+    corder: np.ndarray   # columns grouped by block, ascending in each
+    cstart: np.ndarray   # offset of each block in corder
+    ccode: np.ndarray    # place in its block - block * 2^32, per column
+
+    def members(self, b: int) -> np.ndarray:
+        """The columns of block b, ascending."""
+        return self.corder[self.cstart[b]:self.cstart[b] + self.counts[b]]
+
+    def block_of(self) -> np.ndarray:
+        """The block of every column."""
+        return -(self.ccode >> 32)
+
+
+def _columns(cols: np.ndarray) -> _Columns:
+    """Column side of a weight-block layout whose column weights have the
+    integer keys cols: blocks numbered by ascending key, each holding its
+    columns in ascending order.  It depends on the columns alone, so it is
+    built once per domain (QModule.column_side, sps.CartanChain._column_side).
+    """
+    corder = cols.argsort(kind="stable")
+    new = _first_of_runs(cols[corder])
+    cstart = new.nonzero()[0]
+    block = new.cumsum() - 1   # block of each column, in the order corder
+    ccode = np.empty(cols.size, dtype=np.int64)
+    ccode[corder] = np.arange(cols.size) - cstart[block] - (block << 32)
+    return _Columns(cols[corder[cstart]], np.bincount(block), corder, cstart, ccode)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Flat buffer of the weight blocks of a matrix; see _graded_layout."""
+
+    block: np.ndarray    # block of each row, -1 if no column has its key
+    start: np.ndarray    # offset of each row's segment
+    width: np.ndarray    # length of each row's segment: its block's width
+    corder: np.ndarray   # columns grouped by block, ascending in each
+    cstart: np.ndarray   # offset of each block in corder
+    rcode: np.ndarray    # block * 2^32 + start, per row
+    ccode: np.ndarray    # place in its block - block * 2^32, per column
+    size: int
+
+
+def _graded_layout(rows: np.ndarray, cs: _Columns) -> _Layout:
+    """Layout of the weight blocks of a matrix whose row weights have the
+    integer keys rows and whose columns have the column side cs.
+
+    The rows are mapped to the blocks by one searchsorted against cs.keys.
+    Row r owns the segment start[r]:start[r] + width[r] of a flat buffer,
+    one place per column of its block, so the buffer read in order is
+    row-major and its nonzero entries are canonical triplets.
+    rcode[r] + ccode[c] lies in [0, 2^32) exactly when (r, c) joins equal
+    keys, and is then the place of the entry in the buffer (buffers stay far
+    below 2^32 entries).
+    """
+    block = cs.keys.searchsorted(rows)
+    np.minimum(block, cs.keys.size - 1, out=block)
+    hit = cs.keys[block] == rows
+    block[~hit] = -1
+    width = np.where(hit, cs.counts[block], 0)
+    start = width.cumsum() - width
+    return _Layout(block, start, width, cs.corder, cs.cstart,
+                   (block.astype(np.int64) << 32) + start, cs.ccode, int(width.sum()))
+
+
+def _graded_positions(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
+    """Buffer positions of the triplets; raises InvariantViolation unless
+    every triplet joins a row and a column of the same key."""
+    pos = lay.rcode[rows] + lay.ccode[cols]
+    off = (pos >> 32) != 0
+    if off.any():
+        raise InvariantViolation(
+            f"{what}: entry {np.max(np.abs(vals[off])):.3e} off the weight blocks")
+    return pos
+
+
+def _graded_sum(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
+    """The triplets summed into the buffer of lay, each position in the
+    order the triplets are given (a stable sort and a bincount would sum
+    them in the same order)."""
+    return np.bincount(_graded_positions(lay, rows, cols, vals, what), weights=vals,
+                       minlength=lay.size)
+
+
+def _graded_matrix(buf: np.ndarray, lay: _Layout, shape) -> SparseMatrix:
+    """The nonzero entries of the buffer as canonical triplets, without a sort."""
+    pos = np.flatnonzero(buf)
+    r = np.searchsorted(lay.start, pos, "right") - 1
+    c = lay.corder[lay.cstart[lay.block[r]] + pos - lay.start[r]]
+    return SparseMatrix._canonical(tuple(shape), r, c, buf[pos])
+
+
+def _graded_stacks(lay: _Layout, rows: np.ndarray) -> list:
+    """Buffer positions of the weight blocks holding the given layout rows
+    (all rows of each), stacked by shape: [(ks, pos)] per shape h x m, in
+    the order the shapes first occur by block number, with the blocks ks of
+    that shape ascending and the positions pos (len(ks), h, m) of their
+    entries, rows and columns ascending."""
+    if not rows.size:
+        return []
+    rows = rows[lay.block[rows].argsort(kind="stable")]
+    blk = lay.block[rows]
+    first = _first_of_runs(blk).nonzero()[0]   # the first row of each block
+    h = np.bincount(blk)[blk[first]]
+    groups = {}
+    for j, shape in enumerate(zip(h.tolist(), lay.width[rows[first]].tolist())):
+        groups.setdefault(shape, []).append(j)
+    js = np.fromiter(chain.from_iterable(groups.values()), dtype=np.intp, count=first.size)
+    # the rows of the blocks js in turn, then the buffer segment of each row
+    hj = h[js]
+    end = hj.cumsum()
+    r = rows[(first[js] - end + hj).repeat(hj) + np.arange(rows.size)]
+    w = lay.width[r]
+    end = w.cumsum()
+    pos = (lay.start[r] - end + w).repeat(w) + np.arange(end[-1])
+    ks = blk[first[js]]
+    out, a, b = [], 0, 0
+    for (hg, mg), g in groups.items():
+        n = len(g) * hg * mg
+        out.append((ks[b:b + len(g)], pos[a:a + n].reshape(len(g), hg, mg)))
+        a, b = a + n, b + len(g)
+    return out
+
+
+def _graded_blocks(buf: np.ndarray, lay: _Layout) -> tuple:
+    """Column norms and block stacks of the weight-graded buffer buf.
+
+    Returns (norms, one, blocks): the column norms, each summed in row
+    order; (rows, cols) of the one-column blocks, one pair per row; and
+    (positions, stacks), both (B, h, m), per shape of the other blocks with
+    rows (_graded_stacks).  A block may be wide, or have no rows at all: its
+    columns are then zero.
+    """
+    r1 = np.flatnonzero(lay.width == 1)
+    c1 = lay.corder[lay.cstart[lay.block[r1]]]
+    v1 = buf[lay.start[r1]]
+    sq = np.bincount(c1, weights=v1 * v1, minlength=lay.ccode.size)
+    blocks = []
+    for ks, pos in _graded_stacks(lay, np.flatnonzero(lay.width > 1)):
+        ci = lay.corder[lay.cstart[ks][:, None] + np.arange(pos.shape[2])]
+        S = buf[pos]
+        sq += np.bincount(np.broadcast_to(ci[:, None, :], S.shape).ravel(),
+                          weights=(S * S).ravel(), minlength=lay.ccode.size)
+        blocks.append((pos, S))
+    return np.sqrt(sq), (r1, c1), blocks
 
 
 class QModule:
@@ -220,7 +397,7 @@ class QModule:
         self.highest_weight = highest_weight
         self.hw_index = hw_index
         self._blocks = None
-        self._block_index = None
+        self._key_radix = None
 
     # -- K action -------------------------------------------------------
     def k_diag(self, i: int, power: int = 1) -> np.ndarray:
@@ -239,32 +416,38 @@ class QModule:
     def weight_of(self, index: int) -> Weight:
         return Weight(tuple(int(c) for c in self.weights[index]))
 
-    def weight_blocks(self) -> dict:
-        """weight tuple -> sorted array of basis indices."""
+    def column_side(self) -> _Columns:
+        """The weight blocks, highest first, as the column side of maps out of
+        the module (cached); wt @ _key_radix also keys weights a root away."""
         if self._blocks is None:
-            # one stable sort groups equal weight rows, indices ascending
-            order = np.lexsort(self.weights.T)
-            w = self.weights[order]
-            cut = (np.flatnonzero(np.any(w[1:] != w[:-1], axis=1)) + 1).tolist()
-            starts = [0] + cut
-            self._blocks = {tuple(w[a].tolist()): order[a:b]
-                            for a, b in zip(starts, cut + [self.dim])}
-            sizes = np.diff(starts + [self.dim])
-            block, place = np.empty(self.dim, np.intp), np.empty(self.dim, np.intp)
-            block[order] = np.repeat(np.arange(sizes.size), sizes)
-            place[order] = np.arange(self.dim) - np.repeat(starts, sizes)
-            self._block_index = (block, place)
+            self._key_radix = _radix(int(np.abs(self.weights).max(initial=0)) + 2, self.N - 1)
+            self._blocks = _columns(self.weights @ self._key_radix)
         return self._blocks
-
-    def block_index(self) -> tuple:
-        """(block, place): basis vector v is entry place[v] of the weight
-        block numbered block[v], in the order of weight_blocks()."""
-        self.weight_blocks()
-        return self._block_index
 
     def __repr__(self):
         hw = f", hw={self.highest_weight}" if self.highest_weight is not None else ""
         return f"QModule(N={self.N}, q={self.q}, dim={self.dim}{hw})"
+
+
+def _generator_stacks(V: QModule, sign: int, what: str) -> tuple:
+    """The stacked generators [X_1; X_2; ...] (X = E for sign 1, F for -1)
+    summed into the weight-block layout of V.column_side().
+
+    Row v of X_i is keyed by wt(v) - sign * alpha_i, the weight X_i maps
+    into it, so block mu stacks X_i[mu + sign * alpha_i, mu] over i in
+    turn; a triplet off the weight grading raises InvariantViolation.
+    Returns (lay, [(ks, stacked blocks (len(ks), h, m))]) for the blocks
+    with rows, grouped by shape as in _graded_stacks.
+    """
+    cs = V.column_side()
+    mats = [(V.E if sign > 0 else V.F)[i] for i in range(1, V.N)]
+    lay = _graded_layout((V.weights @ V._key_radix - sign * (cartan_matrix(V.N) @ V._key_radix)
+                          [:, None]).ravel(), cs)
+    buf = _graded_sum(lay, np.concatenate([X.rows + x * V.dim for x, X in enumerate(mats)]),
+                      np.concatenate([X.cols for X in mats]),
+                      np.concatenate([X.vals for X in mats]), what)
+    stacks = _graded_stacks(lay, np.flatnonzero(lay.block >= 0))
+    return lay, [(ks, buf[pos]) for ks, pos in stacks]
 
 
 def trivial_module(N: int, q: float) -> QModule:

@@ -16,13 +16,9 @@ re-orthonormalizing once with a polar factor per weight block (columns
 grouped by the weights of V_{(k+l)lam}, rows by the summed weights of the two
 factors), so no w_{k,l} has a triplet off its weight blocks.  A factor
 W (x) 1 or 1 (x) W is applied as one join of the triplets through the row
-pointers of W^T (repn._join), never as a Kronecker product.  The joined
-triplets are not sorted: each one is checked to lie inside the weight blocks
-and summed straight into a flat buffer of the blocks (_graded_layout), whose
-nonzero entries are already canonical triplets.  A layout has a column side
-(_columns: the blocks, and each column's place in its block), which depends
-on the domain alone, and a row mapping, one searchsorted of the row weight
-keys against the block keys.  A chain builds the column side once per
+pointers of W^T (repn._join), never as a Kronecker product, and the joined
+triplets are summed unsorted into the weight-block layout of repn
+(_graded_layout).  A chain builds the column side of a layout once per
 domain factor tuple (CartanChain._column_side): (t,) for every pair
 isometry and coassociativity triple of total t, (1, n) for the scan and the
 f-estimate.  Coassociativity is certified numerically rather than assumed:
@@ -44,6 +40,8 @@ from . import decomp, repn
 from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from .qcore import Weight, fundamental_weight, pairing
+from .repn import (_Columns, _Layout, _columns, _graded_blocks, _graded_layout,
+                   _graded_matrix, _graded_positions, _graded_sum)
 
 __all__ = [
     "CartanChain",
@@ -84,136 +82,6 @@ def _apply_right(WT: repn.SparseMatrix, X, dleft: int) -> tuple:
     x, y = repn._join(j, WT)
     return ((dleft * p, X.shape[1]), a[x] * p + WT.cols[y], X.cols[x],
             WT.vals[y] * X.vals[x])
-
-
-def _weight_radix(levels) -> np.ndarray:
-    """c with wt -> wt @ c injective on sums of up to three level weights."""
-    span = 6 * max(int(np.abs(lv.weights).max(initial=0)) for lv in levels) + 1
-    return span ** np.arange(levels[0].weights.shape[1], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class _Columns:
-    """Column side of the weight-block layouts of one set of column keys;
-    see _columns."""
-
-    keys: np.ndarray     # distinct column keys, ascending: block b has keys[b]
-    counts: np.ndarray   # columns of each block
-    corder: np.ndarray   # columns grouped by block, ascending in each
-    cstart: np.ndarray   # offset of each block in corder
-    ccode: np.ndarray    # place in its block - block * 2^32, per column
-
-
-def _columns(cols: np.ndarray) -> _Columns:
-    """Column side of a weight-block layout whose column weights have the
-    integer keys cols: blocks numbered by ascending key, block b holding the
-    columns corder[cstart[b]:cstart[b + 1]] in ascending order.  It depends
-    on the columns alone, so a chain builds it once per factor tuple
-    (CartanChain._column_side) and every matrix with those columns reuses it.
-    """
-    keys, inv, m = np.unique(cols, return_inverse=True, return_counts=True)
-    corder = np.argsort(inv, kind="stable")
-    cstart = np.cumsum(m) - m
-    ccode = np.empty(cols.size, dtype=np.int64)
-    ccode[corder] = np.arange(cols.size) - cstart[inv[corder]]
-    ccode -= inv.astype(np.int64) << 32
-    return _Columns(keys, m, corder, cstart, ccode)
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """Flat buffer of the weight blocks of a matrix; see _graded_layout."""
-
-    block: np.ndarray    # block of each row, -1 if no column has its key
-    start: np.ndarray    # offset of each row's segment
-    width: np.ndarray    # length of each row's segment: its block's width
-    corder: np.ndarray   # columns grouped by block, ascending in each
-    cstart: np.ndarray   # offset of each block in corder
-    rcode: np.ndarray    # block * 2^32 + start, per row
-    ccode: np.ndarray    # place in its block - block * 2^32, per column
-    size: int
-
-
-def _graded_layout(rows: np.ndarray, cs: _Columns) -> _Layout:
-    """Layout of the weight blocks of a matrix whose row weights have the
-    integer keys rows and whose columns have the column side cs.
-
-    The rows are mapped to the blocks by one searchsorted against cs.keys.
-    Row r owns the segment start[r]:start[r] + width[r] of a flat buffer,
-    one place per column of its block, so the buffer read in order is
-    row-major and its nonzero entries are canonical triplets.
-    rcode[r] + ccode[c] lies in [0, 2^32) exactly when (r, c) joins equal
-    keys, and is then the place of the entry in the buffer (buffers stay far
-    below 2^32 entries).
-    """
-    block = np.searchsorted(cs.keys, rows)
-    np.minimum(block, cs.keys.size - 1, out=block)
-    hit = cs.keys[block] == rows
-    block[~hit] = -1
-    width = np.where(hit, cs.counts[block], 0)
-    start = np.cumsum(width) - width
-    return _Layout(block, start, width, cs.corder, cs.cstart,
-                   (block.astype(np.int64) << 32) + start, cs.ccode, int(width.sum()))
-
-
-def _graded_positions(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
-    """Buffer positions of the triplets; raises InvariantViolation unless
-    every triplet joins a row and a column of the same key."""
-    pos = lay.rcode[rows] + lay.ccode[cols]
-    off = (pos >> 32) != 0
-    if off.any():
-        raise InvariantViolation(
-            f"{what}: entry {np.max(np.abs(vals[off])):.3e} off the weight blocks")
-    return pos
-
-
-def _graded_sum(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
-    """The triplets summed into the buffer of lay, each position in the
-    order the triplets are given (a stable sort and a bincount would sum
-    them in the same order)."""
-    return np.bincount(_graded_positions(lay, rows, cols, vals, what), weights=vals,
-                       minlength=lay.size)
-
-
-def _graded_matrix(buf: np.ndarray, lay: _Layout, shape) -> repn.SparseMatrix:
-    """The nonzero entries of the buffer as canonical triplets, without a sort."""
-    pos = np.flatnonzero(buf)
-    r = np.searchsorted(lay.start, pos, "right") - 1
-    c = lay.corder[lay.cstart[lay.block[r]] + pos - lay.start[r]]
-    return repn.SparseMatrix._canonical(tuple(shape), r, c, buf[pos])
-
-
-def _graded_blocks(buf: np.ndarray, lay: _Layout) -> tuple:
-    """Column norms and block stacks of the weight-graded buffer buf.
-
-    Returns (norms, one, blocks): norms holds the column norms, each summed
-    in row order; one holds (rows, cols) of the one-column blocks, one pair
-    per row; blocks holds (buffer positions (B, h, m), stacked blocks
-    (B, h, m)) for every shape h x m of the blocks with more than one
-    column, the same-shape blocks stacked in key order.  A block may be
-    wide, or have no rows at all: its columns are then zero.
-    """
-    r1 = np.flatnonzero(lay.width == 1)
-    c1 = lay.corder[lay.cstart[lay.block[r1]]]
-    v1 = buf[lay.start[r1]]
-    sq = np.bincount(c1, weights=v1 * v1, minlength=lay.ccode.size)
-    blocks = []
-    rm = np.flatnonzero(lay.width > 1)
-    if rm.size:
-        m = np.diff(np.append(lay.cstart, lay.ccode.size))
-        rm = rm[np.argsort(lay.block[rm], kind="stable")]
-        h = np.bincount(lay.block[rm], minlength=m.size)
-        hstart = np.cumsum(h) - h
-        for shape in sorted(set(zip(h[h > 0].tolist(), m[h > 0].tolist()))):
-            sel = np.flatnonzero((h == shape[0]) & (m == shape[1]))
-            ri = rm[hstart[sel][:, None] + np.arange(shape[0])]
-            ci = lay.corder[lay.cstart[sel][:, None] + np.arange(shape[1])]
-            pos = lay.start[ri][:, :, None] + np.arange(shape[1])
-            S = buf[pos]
-            sq += np.bincount(np.broadcast_to(ci[:, None, :], S.shape).ravel(),
-                              weights=(S * S).ravel(), minlength=lay.ccode.size)
-            blocks.append((pos, S))
-    return np.sqrt(sq), (r1, c1), blocks
 
 
 def _graded_polar(buf: np.ndarray, lay: _Layout, what: str) -> np.ndarray:
@@ -315,11 +183,13 @@ class CartanChain:
             sub, Q = decomp.generate_submodule(T, seed, tol)
             self.levels.append(sub)
             self.w.append(Q)
+        self._start_caches()
 
-        self._radix = _weight_radix(self.levels)
-        self._pair_cache: dict = {}
-        self._lowest_cache: dict = {}
-        self._column_cache: dict = {}
+    def _start_caches(self) -> None:
+        """Empty caches, and a radix keying sums of up to three level weights."""
+        self._radix = repn._radix(
+            3 * max(int(np.abs(lv.weights).max(initial=0)) for lv in self.levels), self.N - 1)
+        self._pair_cache, self._lowest_cache, self._column_cache = {}, {}, {}
 
     @classmethod
     def from_parts(cls, lam: Weight, q: float, M: int, tol: ToleranceProfile,
@@ -347,11 +217,8 @@ class CartanChain:
             want = (dl * levels[n].dim, levels[n + 1].dim)
             if mat.shape != want:
                 raise ValueError(f"isometry {n} has shape {mat.shape}, want {want}")
-        self._radix = _weight_radix(self.levels)
         self._tensors = {}
-        self._pair_cache = {}
-        self._lowest_cache = {}
-        self._column_cache = {}
+        self._start_caches()
         return self
 
     # -- basic accessors ---------------------------------------------------

@@ -278,6 +278,18 @@ def test_cache_rejects_corruption(tmp_path):
     with pytest.raises(InvariantViolation):
         cli.load_chain(str(path))
 
+    # the header precedes the body checksum: a file cut inside it, or a q
+    # string that is not a positive ASCII number, is refused all the same
+    for cut in (8, 12, 20, 22, 24, 30, 40):
+        path.write_bytes(bytes(blob[:cut]))
+        with pytest.raises(InvariantViolation, match="header truncated"):
+            cli.load_chain(str(path))
+    assert bytes(blob[20:25]) == b"\x03\x001.5"   # q length, then the q string
+    for q in (b"\xff.5", b"1,5", b"-.5"):
+        path.write_bytes(bytes(blob[:22]) + q + bytes(blob[25:]))
+        with pytest.raises(InvariantViolation, match="unreadable q"):
+            cli.load_chain(str(path))
+
     versioned = bytearray(blob)
     versioned[8] = 9  # format version field
     path.write_bytes(bytes(versioned))

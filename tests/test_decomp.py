@@ -144,10 +144,35 @@ def test_extreme_space_completeness_guard_fires_on_corrupt_module():
         decomp.lowest_weight_space(bad)
 
 
+def test_a_generator_entry_off_the_weight_grading_raises():
+    # E_1 e3 = e2 and F_1 e2 = e3 would be moves of E_2 and F_2: the stacked
+    # generators refuse them instead of dropping them
+    V = repn.standard_module(3, 1.5)
+    E1, F1 = V.E[1].to_dense(), V.F[1].to_dense()
+    E1[1, 2] = F1[2, 1] = 0.25
+    bad = repn.QModule(3, 1.5, V.weights, {1: E1, 2: V.E[2]}, {1: F1, 2: V.F[2]},
+                       highest_weight=V.highest_weight, hw_index=0)
+    for call, what in ((decomp.highest_weight_space, "highest weight space"),
+                       (decomp.lowest_weight_space, "lowest weight space"),
+                       (lambda M: decomp.generate_submodule(M, M.hw_vector),
+                        r"orbit of highest weight Weight\(1, 0\)")):
+        with pytest.raises(InvariantViolation,
+                           match=f"{what}: entry 2.500e-01 off the weight blocks"):
+            call(bad)
+
+
+def _weight_blocks(V):
+    """Weight tuple -> ascending basis indices, one basis vector at a time."""
+    blocks = {}
+    for idx, row in enumerate(V.weights):
+        blocks.setdefault(tuple(int(c) for c in row), []).append(idx)
+    return {wt: np.array(idx) for wt, idx in blocks.items()}
+
+
 def _per_block_kernels(V, raising):
     """Reference: one np.ix_ gather and one SVD per weight block."""
     mats, sgn = (V.E, 1) if raising else (V.F, -1)
-    blocks = V.weight_blocks()
+    blocks = _weight_blocks(V)
     out = {}
     for wt, idx in blocks.items():
         parts = []
@@ -210,38 +235,12 @@ def test_projected_generators_match_the_dense_projection(chains, coords, q, M):
                 assert np.max(np.abs(got.to_dense() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def _target_blocks_loop(V, sgn):
-    """Reference: the per-block dict lookup of each shifted weight tuple."""
-    blocks = V.weight_blocks()
-    number = {wt: k for k, wt in enumerate(blocks)}
-    return tuple(
-        np.array([number.get(tuple(w + sgn * a for w, a in zip(wt, alpha)), -1)
-                  for wt in blocks], dtype=np.intp)
-        for alpha in (simple_root(i, V.N).coords for i in range(1, V.N)))
-
-
-@pytest.mark.parametrize("coords, q, n", [((1,), 2.0, 9), ((1, 0), 1.5, 6),
-                                          ((1, 1), 1.0, 3), ((1, 0, 0), 1.0, 4),
-                                          ((0, 1, 0), 1.5, 2)])
-def test_target_blocks_match_the_per_block_loop(chains, coords, q, n):
-    ch = chains(coords, q, n + 1)
-    modules = [ch.base, ch.levels[n], repn.tensor(ch.base, ch.levels[n]),
-               repn.contragredient(ch.levels[n]), repn.trivial_module(ch.N, q)]
-    for V in modules:
-        for sgn in (1, -1):
-            got, want = decomp._target_blocks(V, sgn), _target_blocks_loop(V, sgn)
-            assert len(got) == len(want) == V.N - 1
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
-            assert any((w >= 0).any() for w in want) or V.dim == 1
-
-
 def _per_block_orbit(T, seed, tol=DEFAULT_TOL):
     """Reference: the former orbit, one SVD and one sign fix per weight block.
 
     Returns the dense isometry, columns in orbit order, column 0 the seed.
     """
-    blocks = T.weight_blocks()
+    blocks = _weight_blocks(T)
     seed = seed / np.linalg.norm(seed)
     hw = tuple(int(c) for c in T.weights[np.argmax(np.abs(seed))])
     layer = {hw: seed[blocks[hw], None]}
@@ -298,7 +297,7 @@ def test_orbit_spans_the_per_block_reference_with_multiplicities(chains, coords,
         ref = _per_block_orbit(T, _top_seed(T))
         W = ch.w[n].to_dense()
         assert W.shape == ref.shape == (T.dim, weyl_dim(ch.lam * (n + 1)))
-        for idx in T.weight_blocks().values():
+        for idx in _weight_blocks(T).values():
             assert np.max(np.abs(W[idx] @ W[idx].T - ref[idx] @ ref[idx].T)) <= 1e-12
         assert repn.check_module(ch.levels[n + 1], DEFAULT_TOL)["max"] <= 1e-9
 

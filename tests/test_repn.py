@@ -271,18 +271,23 @@ def test_contragredient_is_a_module_with_negated_weights():
 
 
 def test_weight_blocks_match_the_per_vector_loop(builders):
+    """The cached column side holds the weight blocks, ascending basis
+    indices in each, highest weight first."""
     std = repn.standard_module(3, 1.5)
     rho = builders(3, 1.5).module(Weight((1, 1)))
     for V in (repn.trivial_module(3, 1.5), std, rho, repn.tensor(std, rho)):
         want = {}
         for idx, row in enumerate(V.weights):
             want.setdefault(tuple(int(c) for c in row), []).append(idx)
-        got = V.weight_blocks()
-        assert set(got) == set(want)
-        assert all(type(c) is int for key in got for c in key)
-        for key, idx in want.items():
-            assert got[key].dtype == np.intp
-            assert got[key].tolist() == idx
+        cs = V.column_side()
+        assert V.column_side() is cs
+        got = {tuple(V.weights[cs.members(b)[0]].tolist()): cs.members(b).tolist()
+               for b in range(cs.keys.size)}
+        assert got == want
+        assert list(got) == sorted(want, reverse=True)
+        assert np.array_equal(cs.keys, np.unique(cs.keys))
+        for b, idx in enumerate(got.values()):
+            assert (cs.block_of()[idx] == b).all()
 
 
 def test_intertwining_residual_detects_non_intertwiners(intertwining_residual):
