@@ -120,11 +120,13 @@ def _extreme_columns(chain: CartanChain, n: int, raising: bool) -> np.ndarray:
     -reversed(w)); InvariantViolation otherwise.
     """
     T = chain.tensor(n)
+    # Brauer-Klimyk: a highest weight of a component is n lam + wt(V_lam)
+    cand = chain.base.weights + (chain.lam * n).as_array()
     if raising:
-        report = decomp.highest_weight_space(T, chain.tol)
+        report = decomp.highest_weight_space(T, chain.tol, cand)
         got = report.multiplicities
     else:
-        report = decomp.lowest_weight_space(T, chain.tol)
+        report = decomp.lowest_weight_space(T, chain.tol, -cand[:, ::-1])
         got = {Weight(tuple(-c for c in reversed(w.coords))): m
                for w, m in report.multiplicities.items()}
     want = tensor_components(chain.base.weights, chain.lam * n)

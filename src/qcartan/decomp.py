@@ -4,9 +4,13 @@ fusion multiplicities (checked against the Brauer-Klimyk count).
 All kernels are computed weight-block by weight-block (never on the whole
 space): the stacked generator matrix restricted to a block is small, and the
 rank certificates are much sharper there.  Blocks of the same shape share
-one batched SVD, but each keeps its own rank certificate.  The blocks come
+one batched SVD, but each keeps its own rank certificate.  A caller that
+knows the tensor factors names the candidate weights (Brauer-Klimyk: the
+highest weights of V (x) V_mu are mu + wt(V)), and only their blocks are
+ranked; the completeness check certifies the others.  The blocks come
 from the one weight-block layout of the package (repn._generator_stacks over
-QModule.column_side); this module maps no weight to a block itself.
+QModule.column_side, QModule.blocks_at); this module maps no weight to a
+block itself.
 """
 from __future__ import annotations
 
@@ -59,17 +63,23 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
     return np.where(cols[first, np.arange(cols.shape[1])] < 0, -cols, cols)
 
 
-def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:
+def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile,
+                          weights=None) -> HighestWeightReport:
     """Joint kernel of the E_i (raising) or F_i, one weight block at a time.
 
     The generator block of weight nu stacks E_i[nu + alpha_i, nu] (or
     F_i[nu - alpha_i, nu]) over i (repn._generator_stacks).  Blocks whose
     stacks have the same shape are ranked by one nullspace call, highest
-    weight first; a block that no E_i (F_i) leaves is its own kernel.
+    weight first; a block that no E_i (F_i) leaves is its own kernel.  Only
+    the blocks at weights are ranked (every block for None); the others
+    hold no extreme vector by assumption, which _check_completeness
+    certifies.
     """
     kind = "highest" if raising else "lowest"
     cs = V.column_side()   # weight blocks, highest first
-    _, stacks = repn._generator_stacks(V, 1 if raising else -1, f"{kind} weight space")
+    blocks = None if weights is None else V.blocks_at(weights)
+    _, stacks = repn._generator_stacks(V, 1 if raising else -1, f"{kind} weight space",
+                                       blocks)
     kernels = {}
     for ks, stack in stacks:
         try:
@@ -81,8 +91,8 @@ def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile) -> HighestWei
         kernels.update(zip(ks.tolist(), K))
 
     components = []
-    for k, m in enumerate(cs.counts.tolist()):
-        K = kernels[k] if k in kernels else np.eye(m)
+    for k in range(cs.keys.size) if blocks is None else blocks.tolist():
+        K = kernels[k] if k in kernels else np.eye(cs.counts[k])
         if K.shape[1]:
             cols = np.zeros((V.dim, K.shape[1]))
             cols[cs.members(k), :] = _fix_signs(K)   # block rows ascend: same first entry
@@ -96,7 +106,8 @@ def _check_completeness(V, report: HighestWeightReport, raising: bool):
     # Highest-weight vectors sit at dominant weights; lowest-weight vectors at
     # anti-dominant ones (the longest Weyl element negates and reverses the
     # fundamental coordinates).  Either way the isotypic dimensions must tile
-    # the module exactly.
+    # the module exactly: each kernel vector generates a copy of V_kappa, so
+    # a tiling leaves no room for an extreme vector in an unranked block.
     s = 0
     for w, cols in report.components:
         dom = w if raising else Weight(tuple(-c for c in reversed(w.coords)))
@@ -108,14 +119,27 @@ def _check_completeness(V, report: HighestWeightReport, raising: bool):
         raise InvariantViolation(f"isotypic dimensions sum to {s}, module has dim {V.dim}")
 
 
-def highest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeightReport:
-    """Joint kernel of all E_i, grouped by weight."""
-    return _extreme_weight_space(V, raising=True, tol=tol)
+def highest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL,
+                         weights=None) -> HighestWeightReport:
+    """Joint kernel of all E_i, grouped by weight.
+
+    weights, an integer array (k, N - 1), lists the only weights that can
+    hold a highest-weight vector, for instance n lam + wt(V_lam) in
+    V_lam (x) V_{n lam} (Brauer-Klimyk); only those blocks are ranked.  None
+    ranks every block.
+    """
+    return _extreme_weight_space(V, True, tol, weights)
 
 
-def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeightReport:
-    """Joint kernel of all F_i, grouped by weight."""
-    return _extreme_weight_space(V, raising=False, tol=tol)
+def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL,
+                        weights=None) -> HighestWeightReport:
+    """Joint kernel of all F_i, grouped by weight.
+
+    weights, as in highest_weight_space, lists the only weights that can
+    hold a lowest-weight vector: the highest-weight candidates mirrored by
+    w -> -reversed(w).
+    """
+    return _extreme_weight_space(V, False, tol, weights)
 
 
 def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
@@ -260,7 +284,8 @@ def fusion_multiplicities(Vl, Vm, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     Brauer-Klimyk count qcore.tensor_components."""
     if Vl.highest_weight is None or Vm.highest_weight is None:
         raise ValueError("fusion_multiplicities needs simple inputs")
-    mults = highest_weight_space(repn.tensor(Vl, Vm), tol).multiplicities
+    mults = highest_weight_space(repn.tensor(Vl, Vm), tol,
+                                 Vl.weights + Vm.highest_weight.as_array()).multiplicities
     want = tensor_components(Vl.weights, Vm.highest_weight)
     if mults != want:
         raise InvariantViolation(

@@ -124,8 +124,9 @@ def _top_vectors(lam: Weight, q: float, builder, tol: ToleranceProfile):
     V = builder.module(lam)
     if V.hw_index != 0:
         raise InvariantViolation("module must carry its h.w. vector at index 0")
-    T = repn.tensor(repn.standard_module(lam.N, q), V)
-    return V.dim, decomp.highest_weight_space(T, tol)
+    std = repn.standard_module(lam.N, q)
+    return V.dim, decomp.highest_weight_space(repn.tensor(std, V), tol,
+                                              lam.as_array() + std.weights)
 
 
 def _overlap(i: int, target: Weight, top) -> float:

@@ -22,16 +22,19 @@ entry off the blocks refused, and the blocks of one shape are gathered into
 one stack.  A module caches its blocks as the column side of the layouts
 (QModule.column_side); decomp ranks and closes its stacked generators there
 (_generator_stacks), and sps sums its isometry compositions there.
+check_module reads the relations from the generators' dense blocks per
+source weight block of the same column side, in batched products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .numerics import InvariantViolation, ToleranceProfile, DEFAULT_TOL
-from .qcore import Weight, cartan_matrix, check_q, q_int, simple_root
+from .qcore import Weight, cartan_matrix, check_q, q_int
 
 __all__ = [
     "SparseMatrix",
@@ -108,7 +111,7 @@ class SparseMatrix:
     @property
     def T(self) -> "SparseMatrix":
         if self._T is None:
-            order = np.argsort(self.cols * self.shape[0] + self.rows, kind="stable")
+            order = (self.cols * self.shape[0] + self.rows).argsort(kind="stable")
             self._T = SparseMatrix._canonical(self.shape[::-1], self.cols[order],
                                               self.rows[order], self.vals[order])
             self._T._T = self
@@ -119,7 +122,7 @@ class SparseMatrix:
         """Row pointers: row i holds the triplets indptr[i]:indptr[i + 1]."""
         if self._indptr is None:
             self._indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=self._indptr[1:])
+            np.bincount(self.rows, minlength=self.shape[0]).cumsum(out=self._indptr[1:])
         return self._indptr
 
     def __mul__(self, scalar) -> "SparseMatrix":
@@ -158,7 +161,7 @@ class SparseMatrix:
         X2 = X.reshape(X.shape[0], -1)
         out = np.zeros((self.shape[0], X2.shape[1]))
         if self.vals.size:
-            start = np.flatnonzero(np.r_[True, self.rows[1:] != self.rows[:-1]])
+            start = _first_of_runs(self.rows).nonzero()[0]
             out[self.rows[start]] = np.add.reduceat(
                 self.vals[:, None] * X2[self.cols], start, axis=0)
         return out.reshape((self.shape[0],) + X.shape[1:])
@@ -179,8 +182,8 @@ def _join(keys: np.ndarray, S: SparseMatrix) -> tuple:
     a row index of S."""
     lo = S.indptr[keys]
     cnt = S.indptr[keys + 1] - lo
-    a = np.repeat(np.arange(keys.size), cnt)
-    b = np.arange(a.size) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+    a = np.arange(keys.size).repeat(cnt)
+    b = np.arange(a.size) + (lo - cnt.cumsum() + cnt).repeat(cnt)
     return a, b
 
 
@@ -195,12 +198,12 @@ def _first_of_runs(key: np.ndarray) -> np.ndarray:
 def _sum_duplicates(key: np.ndarray, vals: np.ndarray) -> tuple:
     """Sorted distinct keys and the sums of their values, each sum taken in
     the order the values are given."""
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     key, vals = key[order], vals[order]
     first = _first_of_runs(key)
     if first.all():
         return key, vals
-    return key[first], np.bincount(np.cumsum(first) - 1, weights=vals)
+    return key[first], np.bincount(first.cumsum() - 1, weights=vals)
 
 
 def _as_sparse(A) -> SparseMatrix:
@@ -234,6 +237,17 @@ class _Columns:
     def block_of(self) -> np.ndarray:
         """The block of every column."""
         return -(self.ccode >> 32)
+
+    def place_of(self) -> np.ndarray:
+        """The place of every column in its block."""
+        return self.ccode & 0xFFFFFFFF
+
+    def blocks_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """The block holding each key, by one searchsorted; -1 where none does."""
+        block = self.keys.searchsorted(keys)
+        np.minimum(block, self.keys.size - 1, out=block)
+        block[self.keys[block] != keys] = -1
+        return block
 
 
 def _columns(cols: np.ndarray) -> _Columns:
@@ -269,7 +283,7 @@ def _graded_layout(rows: np.ndarray, cs: _Columns) -> _Layout:
     """Layout of the weight blocks of a matrix whose row weights have the
     integer keys rows and whose columns have the column side cs.
 
-    The rows are mapped to the blocks by one searchsorted against cs.keys.
+    The rows are mapped to the blocks by cs.blocks_of_keys.
     Row r owns the segment start[r]:start[r] + width[r] of a flat buffer,
     one place per column of its block, so the buffer read in order is
     row-major and its nonzero entries are canonical triplets.
@@ -277,10 +291,8 @@ def _graded_layout(rows: np.ndarray, cs: _Columns) -> _Layout:
     keys, and is then the place of the entry in the buffer (buffers stay far
     below 2^32 entries).
     """
-    block = cs.keys.searchsorted(rows)
-    np.minimum(block, cs.keys.size - 1, out=block)
-    hit = cs.keys[block] == rows
-    block[~hit] = -1
+    block = cs.blocks_of_keys(rows)
+    hit = block >= 0
     width = np.where(hit, cs.counts[block], 0)
     start = width.cumsum() - width
     return _Layout(block, start, width, cs.corder, cs.cstart,
@@ -424,12 +436,25 @@ class QModule:
             self._blocks = _columns(self.weights @ self._key_radix)
         return self._blocks
 
+    def blocks_at(self, weights) -> np.ndarray:
+        """The weight blocks (column_side numbers, ascending) at the given
+        weights, an integer array (k, N - 1); weights of no basis vector are
+        skipped."""
+        cs = self.column_side()
+        weights = np.asarray(weights, dtype=np.int64).reshape(-1, self.N - 1)
+        b = cs.blocks_of_keys(weights @ self._key_radix)
+        # the radix is injective only near the module's weights: compare them
+        hit = (self.weights[cs.corder[cs.cstart[b]]] == weights).all(axis=1) & (b >= 0)
+        want = np.zeros(cs.keys.size, dtype=bool)
+        want[b[hit]] = True
+        return want.nonzero()[0]
+
     def __repr__(self):
         hw = f", hw={self.highest_weight}" if self.highest_weight is not None else ""
         return f"QModule(N={self.N}, q={self.q}, dim={self.dim}{hw})"
 
 
-def _generator_stacks(V: QModule, sign: int, what: str) -> tuple:
+def _generator_stacks(V: QModule, sign: int, what: str, blocks=None) -> tuple:
     """The stacked generators [X_1; X_2; ...] (X = E for sign 1, F for -1)
     summed into the weight-block layout of V.column_side().
 
@@ -437,7 +462,8 @@ def _generator_stacks(V: QModule, sign: int, what: str) -> tuple:
     into it, so block mu stacks X_i[mu + sign * alpha_i, mu] over i in
     turn; a triplet off the weight grading raises InvariantViolation.
     Returns (lay, [(ks, stacked blocks (len(ks), h, m))]) for the blocks
-    with rows, grouped by shape as in _graded_stacks.
+    with rows, or for those of them among blocks (ascending block numbers),
+    grouped by shape as in _graded_stacks.
     """
     cs = V.column_side()
     mats = [(V.E if sign > 0 else V.F)[i] for i in range(1, V.N)]
@@ -446,7 +472,13 @@ def _generator_stacks(V: QModule, sign: int, what: str) -> tuple:
     buf = _graded_sum(lay, np.concatenate([X.rows + x * V.dim for x, X in enumerate(mats)]),
                       np.concatenate([X.cols for X in mats]),
                       np.concatenate([X.vals for X in mats]), what)
-    stacks = _graded_stacks(lay, np.flatnonzero(lay.block >= 0))
+    if blocks is None:
+        rows = (lay.block >= 0).nonzero()[0]
+    else:
+        want = np.zeros(cs.keys.size + 1, dtype=bool)
+        want[blocks] = True   # want[-1], the place of rows without a block, stays False
+        rows = want[lay.block].nonzero()[0]
+    stacks = _graded_stacks(lay, rows)
     return lay, [(ks, buf[pos]) for ks, pos in stacks]
 
 
@@ -545,50 +577,43 @@ def _max_abs(vals: np.ndarray) -> float:
     return float(np.max(np.abs(vals), initial=0.0))
 
 
-def _max_abs_sum(terms) -> float:
-    """Max |entry| of sum(c * S for c, S in terms), summed in term order."""
-    n = terms[0][1].shape[1]
-    return _max_abs(_sum_duplicates(np.concatenate([S.rows * n + S.cols for _, S in terms]),
-                                    np.concatenate([c * S.vals for c, S in terms]))[1])
+# check_module works in chunks of source blocks.  The products of one chunk
+# hold an eighth of the entries of the padded generator blocks, or this many
+# (512 KB) if that is more: the transients of a chunk stay below the blocks.
+_CHUNK_ENTRIES = 1 << 16
 
 
-def _stack(mats: list, vertical: bool) -> SparseMatrix:
-    """[A_1; A_2; ...] (vertical) or [A_1, A_2, ...] of d x d matrices."""
-    if len(mats) == 1:
-        return mats[0]
-    d, r = mats[0].shape[0], len(mats)
-    shifted = [(M.rows + x * d, M.cols) if vertical else (M.rows, M.cols + x * d)
-               for x, M in enumerate(mats)]
-    return SparseMatrix((r * d, d) if vertical else (d, r * d),
-                        np.concatenate([rows for rows, _ in shifted]),
-                        np.concatenate([cols for _, cols in shifted]),
-                        np.concatenate([M.vals for M in mats]))
+@lru_cache(maxsize=None)
+def _relation_products(r: int) -> tuple:
+    """The products check_module forms in rank r, as generator numbers:
+    x < r is E_{x+1}, x >= r is F_{x-r+1}.
 
-
-def _relation_residual(parts, nrel: int, r: int, d: int) -> float:
-    """Largest backward-relative residual of nrel relations sum_k c_k T_k = 0.
-
-    Each part (S, rel, coef) holds terms as d x d blocks of S: block
-    b = (row // d) * r + col // d is a term of relation rel[b] (-1: of none)
-    with coefficient coef[b].  Per relation the terms add up entry by entry
-    in the order of the parts, and the residual is max |sum| over
-    max(1, max_k max |c_k T_k|).
+    Returns (a, b, z, ns): product p is X_a[p] X_b[p], taken at the block
+    that X_z[p] maps the source block into; z[p] = 2r stands for the source
+    block itself.  The first ns products are taken at the source block:
+    E_i F_j, then F_j E_i, for all (i, j) row-major, then per family A = E, F
+    the distant q-Serre pairs A_x A_y, A_y A_x.  The others are the left
+    factors of the adjacent q-Serre triples (X X) Y, (X Y) X, (Y X) X, per
+    family and ordered adjacent pair (X, Y), and z is their third factor.
     """
-    keys, vals = [], []
-    scale = np.ones(nrel)
-    for S, rel, coef in parts:
-        b = (S.rows // d) * r + S.cols // d
-        k = rel[b]
-        use = k >= 0
-        k, b = k[use], b[use]
-        v = coef[b] * S.vals[use]
-        np.maximum.at(scale, k, np.abs(v))
-        keys.append((k * d + S.rows[use] % d) * d + S.cols[use] % d)
-        vals.append(v)
-    key, total = _sum_duplicates(np.concatenate(keys), np.concatenate(vals))
-    worst = np.zeros(nrel)
-    np.maximum.at(worst, key // (d * d), np.abs(total))
-    return float(np.max(worst / scale))
+    pairs = ([(i, r + j) for i in range(r) for j in range(r)]
+             + [(r + j, i) for i in range(r) for j in range(r)])
+    triples = []
+    for f in (0, r):
+        pairs += [p for x in range(r) for y in range(x + 2, r)
+                  for p in ((f + x, f + y), (f + y, f + x))]
+        for x in range(r - 1):
+            for X, Y in ((f + x, f + x + 1), (f + x + 1, f + x)):
+                triples += [(X, X, Y), (X, Y, X), (Y, X, X)]
+    ab = np.array(pairs + [t[:2] for t in triples], dtype=np.intp).reshape(-1, 2).T
+    z = np.array([2 * r] * len(pairs) + [t[2] for t in triples], dtype=np.intp)
+    ab.flags.writeable = z.flags.writeable = False   # shared by every call
+    return ab[0], ab[1], z, len(pairs)
+
+
+def _amax(A: np.ndarray) -> np.ndarray:
+    """max |entry| of each A[k] of a stack."""
+    return np.abs(A).max(axis=(1, 2, 3))
 
 
 def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail: bool = False) -> dict:
@@ -603,72 +628,118 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     representation of such a module: rounding the entries alone perturbs a
     triple product of size P by several ulp(P).
 
-    Every product and sum is formed from the sparse generators; a sum adds
-    its terms entry by entry in the order written, as the dense formula does.
-    The generators stacked into [A_1; A_2; ...] and [A_1, A_2, ...] give all
-    commutators from two products and all q-Serre terms from two more per
-    family A = E, F; each relation then reads its terms as blocks.
+    The relations are read from the weight blocks, where the grading allows
+    a nonzero.  Each generator X_x is scattered into dense blocks G[x, c] =
+    X_x[t_x(c), c], one per source block c of V.column_side(), padded to the
+    widest block, with a zero block where X_x maps c out of the module.
+    Every relation is then formed per source block by batched products of
+    gathered blocks: the unitarity E_i[t, c]^T = F_i[c, t] q^{wt_i(t)}, all
+    commutators E_i F_j - F_j E_i - delta_ij [K_i] at once, and the q-Serre
+    pairs and triples ((X X) Y and so on, associated as written) of both
+    families.  A large module goes in chunks of source blocks
+    (_CHUNK_ENTRIES), each padded to the widest block its products touch.
+    The terms of a relation add up in the order written, as the dense
+    formula does.  An entry off the blocks enters no relation: it is
+    reported by 'grading', the largest |entry| off the blocks (as
+    _grading_residual reads it), which fails the gate by itself.
 
     Returns {'unitarity', 'grading', 'commutator', 'serre', 'max', 'passed'}.
     """
-    q = V.q
-    r, d = V.N - 1, V.dim
-    gens = range(1, V.N)
-    res_unit = 0.0
-    res_grad = 0.0
-    for i in gens:
-        Ei, Fi = V.E[i], V.F[i]
-        FK = SparseMatrix._canonical(Fi.shape, Fi.rows, Fi.cols, Fi.vals * V.k_diag(i)[Fi.cols])
-        res_unit = max(res_unit, _max_abs_sum([(1.0, Ei.T), (-1.0, FK)])
-                       / max(1.0, _max_abs(Ei.vals)))
-        alpha = simple_root(i, V.N).as_array()
-        res_grad = max(res_grad, _grading_residual(V, Ei, alpha))
-        res_grad = max(res_grad, _grading_residual(V, Fi, -alpha))
+    q, r = V.q, V.N - 1
+    cs = V.column_side()
+    nb, D = cs.keys.size, int(cs.counts.max())
+    # tgt[x, c]: the block X_x maps block c into; nb, a zero block, for none;
+    # tgt[2r] is the identity
+    roots = cartan_matrix(V.N) @ V._key_radix
+    tgt = np.empty((2 * r + 1, nb + 1), dtype=np.int64)
+    tgt[:-1, :nb] = cs.blocks_of_keys(cs.keys + np.concatenate([roots, -roots])[:, None])
+    tgt[:-1, nb] = -1
+    tgt[-1] = np.arange(nb + 1)
+    tgt[tgt < 0] = nb
+    mats = [V.E[i] for i in range(1, V.N)] + [V.F[i] for i in range(1, V.N)]
+    x = np.arange(2 * r).repeat([X.vals.size for X in mats])
+    rows, cols, vals = (np.concatenate([getattr(X, f) for X in mats])
+                        for f in ("rows", "cols", "vals"))
+    block = cs.block_of()
+    src = block[cols]
+    ok = block[rows] == tgt[x, src]
+    grading = 0.0
+    if not ok.all():
+        grading = _max_abs(vals[~ok])
+        x, rows, cols, vals, src = x[ok], rows[ok], cols[ok], vals[ok], src[ok]
+    place = cs.place_of()
+    G = np.zeros((2 * r, nb + 1, D, D))
+    G[x, src, place[rows], place[cols]] = vals
+    Gf = G.reshape(-1, D, D)
+    emax = np.zeros(2 * r)
+    np.maximum.at(emax, x, np.abs(vals))
 
-    # E_i F_j - F_j E_i - delta_ij [K_i] for all (i, j) at once: relation
-    # i * r + j takes block (i, j) of [E; ...] [F, ...] and of the targets
-    # and block (j, i) of [F; ...] [E, ...]
-    Ev, Eh = (_stack([V.E[i] for i in gens], vertical) for vertical in (True, False))
-    Fv, Fh = (_stack([V.F[i] for i in gens], vertical) for vertical in (True, False))
-    own = np.arange(r * r)
-    diag = np.arange(r * d)
-    targets = SparseMatrix((r * d, r * d), diag, diag,
-                           q_int(V.weights.T.reshape(-1), q))
-    ones = np.ones(r * r)
-    res_comm = _relation_residual(
-        [(Ev @ Fh, own, ones),
-         (Fv @ Eh, own.reshape(r, r).T.reshape(-1), -ones),
-         (targets, own, -ones)], r * r, r, d)
+    # per source block c: the flat G index of every factor of every product
+    a, b, z, ns = _relation_products(r)
+    c = np.arange(nb)
+    s = tgt[z, :nb]
+    right = b[:, None] * (nb + 1) + s   # flat indices of G and of tgt alike
+    mid = tgt.take(right)
+    left = a[:, None] * (nb + 1) + mid
+    third = z[ns:, None] * (nb + 1) + c
+    # unitarity: E_i at c against F_i at the block t that E_i maps c into,
+    # times q^{wt_i(t)}
+    wts = np.zeros((nb + 1, r), dtype=np.int64)
+    wts[:nb] = V.weights[cs.corder[cs.cstart]]
+    gi = np.arange(r)[:, None]
+    ek, fk = gi * (nb + 1) + c, (r + gi) * (nb + 1) + tgt[:r, :nb]
+    kt = q ** wts[tgt[:r, :nb], gi].astype(np.float64)
+    # [K_i] on the diagonal of block c, in its first counts[c] places
+    qi = q_int(wts[:nb].T, q)
+    kq = np.where(np.arange(D) < cs.counts[:, None], qi[:, :, None], 0.0)
+    # Chunks of source blocks.  Beyond one chunk, the blocks go in the order
+    # of the widest block their products touch, and each chunk is padded to
+    # its own widest only.
+    budget = max(G.size // 8, _CHUNK_ENTRIES) // a.size
+    chunks = [(slice(0, nb), D)]
+    if nb * D * D > budget:
+        width = np.append(cs.counts, 0)
+        need = np.maximum.reduce([width[s].max(axis=0), width[mid].max(axis=0),
+                                  width[tgt.take(left)].max(axis=0), cs.counts])
+        order = need.argsort(kind="stable")
+        need, chunks, lo = need[order], [], 0
+        while lo < nb:
+            cost = np.arange(1, nb - lo + 1) * need[lo:] ** 2
+            hi = lo + max(1, int(cost.searchsorted(budget, "right")))
+            chunks.append((order[lo:hi], int(need[hi - 1])))
+            lo = hi
 
-    # q-Serre: block (x, y) of P = [A; ...] [A, ...] is A_x A_y, block
-    # (x * r + y, z) of P3 = P (rows by (x, y)) [A, ...] is (A_x A_y) A_z.
-    # A distant pair x < y - 1 takes +P(x, y) - P(y, x); an adjacent ordered
-    # pair (X, Y) takes (X X) Y - [2]_q (X Y) X + (Y X) X.
-    res_serre = 0.0
-    distant = [(x, y) for x in range(r) for y in range(x + 2, r)]
-    adjacent = [p for x in range(r - 1) for p in ((x, x + 1), (x + 1, x))]
-    if distant or adjacent:
-        rel_p, coef_p = np.full(r * r, -1), np.zeros(r * r)
-        for n, (x, y) in enumerate(distant):
-            rel_p[[x * r + y, y * r + x]] = n
-            coef_p[[x * r + y, y * r + x]] = (1.0, -1.0)
-        rel3 = np.full((3, r ** 3), -1)
-        coef3 = np.array([[1.0], [-q_int(2, q)], [1.0]]) * np.ones(r ** 3)
-        for n, (x, y) in enumerate(adjacent, start=len(distant)):
-            rel3[[0, 1, 2], [(x * r + x) * r + y, (x * r + y) * r + x, (y * r + x) * r + x]] = n
-        for Av, Ah in ((Ev, Eh), (Fv, Fh)):
-            P = Av @ Ah
-            Prow = SparseMatrix((r * r * d, d), ((P.rows // d) * r + P.cols // d) * d + P.rows % d,
-                                P.cols % d, P.vals)
-            P3 = Prow @ Ah
-            res_serre = max(res_serre, _relation_residual(
-                [(P, rel_p, coef_p)] + [(P3, rel3[t], coef3[t]) for t in range(3)],
-                len(distant) + len(adjacent), r, d))
+    q2, rr, nd = q_int(2, q), r * r, ns - 2 * r * r
+    nt = a.size - ns
+    worst = [np.zeros(r), np.zeros(rr), np.zeros(nd // 2), np.zeros(nt // 3)]
+    pmax, tmax = np.zeros(ns), np.zeros(nt)
+    for sl, d in chunks:
+        Gd = Gf[:, :d, :d]
+        # take() is the faster gather, but it would copy a strided Gd whole
+        take = (lambda i: Gf.take(i, axis=0)) if d == D else Gd.__getitem__
+        mul = np.multiply if d == 1 else np.matmul   # 1 x 1 blocks: the same products
+        P = mul(take(left[:, sl]), take(right[:, sl]))
+        T = mul(P[ns:], take(third[:, sl]))
+        C = P[:rr] - P[rr:2 * rr]
+        C.reshape(rr, -1, d * d)[::r + 1, :, ::d + 1] -= kq[:, sl, :d]
+        for k, R in enumerate((take(ek[:, sl]).swapaxes(2, 3) - take(fk[:, sl]) * kt[:, sl, None, None],
+                               C, P[2 * rr:ns:2] - P[2 * rr + 1:ns:2],
+                               T[0::3] - q2 * T[1::3] + T[2::3])):
+            np.maximum(worst[k], _amax(R), out=worst[k])
+        np.maximum(pmax, _amax(P[:ns]), out=pmax)
+        np.maximum(tmax, _amax(T), out=tmax)
+
+    diag = np.zeros(rr)
+    diag[::r + 1] = np.abs(qi).max(axis=1)
+    scale = [emax[:r], np.maximum.reduce([pmax[:rr], pmax[rr:2 * rr], diag]),
+             np.maximum(pmax[2 * rr::2], pmax[2 * rr + 1::2]),
+             np.maximum.reduce([tmax[0::3], q2 * tmax[1::3], tmax[2::3]])]
+    res = [float((wk / np.maximum(sk, 1.0)).max(initial=0.0)) for wk, sk in zip(worst, scale)]
     report = {
-        "unitarity": res_unit,
-        "grading": res_grad,
-        "commutator": res_comm,
-        "serre": res_serre,
+        "unitarity": res[0],
+        "grading": grading,
+        "commutator": res[1],
+        "serre": max(res[2], res[3]),
     }
     report["max"] = max(report.values())
     report["passed"] = report["max"] <= tol.identity_tol

@@ -366,10 +366,11 @@ class GeneralWeightBuilder:
             if k == 1:
                 self._cache[key] = repn.standard_module(self.N, self.q)
             else:
-                T = repn.tensor(repn.standard_module(self.N, self.q),
-                                self.fundamental(k - 1))
-                seed = decomp.highest_weight_space(T, self.tol).vectors_of(
-                    fundamental_weight(k, self.N))
+                std = repn.standard_module(self.N, self.q)
+                T = repn.tensor(std, self.fundamental(k - 1))
+                seed = decomp.highest_weight_space(
+                    T, self.tol, fundamental_weight(k - 1, self.N).as_array() + std.weights
+                ).vectors_of(fundamental_weight(k, self.N))
                 if seed.shape[1] != 1:
                     raise InvariantViolation(
                         f"fundamental weight {k} not multiplicity one in the tensor step")

@@ -364,8 +364,8 @@ def test_minuscule_rank_gate_catches_a_dropped_column(chains, monkeypatch, space
     ch = chains((0, 1), 1.5, 5)
     full = getattr(decomp, space)
 
-    def dropped(V, tol=DEFAULT_TOL):
-        rep = full(V, tol)
+    def dropped(V, tol=DEFAULT_TOL, weights=None):
+        rep = full(V, tol, weights)
         if len(rep.components) < 2:
             return rep
         return decomp.HighestWeightReport(rep.components[:-1],
@@ -399,8 +399,8 @@ def test_rank_gate_catches_a_relabelled_component(chains, monkeypatch, space):
     ch = chains((1, 1), 1.5, 5)
     full = getattr(decomp, space)
 
-    def relabelled(V, tol=DEFAULT_TOL):
-        rep = full(V, tol)
+    def relabelled(V, tol=DEFAULT_TOL, weights=None):
+        rep = full(V, tol, weights)
         (_, cols), rest = rep.components[-1], rep.components[:-1]
         return decomp.HighestWeightReport(rest + [(Weight((7, 7)), cols)], rep.total)
 

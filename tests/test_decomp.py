@@ -125,8 +125,8 @@ def test_fusion_multiplicities_reject_kernels_off_the_component_count(monkeypatc
     std = repn.standard_module(3, 1.5)
     full = decomp.highest_weight_space
 
-    def relabelled(V, tol=DEFAULT_TOL):
-        rep = full(V, tol)
+    def relabelled(V, tol=DEFAULT_TOL, weights=None):
+        rep = full(V, tol, weights)
         (_, cols), rest = rep.components[0], rep.components[1:]
         return decomp.HighestWeightReport([(Weight((1, 1)), cols)] + rest, rep.total)
 
@@ -206,6 +206,36 @@ def test_stacked_kernels_match_per_block_svds_bitwise(chains, coords, q, n):
                                                            reverse=True)
         for w, cols in report.components:
             assert np.array_equal(cols, ref[w])
+
+
+@pytest.mark.parametrize("coords, q, M", [((1, 1), 1.5, 6), ((0, 1, 0), 1.5, 5),
+                                          ((1, 0, 1), 1.5, 4), ((1, 0), 1.5, 22)])
+def test_candidate_kernels_equal_the_kernels_of_every_block(chains, coords, q, M):
+    # Brauer-Klimyk: the components of V_lam (x) V_{n lam} have highest
+    # weights n lam + wt(V_lam), lowest weights their mirrors -reversed(w)
+    ch = chains(coords, q, M)
+    for n in range(1, M):
+        T = ch.tensor(n)
+        cand = ch.base.weights + (ch.lam * n).as_array()
+        if n > 1:
+            assert T.blocks_at(cand).size < T.column_side().keys.size
+        for space, weights in ((decomp.highest_weight_space, cand),
+                               (decomp.lowest_weight_space, -cand[:, ::-1])):
+            full, got = space(T), space(T, weights=weights)
+            assert [w for w, _ in got.components] == [w for w, _ in full.components]
+            assert got.total == full.total
+            for (_, a), (_, b) in zip(got.components, full.components):
+                assert np.array_equal(a, b)
+
+
+def test_blocks_at_skips_weights_the_module_lacks(builders):
+    rho = builders(3, 1.5).module(Weight((1, 1)))
+    cs = rho.column_side()
+    assert rho.blocks_at(rho.weights).tolist() == list(range(cs.keys.size))
+    assert rho.blocks_at([[0, 0], [1, 1], [1, 1]]).tolist() == [1, 3]   # blocks highest first
+    # (a + 1, b - base) has the key of (a, b): the radix alone would alias it
+    base = -int(rho._key_radix[0] // rho._key_radix[1])
+    assert rho.blocks_at([[2, 1 - base], [9, 9]]).size == 0
 
 
 def test_ambiguous_rank_names_the_weight_block(builders):

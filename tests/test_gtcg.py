@@ -124,9 +124,9 @@ def test_grid_solves_each_partition_once_and_matches_per_i_calls(monkeypatch, N,
     solves = []
     real = decomp.highest_weight_space
 
-    def counted(T, tol):
+    def counted(T, tol, weights=None):
         solves.append(T.dim)
-        return real(T, tol)
+        return real(T, tol, weights)
 
     # only the grid's own solves: the module builder keeps the real function
     monkeypatch.setattr(gtcg, "decomp", types.SimpleNamespace(highest_weight_space=counted))

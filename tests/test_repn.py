@@ -211,21 +211,36 @@ def test_check_module_matches_the_dense_reference(chains, builders):
         assert _agree(repn.check_module(V), _dense_check_module(V)), V
 
 
+def _with_E1(V, E1):
+    return repn.QModule(V.N, V.q, V.weights, {**V.E, 1: E1}, V.F)
+
+
 def test_check_module_flags_mutations_like_the_dense_reference(chains):
+    # in-block mutations, also on rho and omega_2 levels (blocks of
+    # multiplicity > 1), match the dense reference in every field
+    for coords, n in (((1, 0), 10), ((1, 1), 4), ((0, 1, 0), 3)):
+        V = chains(coords, 1.5, n + 1).levels[n]
+        E1 = V.E[1].to_dense()
+        nz = np.argwhere(E1)
+        for r, c in (nz[len(nz) // 2], nz[0], nz[-1]):
+            bumped = E1.copy()
+            bumped[r, c] *= 1.0 + 1e-6
+            bad = _with_E1(V, bumped)
+            got, want = repn.check_module(bad), _dense_check_module(bad)
+            assert not got["passed"] and max(want.values()) > DEFAULT_TOL.identity_tol
+            assert _agree(got, want)
+    # an entry off the blocks enters no relation: it is the grading residual,
+    # which fails the gate by itself
     V = chains((1, 0), 1.5, 22).levels[10]
     E1 = V.E[1].to_dense()
     off = E1.copy()
     off[0, 0] = 1e-6 * np.max(np.abs(E1))   # a diagonal entry: E_1 must raise the weight
-    bumped = E1.copy()
-    r, c = np.argwhere(E1)[len(np.argwhere(E1)) // 2]
-    bumped[r, c] *= 1.0 + 1e-6
-    for E in (off, bumped):
-        bad = repn.QModule(3, 1.5, V.weights, {1: E, 2: V.E[2]}, V.F)
-        got, want = repn.check_module(bad), _dense_check_module(bad)
-        assert not got["passed"] and max(want.values()) > DEFAULT_TOL.identity_tol
-        assert _agree(got, want)
-    assert repn.check_module(
-        repn.QModule(3, 1.5, V.weights, {1: off, 2: V.E[2]}, V.F))["grading"] > 0
+    got = repn.check_module(_with_E1(V, off))
+    assert got["grading"] == _dense_check_module(_with_E1(V, off))["grading"] > 0
+    assert not got["passed"]
+    off[0, 0] = 0.0
+    graded = _dense_check_module(_with_E1(V, off))
+    assert all(abs(got[k] - graded[k]) <= 1e-15 for k in ("unitarity", "commutator", "serre"))
 
 
 def test_check_module_flags_broken_relations():
