@@ -17,9 +17,9 @@ at index 0 in chain coordinates, and chain.lowest_vector(k).  Every
 measurement reads its modules, the tensor products V_lam (x) V_{n lam} that
 the build formed, its isometries, weight keys and column sides from one
 chain.  The extreme-weight columns Q^h and Q^l of V_lam (x) V_{n lam} come
-from _extreme_columns, which raises InvariantViolation unless their
-multiplicities equal the Brauer-Klimyk count qcore.tensor_components,
-weight by weight, for every lam.
+from _extreme_columns; decomp raises InvariantViolation unless their
+multiplicities equal the Brauer-Klimyk count of the tensor product's
+components, weight by weight, for every lam.
 
 The square matrices measured here are weight-graded with exact zeros off
 their weight blocks: c(n) and the Cartan-projector absorption residual of the
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import Weight, pairing, tensor_components
+from .qcore import Weight, pairing
 from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from . import decomp, repn
@@ -113,29 +113,11 @@ def _b(W: repn.SparseMatrix, x_left: np.ndarray, x: np.ndarray) -> float:
 
 
 def _extreme_columns(chain: CartanChain, n: int, raising: bool) -> np.ndarray:
-    """Highest (raising) or lowest weight columns of V_lam (x) V_(n lam).
-
-    Their multiplicities must equal the Brauer-Klimyk count of the
-    components weight by weight (a lowest weight w is that of the component
-    -reversed(w)); InvariantViolation otherwise.
-    """
+    """Highest (raising) or lowest weight columns of V_lam (x) V_(n lam),
+    held to its Brauer-Klimyk component count by decomp."""
     T = chain.tensor(n)
-    # Brauer-Klimyk: a highest weight of a component is n lam + wt(V_lam)
-    cand = chain.base.weights + (chain.lam * n).as_array()
-    if raising:
-        report = decomp.highest_weight_space(T, chain.tol, cand)
-        got = report.multiplicities
-    else:
-        report = decomp.lowest_weight_space(T, chain.tol, -cand[:, ::-1])
-        got = {Weight(tuple(-c for c in reversed(w.coords))): m
-               for w, m in report.multiplicities.items()}
-    want = tensor_components(chain.base.weights, chain.lam * n)
-    if got != want:
-        raise InvariantViolation(
-            f"rank P^{'h' if raising else 'l'} = {report.total} != "
-            f"{sum(want.values())} components of V_lam (x) V_(n lam) at n={n}, "
-            f"weight by weight {got} != {want}")
-    return report.basis_matrix(T.dim)
+    space = decomp.highest_weight_space if raising else decomp.lowest_weight_space
+    return space(T, chain.tol).basis_matrix(T.dim)
 
 
 def conjecture_scan(chain: CartanChain) -> ConvergenceTable:

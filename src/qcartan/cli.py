@@ -318,24 +318,11 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def cmd_cg(cfg: RunConfig) -> int:
     tol = cfg.tolerance()
-    shapes = None
-    if cfg.lam is not None:
-        # single-shape run: interpret lambda as fundamental coordinates
-        shapes = [cfg.weight().partition]
+    # single-shape run: interpret lambda as fundamental coordinates
+    shapes = None if cfg.lam is None else [cfg.weight().partition]
     status = 0
     for q in cfg.q:
-        if shapes is None:
-            rows = gtcg.cg_grid(cfg.N, q, cfg.max_entry, tol)
-        else:
-            rows = []
-            for mu in shapes:
-                for i in range(1, cfg.N + 1):
-                    closed = gtcg.cg_closed_form(i, mu, q)
-                    try:
-                        numeric = gtcg.cg_numeric(i, mu, q, tol=tol)
-                    except gtcg.MissingComponent:
-                        continue
-                    rows.append((mu, i, closed, numeric))
+        rows = gtcg.cg_grid(cfg.N, q, cfg.max_entry, tol, shapes)
         out = [["-".join(str(p) for p in mu), i, closed, numeric,
                 abs(closed - numeric)] for mu, i, closed, numeric in rows]
         worst = max((r[4] for r in out), default=0.0)

@@ -1,16 +1,19 @@
 """Highest/lowest-weight extraction, generated submodules, Cartan components,
-fusion multiplicities (checked against the Brauer-Klimyk count).
+fusion multiplicities.
 
 All kernels are computed weight-block by weight-block (never on the whole
 space): the stacked generator matrix restricted to a block is small, and the
 rank certificates are much sharper there.  Blocks of the same shape share
-one batched SVD, but each keeps its own rank certificate.  A caller that
-knows the tensor factors names the candidate weights (Brauer-Klimyk: the
-highest weights of V (x) V_mu are mu + wt(V)), and only their blocks are
-ranked; the completeness check certifies the others.  The blocks come
-from the one weight-block layout of the package (repn._generator_stacks over
-QModule.column_side, QModule.blocks_at); this module maps no weight to a
-block itself.
+one batched SVD, but each keeps its own rank certificate.  A tensor product
+V = A (x) B carries its factors (repn.tensor); when B is simple, the
+highest weights of its components are hw(B) + wt(A) (Brauer-Klimyk), so
+only those blocks are ranked (mirrored by w -> -reversed(w) for lowest
+weights), the completeness check certifies the others, and the
+multiplicities must equal the component count qcore.tensor_components
+weight by weight.  Any other module has every block ranked.  The blocks
+come from the one weight-block layout of the package (repn._generator_stacks
+over QModule.column_side, QModule.blocks_at); this module maps no weight to
+a block itself.
 """
 from __future__ import annotations
 
@@ -119,27 +122,39 @@ def _check_completeness(V, report: HighestWeightReport, raising: bool):
         raise InvariantViolation(f"isotypic dimensions sum to {s}, module has dim {V.dim}")
 
 
-def highest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL,
-                         weights=None) -> HighestWeightReport:
-    """Joint kernel of all E_i, grouped by weight.
+def _counted_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:
+    """_extreme_weight_space of V, held to the Brauer-Klimyk count when V
+    is a tensor product A (x) B of a simple B: only the blocks at hw(B) +
+    wt(A) (mirrored for lowest weights) are ranked, and InvariantViolation
+    is raised unless the multiplicities of the components (a lowest weight
+    w is that of the component -reversed(w)) equal
+    tensor_components(A.weights, hw(B)) weight by weight."""
+    A, B = V.factors or (None, None)
+    if B is None or B.highest_weight is None:
+        return _extreme_weight_space(V, raising, tol)
+    cand = A.weights + B.highest_weight.as_array()
+    report = _extreme_weight_space(V, raising, tol, cand if raising else -cand[:, ::-1])
+    got = {w if raising else -Weight(w.coords[::-1]): m
+           for w, m in report.multiplicities.items()}
+    want = tensor_components(A.weights, B.highest_weight)
+    if got != want:
+        raise InvariantViolation(
+            f"rank P^{'h' if raising else 'l'} = {report.total} != {sum(want.values())} "
+            f"components of {A} (x) {B}, weight by weight {got} != {want} "
+            "(Brauer-Klimyk component count)")
+    return report
 
-    weights, an integer array (k, N - 1), lists the only weights that can
-    hold a highest-weight vector, for instance n lam + wt(V_lam) in
-    V_lam (x) V_{n lam} (Brauer-Klimyk); only those blocks are ranked.  None
-    ranks every block.
-    """
-    return _extreme_weight_space(V, True, tol, weights)
+
+def highest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeightReport:
+    """Joint kernel of all E_i, grouped by weight; on a tensor product with
+    a simple right factor, held to its component count (_counted_space)."""
+    return _counted_space(V, True, tol)
 
 
-def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL,
-                        weights=None) -> HighestWeightReport:
-    """Joint kernel of all F_i, grouped by weight.
-
-    weights, as in highest_weight_space, lists the only weights that can
-    hold a lowest-weight vector: the highest-weight candidates mirrored by
-    w -> -reversed(w).
-    """
-    return _extreme_weight_space(V, False, tol, weights)
+def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeightReport:
+    """Joint kernel of all F_i, grouped by weight; on a tensor product with
+    a simple right factor, held to its component count (_counted_space)."""
+    return _counted_space(V, False, tol)
 
 
 def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
@@ -280,14 +295,7 @@ def cartan_component(A, B, tol: ToleranceProfile = DEFAULT_TOL):
 
 def fusion_multiplicities(Vl, Vm, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """nu -> multiplicity of V_nu in Vl ox Vm, read off the highest-weight
-    kernels of the tensor product; InvariantViolation unless they equal the
-    Brauer-Klimyk count qcore.tensor_components."""
+    kernels of the tensor product, which equal the Brauer-Klimyk count."""
     if Vl.highest_weight is None or Vm.highest_weight is None:
         raise ValueError("fusion_multiplicities needs simple inputs")
-    mults = highest_weight_space(repn.tensor(Vl, Vm), tol,
-                                 Vl.weights + Vm.highest_weight.as_array()).multiplicities
-    want = tensor_components(Vl.weights, Vm.highest_weight)
-    if mults != want:
-        raise InvariantViolation(
-            f"highest-weight multiplicities {mults} != component count {want}")
-    return mults
+    return highest_weight_space(repn.tensor(Vl, Vm), tol).multiplicities

@@ -125,20 +125,16 @@ def _top_vectors(lam: Weight, q: float, builder, tol: ToleranceProfile):
     if V.hw_index != 0:
         raise InvariantViolation("module must carry its h.w. vector at index 0")
     std = repn.standard_module(lam.N, q)
-    return V.dim, decomp.highest_weight_space(repn.tensor(std, V), tol,
-                                              lam.as_array() + std.weights)
+    return V.dim, decomp.highest_weight_space(repn.tensor(std, V), tol)
 
 
 def _overlap(i: int, target: Weight, top) -> float:
     """|<e_i (x) xi_mu, xi^{(i)}>| read from the highest weight space top,
-    where target = mu^i is the weight of xi^{(i)}."""
+    where target = mu^i is the weight of xi^{(i)}, a component of
+    multiplicity one (Pieri) that decomp holds to the component count."""
     dim, report = top
-    cols = report.vectors_of(target)
-    if cols.shape[1] != 1:
-        raise InvariantViolation(
-            f"component {target} has multiplicity {cols.shape[1]}, expected 1")
     # T index (a, b) -> a * dim(V) + b; xi_mu is one-hot at b = 0
-    return float(abs(cols[(i - 1) * dim, 0]))
+    return float(abs(report.vectors_of(target)[(i - 1) * dim, 0]))
 
 
 def cg_numeric(i: int, mu, q: float, builder=None,
@@ -167,8 +163,9 @@ def cg_numeric(i: int, mu, q: float, builder=None,
 
 
 def cg_grid(N: int, q: float, max_entry: int,
-            tol: ToleranceProfile = DEFAULT_TOL) -> list:
-    """(mu, i, closed, numeric) for all partitions with entries <= max_entry.
+            tol: ToleranceProfile = DEFAULT_TOL, shapes=None) -> list:
+    """(mu, i, closed, numeric) for the partitions mu in shapes, by default
+    every nonzero partition with entries <= max_entry.
 
     Skips missing components.  Shares one module builder across the grid
     and solves each tensor product once per partition.
@@ -177,13 +174,13 @@ def cg_grid(N: int, q: float, max_entry: int,
 
     builder = GeneralWeightBuilder(N, q, tol)
     shifts = [component_shift(i, N) for i in range(1, N + 1)]
+    if shapes is None:
+        # each partition once, as the reverse of a non-decreasing tuple
+        shapes = [shape[::-1] + (0,) for shape in
+                  itertools.combinations_with_replacement(range(max_entry + 1), N - 1)
+                  if sum(shape)]
     rows = []
-    # each partition once, as the reverse of a non-decreasing tuple
-    shapes = itertools.combinations_with_replacement(range(max_entry + 1), N - 1)
-    for shape in shapes:
-        mu = shape[::-1] + (0,)
-        if sum(mu) == 0:
-            continue
+    for mu in shapes:
         lam = Weight.from_partition(mu)
         top = _top_vectors(lam, q, builder, tol)
         for i, shift in enumerate(shifts, start=1):

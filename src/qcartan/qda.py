@@ -228,13 +228,13 @@ def chain_intertwiners(chain, n: int) -> list:
     vecs = {(0,) * N: np.ones(1)}
     out = [np.ones((1, 1))]
     for k in range(1, n + 1):
+        blocks = [sps._creation_block(chain, eye[i], k - 1) for i in range(N)]
         nxt = {}
         for d in monomials(N, k):
             i = next(a for a in range(N) if d[a] > 0)
             e = list(d)
             e[i] -= 1
-            blk = sps._creation_block(chain, eye[i], k - 1)
-            nxt[d] = blk @ vecs[tuple(e)]
+            nxt[d] = blocks[i] @ vecs[tuple(e)]
         vecs = nxt
         out.append(np.column_stack([vecs[d] / np.sqrt(monomial_norm_sq(d, chain.q))
                                     for d in monomials(N, k)]))

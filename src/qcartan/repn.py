@@ -11,7 +11,9 @@ Defining relations (all checked by check_module):
     E_i^T = F_i K_i                        (unitarity of the inner product)
 
 The tensor product uses the coproduct
-    E -> E ox 1 + K ox E,   F -> F ox K^-1 + 1 ox F,   K -> K ox K.
+    E -> E ox 1 + K ox E,   F -> F ox K^-1 + 1 ox F,   K -> K ox K,
+and carries its factors (QModule.factors), from which decomp derives the
+Brauer-Klimyk candidate weights and component count of its extreme vectors.
 
 Generators are SparseMatrix triplets: a tensor generator has one nonzero
 per basis vector and factor generator entry, so more than 99.9 % of its
@@ -384,7 +386,9 @@ def _graded_blocks(buf: np.ndarray, lay: _Layout) -> tuple:
 class QModule:
     """Weight module with sparse float64 generators; immutable by convention.
 
-    E and F map i to a SparseMatrix; dense input is converted.
+    E and F map i to a SparseMatrix; dense input is converted.  factors is
+    (V, W) on the module tensor(V, W) returns (references, not copies), and
+    None on every other module.
 
     All arithmetic is float64: check_module gates backward-relative
     residuals, so deep modules with q-integer-sized entries need no wider
@@ -408,6 +412,7 @@ class QModule:
                 raise ValueError("generator matrix shape mismatch")
         self.highest_weight = highest_weight
         self.hw_index = hw_index
+        self.factors = None
         self._blocks = None
         self._key_radix = None
 
@@ -522,7 +527,8 @@ def standard_module(N: int, q: float) -> QModule:
 
 
 def tensor(V: QModule, W: QModule) -> QModule:
-    """V ox W in the product basis (a, b) -> a * dim(W) + b, from triplets.
+    """V ox W in the product basis (a, b) -> a * dim(W) + b, from triplets;
+    its factors are (V, W).
 
     The two coproduct terms never share a position (E_i moves the weight,
     so X ox 1 has off-diagonal factor blocks and K ox X diagonal ones), so
@@ -550,7 +556,9 @@ def tensor(V: QModule, W: QModule) -> QModule:
         E[i] = coproduct(across(V.E[i], np.ones(dW)), along(V.k_diag(i), W.E[i]))
         F[i] = coproduct(across(V.F[i], W.k_diag(i, -1)), along(np.ones(dV), W.F[i]))
     wts = (V.weights[:, None, :] + W.weights[None, :, :]).reshape(dV * dW, V.N - 1)
-    return QModule(V.N, V.q, wts, E, F)
+    out = QModule(V.N, V.q, wts, E, F)
+    out.factors = (V, W)
+    return out
 
 
 def contragredient(V: QModule) -> QModule:

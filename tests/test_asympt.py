@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcartan import asympt, decomp, repn, sps
-from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
+from qcartan.numerics import InvariantViolation, operator_norm
 from qcartan.qcore import Weight, pairing, q_int, tensor_components
 
 
@@ -361,17 +361,18 @@ def _f_estimate(ch):
                  id="f_estimate-highest_weight_space-h")])
 def test_minuscule_rank_gate_catches_a_dropped_column(chains, monkeypatch, space, side,
                                                       run):
+    # the fault sits below the count gate of highest/lowest_weight_space
     ch = chains((0, 1), 1.5, 5)
-    full = getattr(decomp, space)
+    full = decomp._extreme_weight_space
 
-    def dropped(V, tol=DEFAULT_TOL, weights=None):
-        rep = full(V, tol, weights)
-        if len(rep.components) < 2:
+    def dropped(V, raising, tol, weights=None):
+        rep = full(V, raising, tol, weights)
+        if raising != (space == "highest_weight_space") or len(rep.components) < 2:
             return rep
         return decomp.HighestWeightReport(rep.components[:-1],
                                           rep.total - rep.components[-1][1].shape[1])
 
-    monkeypatch.setattr(decomp, space, dropped)
+    monkeypatch.setattr(decomp, "_extreme_weight_space", dropped)
     with pytest.raises(InvariantViolation, match=rf"rank P\^{side} = 1 != 2 components"):
         run(ch)
 
@@ -397,13 +398,15 @@ def test_component_count_matches_both_kernels(chains, coords, q, M):
 def test_rank_gate_catches_a_relabelled_component(chains, monkeypatch, space):
     # same rank, one component moved to a weight that is no component
     ch = chains((1, 1), 1.5, 5)
-    full = getattr(decomp, space)
+    full = decomp._extreme_weight_space
 
-    def relabelled(V, tol=DEFAULT_TOL, weights=None):
-        rep = full(V, tol, weights)
+    def relabelled(V, raising, tol, weights=None):
+        rep = full(V, raising, tol, weights)
+        if raising != (space == "highest_weight_space"):
+            return rep
         (_, cols), rest = rep.components[-1], rep.components[:-1]
         return decomp.HighestWeightReport(rest + [(Weight((7, 7)), cols)], rep.total)
 
-    monkeypatch.setattr(decomp, space, relabelled)
+    monkeypatch.setattr(decomp, "_extreme_weight_space", relabelled)
     with pytest.raises(InvariantViolation, match="weight by weight"):
         asympt.conjecture_scan(ch)

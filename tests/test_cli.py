@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcartan import asympt, braiding, cli, repn, sps
+from qcartan import asympt, braiding, cli, gtcg, repn, sps
 from qcartan.numerics import AmbiguousRank, InvariantViolation
 from qcartan.qcore import Weight
 
@@ -157,6 +157,26 @@ def test_cg_command(tmp_path, capsys):
         rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 8  # (m,0), m <= 4, i in {1, 2}
         assert all(float(r[4]) <= 1e-7 for r in rows)
+    capsys.readouterr()
+
+
+def test_cg_lambda_solves_the_shape_once_per_q(tmp_path, capsys, monkeypatch):
+    solves = []
+    real = gtcg._top_vectors
+
+    def counted(lam, q, builder, tol):
+        solves.append((lam, q))
+        return real(lam, q, builder, tol)
+
+    monkeypatch.setattr(gtcg, "_top_vectors", counted)
+    rc = cli.main(["cg", "--N", "4", "--lambda", "2,1,1", "--q", "1,1.5",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    assert solves == [(Weight((2, 1, 1)), 1.0), (Weight((2, 1, 1)), 1.5)]
+    for q in ("1", "1.5"):
+        lines = (tmp_path / f"cg_N4_e4_q{q}.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        assert [(r[0], r[1]) for r in rows] == [("4-2-1-0", str(i)) for i in range(1, 5)]
     capsys.readouterr()
 
 

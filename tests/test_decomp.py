@@ -123,14 +123,14 @@ def test_fusion_multiplicities_with_a_wall_weight(builders):
 
 def test_fusion_multiplicities_reject_kernels_off_the_component_count(monkeypatch):
     std = repn.standard_module(3, 1.5)
-    full = decomp.highest_weight_space
+    full = decomp._extreme_weight_space
 
-    def relabelled(V, tol=DEFAULT_TOL, weights=None):
-        rep = full(V, tol, weights)
+    def relabelled(V, raising, tol, weights=None):
+        rep = full(V, raising, tol, weights)
         (_, cols), rest = rep.components[0], rep.components[1:]
         return decomp.HighestWeightReport([(Weight((1, 1)), cols)] + rest, rep.total)
 
-    monkeypatch.setattr(decomp, "highest_weight_space", relabelled)
+    monkeypatch.setattr(decomp, "_extreme_weight_space", relabelled)
     with pytest.raises(InvariantViolation, match="component count"):
         decomp.fusion_multiplicities(std, std)
 
@@ -216,12 +216,13 @@ def test_candidate_kernels_equal_the_kernels_of_every_block(chains, coords, q, M
     ch = chains(coords, q, M)
     for n in range(1, M):
         T = ch.tensor(n)
-        cand = ch.base.weights + (ch.lam * n).as_array()
+        assert T.factors == (ch.base, ch.levels[n])
         if n > 1:
+            cand = ch.base.weights + (ch.lam * n).as_array()
             assert T.blocks_at(cand).size < T.column_side().keys.size
-        for space, weights in ((decomp.highest_weight_space, cand),
-                               (decomp.lowest_weight_space, -cand[:, ::-1])):
-            full, got = space(T), space(T, weights=weights)
+        bare = repn.QModule(T.N, T.q, T.weights, T.E, T.F)   # no factors: every block
+        for space in (decomp.highest_weight_space, decomp.lowest_weight_space):
+            full, got = space(bare), space(T)
             assert [w for w, _ in got.components] == [w for w, _ in full.components]
             assert got.total == full.total
             for (_, a), (_, b) in zip(got.components, full.components):

@@ -1,0 +1,33 @@
+"""The depth envelope of the chain build, one row per chain.
+
+Each row holds the chain weight and q, the deepest M that builds (every
+level at its Weyl dimension), and the weight block whose orbit rank is
+ambiguous one level deeper (AmbiguousRank, exit 2).  A row that moves in
+either direction fails; a change that moves one updates the row.
+
+The rank-three row runs as a CLI step in CI instead, at about 5 s:
+`scan --N 4 --lambda 0,1,0 --q 2` exits 0 at `--max-level 14` and 2 at
+`--max-level 15`, naming the block Weight(-7, 4, -5).
+"""
+
+import re
+
+import pytest
+
+from qcartan import sps
+from qcartan.numerics import AmbiguousRank
+from qcartan.qcore import Weight, weyl_dim
+
+ENVELOPE = [
+    # (lam, q, deepest M that builds, ambiguous weight block at level M + 1)
+    pytest.param((1, 1), 1.5, 11, Weight((-12, 9)), id="rho-q1.5"),
+]
+
+
+@pytest.mark.parametrize("coords, q, M, block", ENVELOPE)
+def test_depth_envelope_row(coords, q, M, block):
+    lam = Weight(coords)
+    assert sps.CartanChain(lam, q, M).dims == [weyl_dim(lam * n) for n in range(M + 1)]
+    with pytest.raises(AmbiguousRank, match=re.escape(
+            f"orbit of highest weight {lam * (M + 1)}, weight block {block}: rank gap")):
+        sps.CartanChain(lam, q, M + 1)

@@ -5,9 +5,11 @@ import types
 import numpy as np
 import pytest
 
-from qcartan import gtcg
+from qcartan import decomp, gtcg
 from qcartan.gtcg import GTPattern, MissingComponent
+from qcartan.numerics import InvariantViolation
 from qcartan.qcore import Weight, q_int, weyl_dim
+from qcartan.sps import GeneralWeightBuilder
 
 
 def test_pattern_enumeration_counts_match_dimensions():
@@ -118,15 +120,12 @@ def test_grid_layout():
 
 @pytest.mark.parametrize("N, max_entry", [(3, 3), (4, 2)])
 def test_grid_solves_each_partition_once_and_matches_per_i_calls(monkeypatch, N, max_entry):
-    from qcartan import decomp
-    from qcartan.sps import GeneralWeightBuilder
-
     solves = []
     real = decomp.highest_weight_space
 
-    def counted(T, tol, weights=None):
+    def counted(T, tol):
         solves.append(T.dim)
-        return real(T, tol, weights)
+        return real(T, tol)
 
     # only the grid's own solves: the module builder keeps the real function
     monkeypatch.setattr(gtcg, "decomp", types.SimpleNamespace(highest_weight_space=counted))
@@ -145,3 +144,23 @@ def test_grid_solves_each_partition_once_and_matches_per_i_calls(monkeypatch, N,
                 continue
             want.append((mu, i, gtcg.cg_closed_form(i, mu, 1.5), num))
     assert sorted(rows) == want
+
+
+@pytest.mark.parametrize("run, weight", [
+    pytest.param(lambda: gtcg.cg_grid(3, 1.5, 1), Weight((2, 0)), id="cg_grid"),
+    pytest.param(lambda: GeneralWeightBuilder(3, 1.5).fundamental(2), Weight((0, 1)),
+                 id="fundamental")])
+def test_count_gate_catches_a_second_copy_of_a_pieri_component(monkeypatch, run, weight):
+    # Pieri: every component of V_{omega_1} (x) V_mu has multiplicity one, so
+    # a second kernel column at its weight must fail the component count
+    full = decomp._extreme_weight_space
+
+    def doubled(V, raising, tol, weights=None):
+        rep = full(V, raising, tol, weights)
+        comps = [(w, np.hstack([cols, cols]) if w == weight else cols)
+                 for w, cols in rep.components]
+        return decomp.HighestWeightReport(comps, sum(c.shape[1] for _, c in comps))
+
+    monkeypatch.setattr(decomp, "_extreme_weight_space", doubled)
+    with pytest.raises(InvariantViolation, match="weight by weight"):
+        run()

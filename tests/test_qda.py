@@ -150,6 +150,22 @@ def test_chain_intertwiner_is_unitary(chains):
             assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-10
 
 
+def test_chain_intertwiners_build_one_creation_block_per_letter_and_level(chains,
+                                                                          monkeypatch):
+    ch = chains((1, 0), 1.5, 12)
+    levels = []
+    real = sps._creation_block
+
+    def counted(chain, xi, n):
+        levels.append(n)
+        return real(chain, xi, n)
+
+    monkeypatch.setattr(sps, "_creation_block", counted)
+    qda.chain_intertwiners(ch, 12)
+    assert sorted(set(levels)) == list(range(12))
+    assert all(levels.count(k) <= ch.N for k in set(levels))
+
+
 def test_chain_intertwiner_carries_shifts(chains):
     ch = chains((1, 0), 1.5, 6)
     fock = sps.FockSpace(ch)
