@@ -28,14 +28,18 @@ D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Their operator norms are
 taken as largest block norms by the one helper that also certifies
 coassociativity, and each raises InvariantViolation on an off-block entry.
 
-Everything is formed from the SparseMatrix triplets of the chain isometries,
-and no matrix of level size squared is ever dense.  The scan multiplies the
-extreme-weight columns Q^h as triplets; the star defects of one level take
-the Gram triplets G_b G_a^T and W_a^T W_b once for both braidings, mix the
-braiding in with one join, and lay all dim(V_lam)^2 maps D_(b,a) out
-block-diagonally, so one graded norm gives their largest norm.  Only
-matrices of size dim V_lam times a level dimension (the contractions of _b,
-the columns Q^h) are dense.
+The scan and the star are formed from the SparseMatrix triplets of the
+chain isometries, and no matrix of level size squared in them is dense.
+The scan multiplies the extreme-weight columns Q^h as triplets; the star
+defects of one level take the Gram triplets G_b G_a^T and W_a^T W_b once
+for both braidings, mix the braiding in with one join, and lay all
+dim(V_lam)^2 maps D_(b,a) out block-diagonally, so one graded norm gives
+their largest norm.  Only matrices of size dim V_lam times a level
+dimension (the contractions of _b, the columns Q^h) are dense.
+
+The commutator decay and the vacuum limits are dense per level: each reads
+its creation blocks as one stack per level and side from
+sps._creation_blocks, the one scatter of the chain's shift operators.
 """
 
 from __future__ import annotations
@@ -49,9 +53,8 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
-from .sps import (CartanChain, FockSpace, BlockOp, creation,
-                  right_creation, psi, _apply_left, _apply_right, _columns,
-                  _graded_norm)
+from .sps import (CartanChain, BlockOp, psi, _apply_left, _apply_right,
+                  _columns, _creation_blocks, _graded_norm)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -437,24 +440,25 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
 # ---------------------------------------------------------------------------
 
 def commutator_decay(chain: CartanChain, M: int = None) -> tuple:
-    """(ns, worst): worst = max over basis pairs of ||[S_a^*, R_b]|_n||."""
+    """(ns, worst): worst = max over basis pairs of ||[S_a^*, R_b]|_n||.
+
+    One left and one right stack of basis shifts per level
+    (sps._creation_blocks).  The commutators of one S_a^* with every R_b
+    are one batched product and one batched SVD, so at most dim(V_lam)
+    level-sized squares are held at once.
+    """
     top = chain.M if M is None else min(M, chain.M)
-    fock = FockSpace(chain, top)
-    dl = chain.base.dim
-    eye = np.eye(dl)
-    S = [creation(chain, eye[a], fock=fock) for a in range(dl)]
-    R = [right_creation(chain, eye[b], fock=fock) for b in range(dl)]
+    eye = np.eye(chain.base.dim)
     ns = np.arange(0, top - GUARD_LEVELS + 1)
+    S = [_creation_blocks(chain, eye, n).transpose(0, 2, 1) for n in ns]   # S_a^*
+    R = [_creation_blocks(chain, eye, n, right=True) for n in ns]
     worst = np.zeros(len(ns))
-    for idx, n in enumerate(ns):
-        w = 0.0
-        for a in range(dl):
-            for b in range(dl):
-                term = S[a].block(n).T @ R[b].block(n)
-                if n >= 1:
-                    term = term - R[b].block(n - 1) @ S[a].block(n - 1).T
-                w = max(w, operator_norm(term))
-        worst[idx] = w
+    for n in ns:
+        for a in range(len(eye)):
+            term = S[n][a] @ R[n]   # term[b] = S_a^* R_b
+            if n >= 1:
+                term = term - R[n - 1] @ S[n - 1][a]
+            worst[n] = max(worst[n], np.linalg.svd(term, compute_uv=False)[:, 0].max())
     return ns, worst
 
 
@@ -464,17 +468,14 @@ def vacuum_limits(chain: CartanChain, xi: np.ndarray, zeta: np.ndarray,
 
     creation_first[n]      = omega_n(S_xi S_zeta^*)   (exact at every level)
     annihilation_first[n]  = omega_n(S_zeta^* S_xi)   (converges geometrically)
+
+    Level k reads one two-block stack [S_xi; S_zeta] (sps._creation_blocks).
     """
     top = chain.M if M is None else min(M, chain.M)
-    fock = FockSpace(chain, top)
-    Sx = creation(chain, np.asarray(xi, dtype=np.float64), fock=fock)
-    Sz = creation(chain, np.asarray(zeta, dtype=np.float64), fock=fock)
     ns = np.arange(1, top - GUARD_LEVELS + 1)
-    cf = np.zeros(len(ns))
-    af = np.zeros(len(ns))
-    for idx, n in enumerate(ns):
-        cf[idx] = float(Sx.block(n - 1)[0, :] @ Sz.block(n - 1)[0, :])
-        af[idx] = float(Sx.block(n)[:, 0] @ Sz.block(n)[:, 0])
+    S = [_creation_blocks(chain, [xi, zeta], k) for k in range(top - GUARD_LEVELS + 1)]
+    cf = np.array([float(S[n - 1][0, 0, :] @ S[n - 1][1, 0, :]) for n in ns])
+    af = np.array([float(S[n][0, :, 0] @ S[n][1, :, 0]) for n in ns])
     target = float(xi[0]) * float(zeta[0])
     return {
         "n": ns,

@@ -530,7 +530,8 @@ def store_chain(chain: CartanChain, path: str) -> None:
 
 
 def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
-    """Read a chain cache file; verifies checksums, shape bookkeeping and
+    """Read a chain cache file; verifies checksums, shape bookkeeping, the
+    weight tables (finite integers, row 0 the level's highest weight) and
     the canonical form of every triplet record.
 
     Substance verification (module relations, coassociativity) is the
@@ -578,13 +579,21 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
     levels = []
     for n in range(M + 1):
         weights, off = _unpack_matrix(buf, off)
+        if weights.shape != (dims[n], N - 1):
+            raise InvariantViolation(f"{path}: level {n} dim mismatch")
+        # integers below 2^53 are exact in the float64 record
+        if not np.all(np.isfinite(weights) & (weights == np.round(weights))
+                      & (np.abs(weights) < 2.0 ** 53)):
+            raise InvariantViolation(
+                f"{path}: level {n} weight table holds an entry that is not a finite integer")
         weights = weights.astype(np.int64)
+        if weights[:1].tolist() != [list((lam * n).coords)]:
+            raise InvariantViolation(
+                f"{path}: level {n} weight row 0 is not the highest weight {lam * n}")
         E, F = {}, {}
         for i in range(1, N):
             E[i], off = _unpack_triplets(buf, off)
             F[i], off = _unpack_triplets(buf, off)
-        if weights.shape != (dims[n], N - 1):
-            raise InvariantViolation(f"{path}: level {n} dim mismatch")
         levels.append(QModule(N, q, weights, E, F,
                               highest_weight=lam * n, hw_index=0))
     w = []

@@ -3,9 +3,10 @@
 GT patterns enter only as combinatorial labels: `gt_enumerate` checks the
 betweenness parameterization against Weyl dimensions, and `cg_closed_form`
 evaluates the closed-form coefficient for the highest-weight overlap
-|<e_i (x) xi_mu, xi_{mu^i})>| in V_{omega_1} (x) V_mu.  The numeric twin
-`cg_numeric` extracts the same number from an explicit tensor-product
-decomposition, without ever constructing GT generator actions.
+|<e_i (x) xi_mu, xi_{mu^i})>| in V_{omega_1} (x) V_mu.  `cg_grid` sets it
+beside the same number read off an explicit tensor-product decomposition,
+one highest weight space per partition, without ever constructing GT
+generator actions.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 from .qcore import Weight, q_int
 from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
 from . import decomp, repn
-
-
-class MissingComponent(Exception):
-    """V_{mu^i} does not occur in V_{omega_1} (x) V_mu (mu^i not dominant)."""
 
 
 def _as_partition(mu, N: int | None = None) -> tuple:
@@ -135,31 +132,6 @@ def _overlap(i: int, target: Weight, top) -> float:
     dim, report = top
     # T index (a, b) -> a * dim(V) + b; xi_mu is one-hot at b = 0
     return float(abs(report.vectors_of(target)[(i - 1) * dim, 0]))
-
-
-def cg_numeric(i: int, mu, q: float, builder=None,
-               tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """|<e_i (x) xi_mu, xi^{(i)}>| from the extracted h.w. vector.
-
-    xi^{(i)} is the (sign-fixed) highest weight vector of the V_{mu^i}
-    component of V_{omega_1} (x) V_mu.  Raises MissingComponent when mu^i
-    is not dominant (the component is absent, e.g. i=N with mu_{N-1}=0).
-    """
-    from .sps import GeneralWeightBuilder
-
-    if isinstance(mu, Weight):
-        lam = mu
-    else:
-        lam = Weight.from_partition(_as_partition(mu))
-    N = lam.N
-    if not 1 <= i <= N:
-        raise ValueError(f"i={i} out of range 1..{N}")
-    target = lam + component_shift(i, N)
-    if not target.is_dominant:
-        raise MissingComponent(f"mu^{i} = {target} is not dominant")
-    if builder is None:
-        builder = GeneralWeightBuilder(N, q, tol)
-    return _overlap(i, target, _top_vectors(lam, q, builder, tol))
 
 
 def cg_grid(N: int, q: float, max_entry: int,

@@ -215,7 +215,8 @@ def chain_intertwiners(chain, n: int) -> list:
     Column d of U_k is (S_1^{d_1} ... S_N^{d_N} vacuum) / ||e^d||; the claim
     under test is that these columns are orthonormal (so U_k is a unitary
     intertwiner of the two models).  Words are built in one pass up the
-    levels, each by peeling the leftmost letter off a word one level down.
+    levels, each by peeling the leftmost letter off a word one level down;
+    level k reads one creation stack, a block per letter.
     """
     from . import sps
 
@@ -228,7 +229,7 @@ def chain_intertwiners(chain, n: int) -> list:
     vecs = {(0,) * N: np.ones(1)}
     out = [np.ones((1, 1))]
     for k in range(1, n + 1):
-        blocks = [sps._creation_block(chain, eye[i], k - 1) for i in range(N)]
+        blocks = sps._creation_blocks(chain, eye, k - 1)   # one per letter
         nxt = {}
         for d in monomials(N, k):
             i = next(a for a in range(N) if d[a] > 0)

@@ -26,9 +26,11 @@ the left side is summed into the buffer, the right side is subtracted in
 place, and the residual is the largest block norm.
 
 Truncated Fock space operators are kept block-per-level (BlockOp) as dense
-blocks: creation S_xi (scattered from the triplets of w_n), its adjoint,
-right creation R_xi, level projectors, the compression maps psi_{n,n+k} (which
-densify their one pair isometry) and the transfer operator Theta.
+blocks.  Every creation block is scattered from the triplets of w_n or w'_n
+by one function (_creation_blocks), as a stack with one block per vector:
+the left and right shifts S_xi and R_xi, the transfer operator Theta and the
+braided commutation residual all read it.  The compression maps psi_{n,n+k}
+densify their one pair isometry.
 """
 from __future__ import annotations
 
@@ -37,8 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decomp, repn
-from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
-                       operator_norm)
+from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
 from .qcore import Weight, fundamental_weight, pairing
 from .repn import (_Columns, _Layout, _columns, _graded_blocks, _graded_layout,
                    _graded_matrix, _graded_positions, _graded_sum)
@@ -49,9 +50,7 @@ __all__ = [
     "FockSpace",
     "BlockOp",
     "creation",
-    "annihilation",
     "right_creation",
-    "level_projector",
     "psi",
     "theta",
     "eq_comm_residual",
@@ -395,20 +394,12 @@ class GeneralWeightBuilder:
 
 
 class FockSpace:
-    """Direct sum of the chain levels 0..M with block index arithmetic."""
+    """Direct sum of the chain levels 0..M, kept as their dimensions."""
 
     def __init__(self, chain: CartanChain, M: int | None = None):
         self.chain = chain
         self.M = chain.M if M is None else min(M, chain.M)
         self.dims = [lv.dim for lv in chain.levels[: self.M + 1]]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
-
-    @property
-    def dim(self) -> int:
-        return int(self.offsets[-1])
-
-    def level_slice(self, n: int) -> slice:
-        return slice(int(self.offsets[n]), int(self.offsets[n + 1]))
 
 
 @dataclass
@@ -463,66 +454,44 @@ class BlockOp:
             out.blocks[n + self.shift] = b.T
         return out
 
-    def level_norm(self, n: int) -> float:
-        b = self.blocks.get(n)
-        return 0.0 if b is None else operator_norm(b)
-
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.fock.dim, self.fock.dim))
-        for n, b in self.blocks.items():
-            A[self.fock.level_slice(n + self.shift), self.fock.level_slice(n)] = b
-        return A
-
     @staticmethod
     def identity(fock: FockSpace) -> "BlockOp":
         return BlockOp(fock, 0, {n: np.eye(d) for n, d in enumerate(fock.dims)})
 
 
-def _creation_block(chain: CartanChain, xi: np.ndarray, n: int) -> np.ndarray:
-    """w_n^T (xi (x) .) : V_{n lam} -> V_{(n+1)lam}, scattered from w_n.
+def _creation_blocks(chain: CartanChain, X, n: int, right: bool = False) -> np.ndarray:
+    """Stack of the shifts V_{n lam} -> V_{(n+1)lam}, one per row x of X:
+    left w_n^T (x (x) .), or right w'_n^T (. (x) x).
 
-    Entry (c, j) sums xi[a] w_n[a * dn + j, c] over a.
+    Entry (r, c, j) sums X[r, a] w_n[a * dn + j, c] over a (on the right
+    w'_n[j * dl + a, c]).  It is one bincount over the triplets of w_n
+    (w'_n), so each position is summed in triplet order.  This is the only
+    scatter of creation blocks: every shift operator reads it, with X = xi
+    or X = eye(dim V_lam).
     """
-    W, dn = chain.w[n], chain.levels[n].dim
-    a, j = np.divmod(W.rows, dn)
-    return np.bincount(W.cols * dn + j, weights=xi[a] * W.vals,
-                       minlength=W.shape[1] * dn).reshape(W.shape[1], dn)
-
-
-def _right_creation_block(chain: CartanChain, xi: np.ndarray, n: int) -> np.ndarray:
-    """w'_n^T (. (x) xi) : V_{n lam} -> V_{(n+1)lam}, scattered from w'_n.
-
-    Entry (c, j) sums xi[a] w'_n[j * dl + a, c] over a.
-    """
-    W, dn = chain.right_isometry(n), chain.levels[n].dim
-    j, a = np.divmod(W.rows, chain.base.dim)
-    return np.bincount(W.cols * dn + j, weights=xi[a] * W.vals,
-                       minlength=W.shape[1] * dn).reshape(W.shape[1], dn)
+    X = np.asarray(X, dtype=np.float64)
+    dn = chain.levels[n].dim
+    if right:
+        W = chain.right_isometry(n)
+        j, a = np.divmod(W.rows, chain.base.dim)
+    else:
+        W = chain.w[n]
+        a, j = np.divmod(W.rows, dn)
+    size = W.shape[1] * dn
+    pos = np.arange(0, len(X) * size, size)[:, None] + (W.cols * dn + j)
+    return np.bincount(pos.ravel(), weights=(X[:, a] * W.vals).ravel(),
+                       minlength=len(X) * size).reshape(len(X), W.shape[1], dn)
 
 
 def creation(chain: CartanChain, xi: np.ndarray, fock: FockSpace) -> BlockOp:
     """Left shift S_xi; the top truncation level maps to zero."""
-    xi = np.asarray(xi, dtype=np.float64)
-    op = BlockOp(fock, 1)
-    for n in range(fock.M):
-        op.blocks[n] = _creation_block(chain, xi, n)
-    return op
-
-
-def annihilation(chain: CartanChain, zeta: np.ndarray, fock: FockSpace) -> BlockOp:
-    return creation(chain, zeta, fock).adjoint()
+    return BlockOp(fock, 1, {n: _creation_blocks(chain, [xi], n)[0] for n in range(fock.M)})
 
 
 def right_creation(chain: CartanChain, xi: np.ndarray, fock: FockSpace) -> BlockOp:
-    xi = np.asarray(xi, dtype=np.float64)
-    op = BlockOp(fock, 1)
-    for n in range(fock.M):
-        op.blocks[n] = _right_creation_block(chain, xi, n)
-    return op
-
-
-def level_projector(fock: FockSpace, n: int) -> BlockOp:
-    return BlockOp(fock, 0, {n: np.eye(fock.dims[n])})
+    """Right shift R_xi; the top truncation level maps to zero."""
+    return BlockOp(fock, 1, {n: _creation_blocks(chain, [xi], n, right=True)[0]
+                             for n in range(fock.M)})
 
 
 def psi(chain: CartanChain, n: int, k: int, T: np.ndarray) -> np.ndarray:
@@ -536,19 +505,12 @@ def theta(chain: CartanChain, X: BlockOp) -> BlockOp:
     """Transfer operator: Theta(X)_{n+1} = sum_i R_i|_n X_n R_i|_n^T (level 0 -> 0)."""
     if X.shift != 0:
         raise ValueError("theta acts on block-diagonal operators")
-    fock = X.fock
-    out = BlockOp(fock, 0)
-    dl = chain.base.dim
+    eye = np.eye(chain.base.dim)
+    out = BlockOp(X.fock, 0)
     for n, b in X.blocks.items():
-        if n >= fock.M:
-            continue
-        acc = None
-        for i in range(dl):
-            R = _right_creation_block(chain, np.eye(dl)[i], n)
-            term = R @ b @ R.T
-            acc = term if acc is None else acc + term
-        m = n + 1
-        out.blocks[m] = acc if m not in out.blocks else out.blocks[m] + acc
+        if n < X.fock.M:
+            R = _creation_blocks(chain, eye, n, right=True)
+            out.blocks[n + 1] = (R @ b @ R.transpose(0, 2, 1)).sum(0)
     return out
 
 
@@ -560,9 +522,6 @@ def eq_comm_residual(chain: CartanChain, sigma: np.ndarray, n: int) -> float:
     """
     dl = chain.base.dim
     qfac = chain.q ** (-pairing(chain.lam, chain.lam))
-    # S[a] = _creation_block(chain, e_a, k) for every a: w_k with its left
-    # index split off, each block transposed
-    S0, S1 = (chain.w[k].to_dense().reshape(dl, chain.levels[k].dim, -1).transpose(0, 2, 1)
-              for k in (n, n + 1))
+    S0, S1 = (_creation_blocks(chain, np.eye(dl), k) for k in (n, n + 1))
     P = np.matmul(S1[:, None], S0[None, :]).reshape(dl * dl, -1)   # P[a, b] = S_a S_b
     return float(np.max(np.abs(P - qfac * (sigma.T @ P))))

@@ -158,6 +158,21 @@ def test_commutator_decay(chains):
     assert 0.60 <= fit.t_hat <= 0.75
 
 
+def test_commutator_decay_matches_the_per_pair_shift_operators_on_rho(chains):
+    """dim V_lam = 8 and multiplicities > 1: the batched commutators equal
+    [S_a^*, R_b] formed from the public shifts, pair by pair."""
+    ch = chains((1, 1), 1.5, 6)
+    ns, worst = asympt.commutator_decay(ch)
+    fock = sps.FockSpace(ch)
+    e = np.eye(ch.base.dim)
+    S = [sps.creation(ch, x, fock=fock).adjoint() for x in e]
+    R = [sps.right_creation(ch, x, fock=fock) for x in e]
+    ref = [max(operator_norm((Sa @ Rb - Rb @ Sa).block(n)) for Sa in S for Rb in R)
+           for n in ns]
+    assert list(ns) == list(range(0, ch.M - 1))
+    assert np.max(np.abs(worst - ref)) <= 1e-14
+
+
 def test_vacuum_limits(chains):
     ch = chains((1,), 1.5, 10)
     xi = np.array([0.6, 0.8])

@@ -337,6 +337,36 @@ def test_cache_rejects_corruption(tmp_path):
             cli.load_chain(str(path))
 
 
+def _set_entry(m, value):
+    out = m.copy()
+    out[1, 0] = value(out[1, 0])
+    return out
+
+
+@pytest.mark.parametrize("tamper, why", [
+    pytest.param(lambda m: _set_entry(m, lambda x: x + 0.5),
+                 "table holds an entry that is not a finite integer", id="half"),
+    pytest.param(lambda m: _set_entry(m, lambda x: np.nan),
+                 "table holds an entry that is not a finite integer", id="nan"),
+    pytest.param(lambda m: m[::-1], "row 0 is not the highest weight", id="row0")])
+def test_cache_rejects_a_tampered_weight_table(tmp_path, monkeypatch, tamper, why):
+    """A weight record with valid CRCs is still held to integers and to the
+    highest weight at index 0."""
+    ch = sps.CartanChain(Weight((1,)), 1.5, 4)
+    path = tmp_path / "c.qcc"
+    real, seen = cli._pack_matrix, []
+
+    def pack(m):   # the weight table of level n is the (n+1)-th dense record
+        seen.append(m)
+        return real(tamper(m) if len(seen) == 3 else m)
+
+    monkeypatch.setattr(cli, "_pack_matrix", pack)
+    cli.store_chain(ch, str(path))
+    assert len(seen) == ch.M + 1
+    with pytest.raises(InvariantViolation, match=f"level 2 weight {why}"):
+        cli.load_chain(str(path))
+
+
 def test_cache_env_dir(tmp_path, monkeypatch, capsys):
     outdir = tmp_path / "out"
     envdir = tmp_path / "env"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcartan import decomp, gtcg
-from qcartan.gtcg import GTPattern, MissingComponent
+from qcartan.gtcg import GTPattern
 from qcartan.numerics import InvariantViolation
 from qcartan.qcore import Weight, q_int, weyl_dim
 from qcartan.sps import GeneralWeightBuilder
@@ -79,27 +79,19 @@ def test_component_shifts_are_standard_weights():
 
 
 def test_numeric_overlap_matches_closed_form():
-    from qcartan.sps import GeneralWeightBuilder
-
     for N, parts in ((2, ((1, 0), (2, 0), (3, 0), (4, 0))),
                      (3, ((2, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0)))):
         for q in (1.0, 1.5):
-            builder = GeneralWeightBuilder(N, q)
+            rows = gtcg.cg_grid(N, q, max(map(max, parts)), shapes=parts)
+            got = {(mu, i): num for mu, i, _, num in rows}
+            assert len(got) == len(rows)
             for mu in parts:
                 for i in range(1, N + 1):
-                    try:
-                        num = gtcg.cg_numeric(i, mu, q, builder=builder)
-                    except MissingComponent:
-                        assert gtcg.cg_closed_form(i, mu, q) == 0.0
+                    closed = gtcg.cg_closed_form(i, mu, q)
+                    if (mu, i) not in got:   # the grid skips missing components
+                        assert closed == 0.0
                         continue
-                    assert abs(num - gtcg.cg_closed_form(i, mu, q)) <= 1e-10
-
-
-def test_missing_component_raises():
-    with pytest.raises(MissingComponent):
-        gtcg.cg_numeric(2, (2, 2), 1.5)
-    with pytest.raises(ValueError):
-        gtcg.cg_numeric(5, (2, 1, 0), 1.5)
+                    assert abs(got[mu, i] - closed) <= 1e-10
 
 
 def test_grid_layout():
@@ -134,15 +126,8 @@ def test_grid_solves_each_partition_once_and_matches_per_i_calls(monkeypatch, N,
     assert len(solves) == len(partitions)
     monkeypatch.undo()
 
-    builder = GeneralWeightBuilder(N, 1.5)
-    want = []
-    for mu in partitions:
-        for i in range(1, N + 1):
-            try:
-                num = gtcg.cg_numeric(i, mu, 1.5, builder=builder)
-            except MissingComponent:
-                continue
-            want.append((mu, i, gtcg.cg_closed_form(i, mu, 1.5), num))
+    want = [row for mu in partitions
+            for row in gtcg.cg_grid(N, 1.5, max_entry, shapes=[mu])]
     assert sorted(rows) == want
 
 

@@ -1,6 +1,8 @@
-"""Every module imports only names it uses (no linter runs in CI)."""
+"""Every module imports only names it uses and exports only names it has
+(no linter runs in CI)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,3 +32,15 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src" / "qcartan").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 20
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def test_every_name_in_all_exists():
+    exported, missing = 0, []
+    for path in sorted((ROOT / "src" / "qcartan").glob("*.py")):
+        name = "qcartan" if path.stem == "__init__" else f"qcartan.{path.stem}"
+        mod = importlib.import_module(name)
+        names = getattr(mod, "__all__", ())
+        exported += len(names)
+        missing += [f"{name}.{n}" for n in names if not hasattr(mod, n)]
+    assert exported > 40
+    assert missing == []

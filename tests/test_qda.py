@@ -154,16 +154,16 @@ def test_chain_intertwiners_build_one_creation_block_per_letter_and_level(chains
                                                                           monkeypatch):
     ch = chains((1, 0), 1.5, 12)
     levels = []
-    real = sps._creation_block
+    real = sps._creation_blocks
 
-    def counted(chain, xi, n):
+    def counted(chain, X, n, right=False):
+        assert not right and np.array_equal(X, np.eye(ch.N))
         levels.append(n)
-        return real(chain, xi, n)
+        return real(chain, X, n, right)
 
-    monkeypatch.setattr(sps, "_creation_block", counted)
+    monkeypatch.setattr(sps, "_creation_blocks", counted)
     qda.chain_intertwiners(ch, 12)
-    assert sorted(set(levels)) == list(range(12))
-    assert all(levels.count(k) <= ch.N for k in set(levels))
+    assert levels == list(range(12))  # one stack, a block per letter, per level
 
 
 def test_chain_intertwiner_carries_shifts(chains):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcartan import asympt, braiding, decomp, repn, sps
+from qcartan import asympt, braiding, decomp, qda, repn, sps
 from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
 from qcartan.qcore import Weight, weyl_dim
 
@@ -471,10 +471,8 @@ def test_fock_space_layout(chains):
     fock = sps.FockSpace(ch)
     assert fock.M == 6
     assert fock.dims == [1, 2, 3, 4, 5, 6, 7]
-    assert fock.dim == 28
-    assert fock.level_slice(2) == slice(3, 6)
     trunc = sps.FockSpace(ch, 4)
-    assert trunc.M == 4 and trunc.dim == 15
+    assert trunc.M == 4 and trunc.dims == [1, 2, 3, 4, 5]
     assert sps.FockSpace(ch, 99).M == 6  # clamped to the chain depth
 
 
@@ -483,25 +481,22 @@ def test_block_op_algebra(chains):
     fock = sps.FockSpace(ch)
     S = sps.creation(ch, np.array([0.6, 0.8]), fock=fock)
     assert S.shift == 1
-    A = sps.annihilation(ch, np.array([0.6, 0.8]), fock=fock)
+    A = S.adjoint()
     assert A.shift == -1
     assert np.array_equal(A.block(3), S.block(2).T)
     X = S @ A
     assert X.shift == 0
     assert np.array_equal(X.block(3), S.block(2) @ S.block(2).T)
+    # an absent block is the zero block of its levels
+    assert 0 not in X.blocks and np.array_equal(X.block(0), np.zeros((1, 1)))
     ident = sps.BlockOp.identity(fock)
     Y = X + ident
     assert np.array_equal(Y.block(3), X.block(3) + np.eye(4))
+    assert np.array_equal((Y - ident).block(3), Y.block(3) - np.eye(4))
     Z = 2.0 * X
     assert np.array_equal(Z.block(3), 2.0 * X.block(3))
     with pytest.raises(ValueError):
         S + A
-    # dense embedding places blocks on the shifted diagonal
-    D = S.to_dense()
-    assert np.array_equal(D[fock.level_slice(3), fock.level_slice(2)], S.block(2))
-    assert S.level_norm(2) == operator_norm(S.block(2))
-    P = sps.level_projector(fock, 2)
-    assert np.array_equal(P.block(2), np.eye(3))
 
 
 def test_creation_phase_and_resolution_of_identity(chains):
@@ -544,6 +539,49 @@ def test_braided_shift_commutation_identity(chains):
         assert sps.eq_comm_residual(ch, sigma, n) <= 1e-12
     # a wrong braiding scale is detected
     assert sps.eq_comm_residual(ch, 1.01 * sigma, 2) > 1e-4
+
+
+def test_shift_operators_never_densify_a_sparse_matrix(chains, monkeypatch):
+    """Every shift operator is scattered from triplets: no to_dense call."""
+    ch = chains((1, 0), 1.5, 6)
+    sigma = braiding.braid_sigma(ch.base, ch.base).matrix
+    fock = sps.FockSpace(ch)
+
+    def refuse(self):
+        raise AssertionError(f"densified a {self.shape} matrix")
+
+    monkeypatch.setattr(repn.SparseMatrix, "to_dense", refuse)
+    assert sps.eq_comm_residual(ch, sigma, 2) <= 1e-12
+    Y = sps.theta(ch, sps.BlockOp(fock, 0, {2: np.eye(ch.levels[2].dim)}))
+    assert np.max(np.abs(Y.block(3) - np.eye(ch.levels[3].dim))) <= 1e-12
+    ns, worst = asympt.commutator_decay(ch)
+    assert len(ns) == ch.M - 1 and worst[0] == 1.0
+    xi = np.array([0.6, 0.8, 0.0])
+    assert np.max(asympt.vacuum_limits(ch, xi, xi)["residual_creation"]) <= 1e-14
+    U = qda.chain_intertwiners(ch, ch.M)
+    assert np.max(np.abs(U[4].T @ U[4] - np.eye(U[4].shape[1]))) <= 1e-10
+
+
+def test_creation_blocks_stack_the_single_vector_shifts(chains):
+    """Row r of a stack is the shift of the r-th vector, left and right."""
+    ch = chains((1, 1), 1.5, 4)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((3, ch.base.dim))
+    for n in range(ch.M):
+        for right in (False, True):
+            stack = sps._creation_blocks(ch, X, n, right)
+            assert stack.shape == (3, ch.levels[n + 1].dim, ch.levels[n].dim)
+            for x, block in zip(X, stack):
+                assert np.array_equal(sps._creation_blocks(ch, [x], n, right)[0], block)
+    # S_xi = w_n^T (xi (x) .) and R_xi = w'_n^T (. (x) xi)
+    n, xi = 2, X[0]
+    dn = ch.levels[n].dim
+    ident = np.eye(dn)
+    W, Wr = ch.w[n].to_dense(), ch.right_isometry(n).to_dense()
+    assert np.max(np.abs(sps._creation_blocks(ch, [xi], n)[0]
+                         - W.T @ np.kron(xi[:, None], ident))) <= 1e-14
+    assert np.max(np.abs(sps._creation_blocks(ch, [xi], n, right=True)[0]
+                         - Wr.T @ np.kron(ident, xi[:, None]))) <= 1e-14
 
 
 # Depths at which the former per-vector orbit loop raised a false
