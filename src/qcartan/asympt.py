@@ -24,18 +24,18 @@ components, weight by weight, for every lam.
 The square matrices measured here are weight-graded with exact zeros off
 their weight blocks: c(n) and the Cartan-projector absorption residual of the
 scan, the left side of the f-estimate, and every star-commutation defect map
-D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Their operator norms are
-taken as largest block norms by the one helper that also certifies
-coassociativity, and each raises InvariantViolation on an off-block entry.
-
-The scan and the star are formed from the SparseMatrix triplets of the
-chain isometries, and no matrix of level size squared in them is dense.
-The scan multiplies the extreme-weight columns Q^h as triplets; the star
+D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Each is given as two
+sets of triplets to sps._graded_norm, which also certifies coassociativity:
+it sums one into the weight-block layout, subtracts the other in place and
+returns the largest block norm, raising InvariantViolation on an off-block
+entry.  No matrix of level size squared is dense.  The scan joins the
+extreme-weight columns Q^h as triplets (repn._product); the f-estimate's
+terms are joins too (sps._apply), and nothing in it is sorted; the star
 defects of one level take the Gram triplets G_b G_a^T and W_a^T W_b once
-for both braidings, mix the braiding in with one join, and lay all
-dim(V_lam)^2 maps D_(b,a) out block-diagonally, so one graded norm gives
-their largest norm.  Only matrices of size dim V_lam times a level
-dimension (the contractions of _b, the columns Q^h) are dense.
+for both braidings, mix the braiding in with one join, summed by one sort,
+and lay all dim(V_lam)^2 maps D_(b,a) out block-diagonally, so one graded
+norm gives their largest norm.  Only matrices of size dim V_lam times a
+level dimension (the contractions of _b, the columns Q^h) are dense.
 
 The commutator decay and the vacuum limits are dense per level: each reads
 its creation blocks as one stack per level and side from
@@ -53,8 +53,8 @@ from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
                        operator_norm)
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
-from .sps import (CartanChain, BlockOp, psi, _apply_left, _apply_right,
-                  _columns, _creation_blocks, _graded_norm)
+from .sps import (CartanChain, BlockOp, psi, _apply, _columns, _creation_blocks,
+                  _graded_norm)
 
 GUARD_LEVELS = 2      # rows this close to the truncation are never reported
 BURN_IN_ROWS = 2      # rate fits drop this many initial rows
@@ -150,9 +150,8 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         a = _a(Qh, h_n, dl)
         b = _b(wn, h_lam, h_n)
         units = np.arange(dl) * dn   # 1 (x) P^h_{n lam}: a unit at (a dn, a dn)
-        c = _graded_norm(Qs @ Qs.T - repn.SparseMatrix((dl * dn, dl * dn), units, units,
-                                                       np.ones(dl)),
-                         keys_t, cols_t, f"c({n})")
+        c = _graded_norm(keys_t, cols_t, f"c({n})", repn._product(Qs, Qs.T),
+                         (units, units, np.ones(dl)))
         a_l = _a(Ql, l_n, dl)
         b_l = _b(wn, l_lam, l_n)
 
@@ -167,10 +166,10 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
         # f_{lam,n lam} (P^h_{lam,n lam} - P^h_lam (x) P^h_{n lam}) = 0: the
         # product projector leaves column 0 of f = w_n^T, which is row 0 of w_n
         head = _leading_rows(wn, 1)
-        f0 = repn.SparseMatrix((wn.shape[1], dl * dn), head.cols, np.zeros_like(head.cols),
-                               head.vals)
-        r4 = _graded_norm((wn.T @ Qs) @ Qs.T - f0, chain._weight_keys(n + 1), cols_t,
-                          f"Cartan projector absorption at n={n}")
+        r4 = _graded_norm(chain._weight_keys(n + 1), cols_t,
+                          f"Cartan projector absorption at n={n}",
+                          repn._product(wn.T @ Qs, Qs.T),
+                          (head.cols, np.zeros_like(head.cols), head.vals))
         if r4 > 1e-8:
             raise InvariantViolation(
                 f"Cartan projector does not absorb the product projector "
@@ -247,21 +246,24 @@ def f_estimate_check(chain: CartanChain, n: int,
     """(lhs, rhs, holds) for ||f_{n+1} - (f_n (x) 1)(1 (x) f_n)|| <= a(n) + b(n-1).
 
     Both projectors are transported to V_lam (x) V_{n lam} coordinates: the
-    left side becomes ||w'_n w_n^T - (w_{n-1}^T (x) 1)(1 (x) w'_{n-1})||,
-    formed from triplets: 1 (x) w'_{n-1} is the identity joined against
-    w'_{n-1}^T, as in the coassociativity residual.
+    left side becomes ||w'_n w_n^T - (w_{n-1}^T (x) 1)(1 (x) w'_{n-1})||.
+    Both terms are unsummed triplets: the first one join (repn._product),
+    the second the identity joined against w'_{n-1}^T and then against
+    w_{n-1} (sps._apply).  The graded norm sums the first into the weight
+    blocks and subtracts the second in place, so nothing is sorted.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
     if n > chain.M - 1:
         raise ValueError(f"n={n} exceeds last isometry {chain.M - 1}")
     dl = chain.base.dim
-    term1 = chain.right_isometry(n) @ chain.w[n].T
-    X = repn.SparseMatrix(*_apply_right(chain.right_isometry(n - 1).T,
-                                        repn.SparseMatrix.identity(term1.shape[1]), dl))
-    term2 = repn.SparseMatrix(*_apply_left(chain.w[n - 1], X, dl))
-    lhs = _graded_norm(term1 - term2, chain._weight_keys(n, 1),
-                       chain._column_side(1, n), f"f-estimate at n={n}")
+    eye = np.arange(dl * chain.levels[n].dim)
+    lhs = _graded_norm(chain._weight_keys(n, 1), chain._column_side(1, n),
+                       f"f-estimate at n={n}",
+                       repn._product(chain.right_isometry(n), chain.w[n].T),
+                       _apply(chain.w[n - 1], _apply(chain.right_isometry(n - 1).T,
+                                                     (eye, eye, np.ones(eye.size)), dl, 1),
+                              1, dl))
 
     if table is not None and n in table.ns and (n - 1) in table.ns:
         a_n = float(table.a[list(table.ns).index(n)])
@@ -333,12 +335,11 @@ def _grams(W: repn.SparseMatrix, G: repn.SparseMatrix, dmu: int) -> tuple:
     """(B, A): the Gram maps of one level, shared by both braidings.
 
     B(b, a) = G_b G_a^T and A(a, b) = W_a^T W_b, where G_b and W_a are the
-    row blocks of G and W with left tensor index b and a.  B is one
-    SparseMatrix in the block-diagonal layout of _defect_maps, map
-    p = b * dl + a; A is the triplets (p, i, j, v) of A(a, b)[i, j] at
-    p = a * dl + b.  B comes from the product G G^T and A from Wc^T Wc,
-    where Wc[k, a * dmu + i] = W_a[k, i] moves the left index of W to its
-    columns.
+    row blocks of G and W with left tensor index b and a.  Each is the
+    triplets (p, i, j, v) of a stack of maps, entry [i, j] of map p: B at
+    p = b * dl + a, A at p = a * dl + b, one triplet per entry.  B comes
+    from the product G G^T and A from Wc^T Wc, where Wc[k, a * dmu + i] =
+    W_a[k, i] moves the left index of W to its columns.
     """
     dl = G.shape[0] // dmu
     dnu = W.shape[0] // dl
@@ -350,42 +351,42 @@ def _grams(W: repn.SparseMatrix, G: repn.SparseMatrix, dmu: int) -> tuple:
         y, j = np.divmod(P.cols, dmu)
         return x * dl + y, i, j, P.vals
 
-    p, i, j, v = split(G @ G.T)
-    side = dl * dl * dmu
-    return repn.SparseMatrix((side, side), p * dmu + i, p * dmu + j, v), split(Wc.T @ Wc)
+    return split(G @ G.T), split(Wc.T @ Wc)
 
 
-def _defect_maps(B: repn.SparseMatrix, A: tuple, sigma: repn.SparseMatrix, qfac: float,
+def _defect_maps(B: tuple, A: tuple, sigma: repn.SparseMatrix, qfac: float,
                  keys_lam: np.ndarray, keys_mu: np.ndarray) -> DefectNorms:
     """Norms of x -> B(x) - qfac * A(sigma x) on the (dl x dl)-dim domain.
 
-    D_(b,a) = B(e_b (x) e_a) - qfac * sum_r sigma[r, (b,a)] A(r), the sum one
-    join of A's stack index r against the rows of sigma.  The maps D_p are
-    laid out block-diagonally, D_p[i, j] at (p * dmu + i, p * dmu + j); D_p
-    shifts weights by wt(e_a) - wt(e_b), so the row key key_mu[i] * dl^2 + p
-    and the column key (key_mu[j] + shift_p) * dl^2 + p grade them all at
-    once, and one graded norm is the largest map norm.  The matricized norm
-    reads the same triplets as the (dmu^2, dl^2) matrix with rows (i, j),
-    numbering only the rows that hold an entry.
+    D_(b,a) = B(e_b (x) e_a) - qfac * S_(b,a) with S_(b,a) = sum_r
+    sigma[r, (b,a)] A(r), the sum one join of A's stack index r against the
+    rows of sigma, summed by one sort so that qfac scales each entry once.
+    The maps D_p are laid out block-diagonally, D_p[i, j] at
+    (p * dmu + i, p * dmu + j); D_p shifts weights by wt(e_a) - wt(e_b), so
+    the row key key_mu[i] * dl^2 + p and the column key
+    (key_mu[j] + shift_p) * dl^2 + p grade them all at once, and one graded
+    norm of B - qfac * S is the largest map norm.  The matricized norm reads
+    the same triplets as the (dmu^2, dl^2) matrix with rows (i, j),
+    numbering only the rows that hold an entry of B or S.
     """
     dl2, dmu = keys_lam.size ** 2, keys_mu.size
     r, i, j, v = A
     x, y = repn._join(r, sigma)
-    p = sigma.cols[y]
-    D = B - qfac * repn.SparseMatrix(B.shape, p * dmu + i[x], p * dmu + j[x],
-                                     sigma.vals[y] * v[x])
-
+    S = repn.SparseMatrix((dl2 * dmu, dmu), sigma.cols[y] * dmu + i[x], j[x],
+                          sigma.vals[y] * v[x])
+    S = (*np.divmod(S.rows, dmu), S.cols, qfac * S.vals)   # (p, i, j, qfac * v), as B
     shift = (keys_lam[None, :] - keys_lam[:, None]).reshape(-1)   # (b, a) -> a - b
     maps = np.arange(dl2)[:, None]
-    worst = _graded_norm(D, (keys_mu[None, :] * dl2 + maps).reshape(-1),
+    worst = _graded_norm((keys_mu[None, :] * dl2 + maps).reshape(-1),
                          _columns(((keys_mu[None, :] + shift[:, None]) * dl2
                                    + maps).reshape(-1)),
-                         "star-commutation defect")
-    p, i = np.divmod(D.rows, dmu)
-    ij, row = np.unique(i * dmu + D.cols % dmu, return_inverse=True)
-    cols = _graded_norm(repn.SparseMatrix((ij.size, dl2), row, p, D.vals),
-                        keys_mu[ij // dmu] - keys_mu[ij % dmu], _columns(shift),
-                        "matricized star-commutation defect")
+                         "star-commutation defect",
+                         *((p * dmu + i, p * dmu + j, v) for p, i, j, v in (B, S)))
+    ij, row = np.unique(np.concatenate([B[1] * dmu + B[2], S[1] * dmu + S[2]]),
+                        return_inverse=True)
+    cols = _graded_norm(keys_mu[ij // dmu] - keys_mu[ij % dmu], _columns(shift),
+                        "matricized star-commutation defect",
+                        (row[:B[0].size], B[0], B[3]), (row[B[0].size:], S[0], S[3]))
     return DefectNorms(worst, cols)
 
 

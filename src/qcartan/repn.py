@@ -56,10 +56,10 @@ class SparseMatrix:
     summed, in the order given), no exact zeros, so row i holds the
     triplets indptr[i]:indptr[i + 1].  A product is a fixed number of NumPy
     calls: one join of the inner indices through the row pointers of the
-    right factor (no search), one sort of the output positions and one
-    bincount of the duplicates.  Indexing returns dense entries; to_dense()
-    gives the whole matrix.  The type is immutable, so T and indptr are
-    computed once per matrix.
+    right factor (no search; _product gives its unsummed triplets), one
+    sort of the output positions and one bincount of the duplicates.
+    Indexing returns dense entries; to_dense() gives the whole matrix.  The
+    type is immutable, so T and indptr are computed once per matrix.
     """
 
     __array_ufunc__ = None  # ndarray @ SparseMatrix defers to __rmatmul__
@@ -132,16 +132,6 @@ class SparseMatrix:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        """self - other, each entry one subtraction: one sort of both triplet sets."""
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ValueError("shapes differ")
-        return SparseMatrix(self.shape, np.concatenate([self.rows, other.rows]),
-                            np.concatenate([self.cols, other.cols]),
-                            np.concatenate([self.vals, -other.vals]))
-
     def __rsub__(self, other) -> np.ndarray:
         """Dense other - self, dense: dense code may subtract a sparse matrix."""
         out = np.array(other, dtype=np.float64)
@@ -154,9 +144,7 @@ class SparseMatrix:
         if isinstance(other, SparseMatrix):
             if self.shape[1] != other.shape[0]:
                 raise ValueError("inner dimensions differ")
-            a, b = _join(self.cols, other)
-            return SparseMatrix((self.shape[0], other.shape[1]), self.rows[a],
-                                other.cols[b], self.vals[a] * other.vals[b])
+            return SparseMatrix((self.shape[0], other.shape[1]), *_product(self, other))
         X = np.asarray(other, dtype=np.float64)
         if X.shape[0] != self.shape[1]:
             raise ValueError("inner dimensions differ")
@@ -187,6 +175,13 @@ def _join(keys: np.ndarray, S: SparseMatrix) -> tuple:
     a = np.arange(keys.size).repeat(cnt)
     b = np.arange(a.size) + (lo - cnt.cumsum() + cnt).repeat(cnt)
     return a, b
+
+
+def _product(A: SparseMatrix, B: SparseMatrix) -> tuple:
+    """Triplets (rows, cols, vals) of A @ B, one per pair of joined inner
+    indices, unsummed: a position repeats once per inner index it joins."""
+    a, b = _join(A.cols, B)
+    return A.rows[a], B.cols[b], A.vals[a] * B.vals[b]
 
 
 def _first_of_runs(key: np.ndarray) -> np.ndarray:
@@ -320,12 +315,12 @@ def _graded_sum(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
                        minlength=lay.size)
 
 
-def _graded_matrix(buf: np.ndarray, lay: _Layout, shape) -> SparseMatrix:
+def _graded_matrix(buf: np.ndarray, lay: _Layout) -> SparseMatrix:
     """The nonzero entries of the buffer as canonical triplets, without a sort."""
     pos = np.flatnonzero(buf)
     r = np.searchsorted(lay.start, pos, "right") - 1
     c = lay.corder[lay.cstart[lay.block[r]] + pos - lay.start[r]]
-    return SparseMatrix._canonical(tuple(shape), r, c, buf[pos])
+    return SparseMatrix._canonical((lay.block.size, lay.ccode.size), r, c, buf[pos])
 
 
 def _graded_stacks(lay: _Layout, rows: np.ndarray) -> list:

@@ -15,26 +15,30 @@ V_{l lam} are built by composing the w maps left-greedily and
 re-orthonormalizing once with a polar factor per weight block (columns
 grouped by the weights of V_{(k+l)lam}, rows by the summed weights of the two
 factors), so no w_{k,l} has a triplet off its weight blocks.  A factor
-W (x) 1 or 1 (x) W is applied as one join of the triplets through the row
-pointers of W^T (repn._join), never as a Kronecker product, and the joined
-triplets are summed unsorted into the weight-block layout of repn
-(_graded_layout).  A chain builds the column side of a layout once per
-domain factor tuple (CartanChain._column_side): (t,) for every pair
-isometry and coassociativity triple of total t, (1, n) for the scan and the
-f-estimate.  Coassociativity is certified numerically rather than assumed:
-the left side is summed into the buffer, the right side is subtracted in
-place, and the residual is the largest block norm.
+1 (x) W (x) 1, in any position, is applied by one function (_apply) as one
+join of the triplets through the row pointers of W^T (repn._join), never as
+a Kronecker product, and the joined triplets are summed unsorted into the
+weight-block layout of repn (_graded_layout).  A chain builds the column
+side of a layout once per domain factor tuple (CartanChain._column_side):
+(t,) for every pair isometry and coassociativity triple of total t, (1, n)
+for the scan and the f-estimate.  Coassociativity is certified numerically
+rather than assumed, by the one graded norm (_graded_norm) that the scan,
+the f-estimate and the star defects of asympt use as well: one side is
+summed into the buffer, the other subtracted in place, and the norm is the
+largest block norm.
 
 Truncated Fock space operators are kept block-per-level (BlockOp) as dense
-blocks.  Every creation block is scattered from the triplets of w_n or w'_n
-by one function (_creation_blocks), as a stack with one block per vector:
-the left and right shifts S_xi and R_xi, the transfer operator Theta and the
-braided commutation residual all read it.  The compression maps psi_{n,n+k}
+blocks, and a block outside levels 0..M raises ValueError.  Every creation
+block is scattered from the triplets of w_n or w'_n by one function
+(_creation_blocks), as a stack with one block per vector: the left and
+right shifts S_xi and R_xi, the transfer operator Theta and the braided
+commutation residual all read it.  The compression maps psi_{n,n+k}
 densify their one pair isometry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,31 +60,23 @@ __all__ = [
     "eq_comm_residual",
 ]
 
-
-def _apply_left(WT: repn.SparseMatrix, X, dright: int) -> tuple:
-    """(W (x) 1_dright) @ X for W = WT.T, as (shape, rows, cols, vals).
-
-    Row j * dright + b of X meets column j of W, which is row j of the
-    canonical WT, so the product is one join through the row pointers of WT
-    and no Kronecker product is formed.  Positions may repeat: the caller
-    sums them, into a weight-block layout (_graded_sum) or a SparseMatrix.
-    """
-    j, b = np.divmod(X.rows, dright)
-    x, y = repn._join(j, WT)
-    return ((WT.shape[1] * dright, X.shape[1]), WT.cols[y] * dright + b[x],
-            X.cols[x], WT.vals[y] * X.vals[x])
+_triplets = attrgetter("rows", "cols", "vals")   # a SparseMatrix as (rows, cols, vals)
 
 
-def _apply_right(WT: repn.SparseMatrix, X, dleft: int) -> tuple:
-    """(1_dleft (x) W) @ X for W = WT.T, as (shape, rows, cols, vals).
-
-    Row a * m + j of X meets column j of W (m columns); see _apply_left.
-    """
+def _apply(WT: repn.SparseMatrix, X: tuple, dleft: int, dright: int) -> tuple:
+    """Triplets of (1_dleft (x) W (x) 1_dright) @ X, unsummed, for W = WT.T
+    and X = (rows, cols, vals).  Row (a * m + j) * dright + b of X meets
+    column j of W (m columns), which is row j of the canonical WT, so the
+    product is one join through the row pointers of WT; no Kronecker product
+    is formed.  The caller sums the repeated positions into a layout."""
+    rows, cols, vals = X
     m, p = WT.shape
-    a, j = np.divmod(X.rows, m)
+    j, b = np.divmod(rows, dright)
+    if dleft > 1:
+        a, j = np.divmod(j, m)
+        b += a * (p * dright)
     x, y = repn._join(j, WT)
-    return ((dleft * p, X.shape[1]), a[x] * p + WT.cols[y], X.cols[x],
-            WT.vals[y] * X.vals[x])
+    return WT.cols[y] * dright + b[x], cols[x], WT.vals[y] * vals[x]
 
 
 def _graded_polar(buf: np.ndarray, lay: _Layout, what: str) -> np.ndarray:
@@ -128,14 +124,20 @@ def _layout_norm(buf: np.ndarray, lay: _Layout) -> float:
     return worst
 
 
-def _graded_norm(X: repn.SparseMatrix, rows: np.ndarray, cols: _Columns,
-                 what: str) -> float:
-    """Operator norm of the weight-graded X, whose row weights have keys rows
-    and whose columns have the column side cols.  Every weight-graded norm
-    of the package goes through _layout_norm, so every one rejects an entry
-    off the weight blocks."""
+def _graded_norm(rows: np.ndarray, cols: _Columns, what: str, plus: tuple,
+                 minus: tuple = None) -> float:
+    """Operator norm of plus - minus, two sets of triplets of a weight-graded
+    map whose rows have the weight keys rows and whose columns have the
+    column side cols.  plus is summed into the layout by one bincount and
+    minus subtracted in place, each position in triplet order, so nothing is
+    sorted.  Every weight-graded norm goes through here and rejects an entry
+    off the weight blocks, even one that the other side would cancel."""
     lay = _graded_layout(rows, cols)
-    return _layout_norm(_graded_sum(lay, X.rows, X.cols, X.vals, what), lay)
+    buf = _graded_sum(lay, *plus, what)
+    if minus is not None:
+        r, c, v = minus
+        np.subtract.at(buf, _graded_positions(lay, r, c, v, what), v)
+    return _layout_norm(buf, lay)
 
 
 class CartanChain:
@@ -289,18 +291,18 @@ class CartanChain:
         if key not in self._pair_cache:
             what, cols = f"pair isometry ({k},{l})", self._column_side(k + l)
             # (1 (x) w_{k-1,l}^T) w_{k+l-1}, into V_lam (x) V_{(k-1)lam} (x) V_{l lam}
-            shape, *t = _apply_right(self.pair_isometry(k - 1, l).T, self.w[k + l - 1],
-                                     self.base.dim)
+            t = _apply(self.pair_isometry(k - 1, l).T, _triplets(self.w[k + l - 1]),
+                       self.base.dim, 1)
             lay = _graded_layout(self._weight_keys(1, k - 1, l), cols)
-            X = _graded_matrix(_graded_sum(lay, *t, what), lay, shape)
+            X = _graded_matrix(_graded_sum(lay, *t, what), lay)
             # then w_{k-1}^T (x) 1, whose transpose w_{k-1} is already canonical
-            shape, *t = _apply_left(self.w[k - 1], X, self.levels[l].dim)
+            t = _apply(self.w[k - 1], _triplets(X), 1, self.levels[l].dim)
             lay = _graded_layout(self._weight_keys(k, l), cols)
             W = _graded_polar(_graded_sum(lay, *t, what), lay, what)
             res = _graded_gram_defect(W, lay)
             if res > self.tol.identity_tol:
                 raise InvariantViolation(f"pair isometry ({k},{l}) not isometric: {res:.3e}")
-            self._pair_cache[key] = _graded_matrix(W, lay, shape)
+            self._pair_cache[key] = _graded_matrix(W, lay)
         return self._pair_cache[key]
 
     def right_isometry(self, n: int) -> repn.SparseMatrix:
@@ -310,21 +312,18 @@ class CartanChain:
     def coassociativity_residual(self, k: int, l: int, n: int) -> float:
         """|| (w_{k,l} (x) 1) w_{k+l,n} - (1 (x) w_{l,n}) w_{k,l+n} ||.
 
-        Each side comes as triplets from one join, checked to lie inside the
-        weight blocks.  The left side is summed into the block layout and
-        the right side subtracted in place, so every position is summed in
-        the order of the triplets, and the operator norm of the difference
-        is its largest block norm.
+        Each side comes as triplets from one join (_apply), and the norm of
+        their difference is taken by _graded_norm: the left side is summed
+        into the weight-block layout and the right side subtracted in place.
         """
         if min(k, l, n) == 0:
             return 0.0
-        P, what = self.pair_isometry, f"coassociativity ({k},{l},{n})"
-        lay = _graded_layout(self._weight_keys(k, l, n), self._column_side(k + l + n))
-        D = _graded_sum(lay, *_apply_left(P(k, l).T, P(k + l, n), self.levels[n].dim)[1:],
-                        what)
-        _, r, c, v = _apply_right(P(l, n).T, P(k, l + n), self.levels[k].dim)
-        np.add.at(D, _graded_positions(lay, r, c, v, what), -v)
-        return _layout_norm(D, lay)
+        P = self.pair_isometry
+        return _graded_norm(
+            self._weight_keys(k, l, n), self._column_side(k + l + n),
+            f"coassociativity ({k},{l},{n})",
+            _apply(P(k, l).T, _triplets(P(k + l, n)), 1, self.levels[n].dim),
+            _apply(P(l, n).T, _triplets(P(k, l + n)), self.levels[k].dim, 1))
 
     def certify_coassociativity(self, max_total: int | None = None) -> float:
         """Max residual over all k,l,n >= 1 with k+l+n <= max_total."""
@@ -413,12 +412,14 @@ class BlockOp:
     shift: int
     blocks: dict = field(default_factory=dict)
 
-    def _zero(self, n: int) -> np.ndarray:
-        return np.zeros((self.fock.dims[n + self.shift], self.fock.dims[n]))
-
     def block(self, n: int) -> np.ndarray:
-        b = self.blocks.get(n)
-        return self._zero(n) if b is None else b
+        """The block from level n to level n + shift; both must lie in 0..M."""
+        if not (0 <= n <= self.fock.M and 0 <= n + self.shift <= self.fock.M):
+            raise ValueError(f"no block from level {n} to level {n + self.shift}: "
+                             f"the Fock space has levels 0..{self.fock.M}")
+        if n in self.blocks:
+            return self.blocks[n]
+        return np.zeros((self.fock.dims[n + self.shift], self.fock.dims[n]))
 
     def __matmul__(self, other: "BlockOp") -> "BlockOp":
         out = BlockOp(self.fock, self.shift + other.shift)

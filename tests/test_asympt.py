@@ -263,8 +263,8 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
         wn = ch.w[n].to_dense()
         M4 = (wn.T @ Qh) @ Qh.T
         M4[:, 0] -= wn[0, :]
-        r4 = sps._graded_norm(repn.SparseMatrix.from_dense(M4), ch._weight_keys(n + 1),
-                              ch._column_side(1, n), "r4")
+        r4 = sps._graded_norm(ch._weight_keys(n + 1), ch._column_side(1, n), "r4",
+                              sps._triplets(repn.SparseMatrix.from_dense(M4)))
         assert _near(r4, operator_norm(M4))
 
     for n in range(2, M):
@@ -274,6 +274,19 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
         term1 = wr @ w.T
         term2 = np.kron(w1.T, np.eye(dl)) @ np.kron(np.eye(dl), wr1)
         assert _near(lhs, operator_norm(term1 - term2))
+
+
+def test_f_estimate_sorts_no_triplets(chains, monkeypatch):
+    """Both sides of the f-estimate are summed straight into the weight-block
+    layout: no triplet set is sorted to sum it."""
+    ch = chains((1, 1), 1.5, 7)
+    want = [asympt.f_estimate_check(ch, n) for n in range(2, ch.M)]
+
+    def refuse(key, vals):
+        raise AssertionError("sorted a triplet set")
+
+    monkeypatch.setattr(repn, "_sum_duplicates", refuse)
+    assert [asympt.f_estimate_check(ch, n) for n in range(2, ch.M)] == want
 
 
 def test_scan_star_and_f_estimate_reuse_the_build_tensors(chains, monkeypatch):

@@ -292,9 +292,12 @@ def _former_pair_isometries(ch):
     pairs = {(1, l): ch.w[l] for l in range(1, ch.M)}
     for k in range(2, ch.M):
         for l in range(1, ch.M - k + 1):
-            X = repn.SparseMatrix(*sps._apply_right(pairs[k - 1, l].T, ch.w[k + l - 1],
-                                                    ch.base.dim))
-            X = repn.SparseMatrix(*sps._apply_left(ch.w[k - 1], X, ch.levels[l].dim))
+            W, dk, dl = ch.w[k + l - 1], ch.levels[k].dim, ch.levels[l].dim
+            X = repn.SparseMatrix((ch.base.dim * ch.levels[k - 1].dim * dl, W.shape[1]),
+                                  *sps._apply(pairs[k - 1, l].T, sps._triplets(W),
+                                              ch.base.dim, 1))
+            X = repn.SparseMatrix((dk * dl, W.shape[1]),
+                                  *sps._apply(ch.w[k - 1], sps._triplets(X), 1, dl))
             pairs[k, l] = _former_graded_polar(X, ch._weight_keys(k, l),
                                                ch._weight_keys(k + l))
     return pairs
@@ -302,8 +305,9 @@ def _former_pair_isometries(ch):
 
 def _former_coassociativity(ch, k, l, n):
     P = ch.pair_isometry
-    shape, r1, c1, v1 = sps._apply_left(P(k, l).T, P(k + l, n), ch.levels[n].dim)
-    _, r2, c2, v2 = sps._apply_right(P(l, n).T, P(k, l + n), ch.levels[k].dim)
+    r1, c1, v1 = sps._apply(P(k, l).T, sps._triplets(P(k + l, n)), 1, ch.levels[n].dim)
+    r2, c2, v2 = sps._apply(P(l, n).T, sps._triplets(P(k, l + n)), ch.levels[k].dim, 1)
+    shape = (ch.levels[k].dim * ch.levels[l].dim * ch.levels[n].dim, P(k, l + n).shape[1])
     D = repn.SparseMatrix(shape, np.concatenate([r1, r2]), np.concatenate([c1, c2]),
                           np.concatenate([v1, -v2]))
     return _former_graded_norm(D, ch._weight_keys(k, l, n), ch._weight_keys(k + l + n))
@@ -474,6 +478,19 @@ def test_fock_space_layout(chains):
     trunc = sps.FockSpace(ch, 4)
     assert trunc.M == 4 and trunc.dims == [1, 2, 3, 4, 5]
     assert sps.FockSpace(ch, 99).M == 6  # clamped to the chain depth
+
+
+def test_block_outside_the_fock_space_raises(chains):
+    ch = chains((1,), 1.5, 4)
+    fock = sps.FockSpace(ch)
+    S = sps.creation(ch, np.array([0.6, 0.8]), fock=fock)
+    A = S.adjoint()
+    for op, n in ((A, 0), (S, 4), (S, -1), (A, 5), (sps.BlockOp.identity(fock), 5)):
+        with pytest.raises(ValueError, match=f"no block from level {n} to level "
+                                             f"{n + op.shift}: .* levels 0..4"):
+            op.block(n)
+    assert S.block(3).shape == (5, 4) and A.block(1).shape == (1, 2)
+    assert (S @ A).block(0).shape == (1, 1)   # absent, and in range: a zero block
 
 
 def test_block_op_algebra(chains):
