@@ -18,7 +18,7 @@ violation, 2 ambiguous rank certificate, 3 configuration error.
 
 Cache file layout (all integers little-endian):
     8s    magic b"QCCACHE\\0"
-    u32   format version (2)
+    u32   format version (3; versions 1 and 2 are refused)
     u32   N
     u32   M
     u16   len(q_str); q_str ascii, %.17g (bit-exact float round trip)
@@ -27,8 +27,9 @@ Cache file layout (all integers little-endian):
     u32   payload record count
     u32   crc32 of the whole payload section
 then per record: u64 nbytes, u32 crc32, u64 rows, u64 cols, and the data.
-Records are, in order: per level n = 0..M the weight table then E_i, F_i for
-i = 1..N-1; then the isometries w_0..w_{M-1}.  The weight table is a dense
+Records are, in order: per level n = 0..M the weight table then F_i for
+i = 1..N-1; then the isometries w_0..w_{M-1}.  No E_i is stored: a loaded
+level derives E_i = K_i F_i^T (repn.QModule.E).  The weight table is a dense
 record: rows * cols float64 in column-major order.  Every other record is a
 triplet record of a repn.SparseMatrix: nnz i64 row indices, nnz i64 column
 indices, then nnz float64 values (nbytes = 24 nnz), in canonical order.
@@ -58,7 +59,7 @@ from .sps import CartanChain
 from . import asympt, gtcg, qda
 
 CACHE_MAGIC = b"QCCACHE\x00"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 CACHE_ENV_VAR = "QCARTAN_CACHE_DIR"
 SCHEMA = "1"
 
@@ -434,8 +435,6 @@ def _chain_mismatch(a: CartanChain, b: CartanChain) -> str:
         if not np.array_equal(la.weights, lb.weights):
             return f"weights at level {n}"
         for i in range(1, a.N):
-            if not _same_triplets(la.E[i], lb.E[i]):
-                return f"E_{i} at level {n}"
             if not _same_triplets(la.F[i], lb.F[i]):
                 return f"F_{i} at level {n}"
     for n in range(a.M):
@@ -510,9 +509,7 @@ def store_chain(chain: CartanChain, path: str) -> None:
     payloads = []
     for lv in chain.levels:
         payloads.append(_pack_matrix(lv.weights.astype(np.float64)))
-        for i in range(1, chain.N):
-            payloads.append(_pack_triplets(lv.E[i]))
-            payloads.append(_pack_triplets(lv.F[i]))
+        payloads.extend(_pack_triplets(lv.F[i]) for i in range(1, chain.N))
     for m in chain.w:
         payloads.append(_pack_triplets(m))
     body = b"".join(payloads)
@@ -571,7 +568,7 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
         raise InvariantViolation(f"{path}: inconsistent cache header")
     if zlib.crc32(blob[off:]) != body_crc:
         raise InvariantViolation(f"{path}: cache body checksum mismatch")
-    expect = (M + 1) * (1 + 2 * (N - 1)) + M
+    expect = (M + 1) * N + M
     if count != expect:
         raise InvariantViolation(f"{path}: expected {expect} payloads, got {count}")
 
@@ -590,12 +587,10 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
         if weights[:1].tolist() != [list((lam * n).coords)]:
             raise InvariantViolation(
                 f"{path}: level {n} weight row 0 is not the highest weight {lam * n}")
-        E, F = {}, {}
+        F = {}
         for i in range(1, N):
-            E[i], off = _unpack_triplets(buf, off)
             F[i], off = _unpack_triplets(buf, off)
-        levels.append(QModule(N, q, weights, E, F,
-                              highest_weight=lam * n, hw_index=0))
+        levels.append(QModule(N, q, weights, F, highest_weight=lam * n, hw_index=0))
     w = []
     for _ in range(M):
         W, off = _unpack_triplets(buf, off)

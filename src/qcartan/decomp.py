@@ -172,16 +172,21 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     basis c / ||c||.  The blocks F_i[nu, mu] are row segments of the stacks
     of [F_1; F_2; ...] in the weight-block layout of V.  Q, the isometric
     intertwiner from the submodule into V (a repn.SparseMatrix), is
-    assembled from the orbit blocks B_nu with one sign fix; the generators
-    Q^T (E_i Q) of the submodule must pass check_module.
+    assembled from the orbit blocks B_nu with one sign fix.  The submodule
+    stores the generators Q^T (F_i Q), and must pass check_module.  Its E_i
+    are derived (repn.QModule.E): Q is weight-graded, so Q^T E_i Q =
+    K_i (Q^T F_i Q)^T holds exactly in exact arithmetic.  The E_i of V are
+    never formed here: the seed test reads E_i seed = K_i F_i^T seed off the
+    triplets of each F_i with one bincount.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
     nrm = np.linalg.norm(seed)
     if nrm == 0:
         raise ValueError("zero seed")
     seed = seed / nrm
-    for i in range(1, V.N):
-        if np.linalg.norm(V.E[i] @ seed) > 1e3 * tol.identity_tol:
+    for i, X in V.F.items():
+        up = np.bincount(X.cols, weights=X.vals * seed[X.rows], minlength=V.dim)
+        if np.linalg.norm(V.k_diag(i) * up) > 1e3 * tol.identity_tol:
             raise ValueError("seed is not a highest weight vector")
     support = np.nonzero(np.abs(seed) > 1e-13)[0]
     wts = V.weights[support]
@@ -275,9 +280,8 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     Q = repn.SparseMatrix._canonical((expected, V.dim), cols, rows, vals).T
     wmat = np.repeat(V.weights[cs.corder[cs.cstart[[nu for nu, _ in found]]]],
                      [B.shape[1] for B in Bs], axis=0)
-    E = {i: Q.T @ (V.E[i] @ Q) for i in range(1, V.N)}
     F = {i: Q.T @ (V.F[i] @ Q) for i in range(1, V.N)}
-    sub = repn.QModule(V.N, V.q, wmat, E, F, highest_weight=hw, hw_index=0)
+    sub = repn.QModule(V.N, V.q, wmat, F, highest_weight=hw, hw_index=0)
     repn.check_module(sub, tol, raise_on_fail=True)
     return sub, Q
 

@@ -1,19 +1,21 @@
 """Finite-dimensional unitary modules of quantum SL(N).
 
-A QModule stores the E_i / F_i generator matrices (real float64, sparse) and
-one integral weight per basis vector; the K_i are never stored, always
-recomputed from the weights, which hardwires the weight-module structure.
+A QModule stores the F_i generator matrices (real float64, sparse) and one
+integral weight per basis vector.  The K_i are never stored, always
+recomputed from the weights, which hardwires the weight-module structure;
+the E_i are derived from the F_i by the unitarity of the real orthonormal
+basis, E_i^T = F_i K_i, so E_i = K_i F_i^T holds by construction.
 
 Defining relations (all checked by check_module):
     K_i E_j K_i^-1 = q^{a_ij} E_j          (weight grading)
     E_i F_j - F_j E_i = delta_ij (K_i - K_i^-1)/(q - q^-1)
     q-Serre relations between adjacent / distant E's and F's
-    E_i^T = F_i K_i                        (unitarity of the inner product)
 
 The tensor product uses the coproduct
     E -> E ox 1 + K ox E,   F -> F ox K^-1 + 1 ox F,   K -> K ox K,
-and carries its factors (QModule.factors), from which decomp derives the
-Brauer-Klimyk candidate weights and component count of its extreme vectors.
+of which it builds the F side (the E side is then K F^T), and carries its
+factors (QModule.factors), from which decomp derives the Brauer-Klimyk
+candidate weights and component count of its extreme vectors.
 
 Generators are SparseMatrix triplets: a tensor generator has one nonzero
 per basis vector and factor generator entry, so more than 99.9 % of its
@@ -381,9 +383,9 @@ def _graded_blocks(buf: np.ndarray, lay: _Layout) -> tuple:
 class QModule:
     """Weight module with sparse float64 generators; immutable by convention.
 
-    E and F map i to a SparseMatrix; dense input is converted.  factors is
-    (V, W) on the module tensor(V, W) returns (references, not copies), and
-    None on every other module.
+    F maps i to a SparseMatrix; dense input is converted.  E is derived
+    from it (QModule.E).  factors is (V, W) on the module tensor(V, W)
+    returns (references, not copies), and None on every other module.
 
     All arithmetic is float64: check_module gates backward-relative
     residuals, so deep modules with q-integer-sized entries need no wider
@@ -393,23 +395,35 @@ class QModule:
     # Read-only; perfbench/tracer.py reads it to size tensor outputs.
     dtype = np.dtype(np.float64)
 
-    def __init__(self, N, q, weights, E, F, highest_weight=None, hw_index=None):
+    def __init__(self, N, q, weights, F, highest_weight=None, hw_index=None):
         self.N = int(N)
         self.q = check_q(q)
         self.weights = np.asarray(weights, dtype=np.int64)
         if self.weights.ndim != 2 or self.weights.shape[1] != self.N - 1:
             raise ValueError("weights must be (dim, N-1)")
         self.dim = self.weights.shape[0]
-        self.E = {i: _as_sparse(E[i]) for i in range(1, self.N)}
         self.F = {i: _as_sparse(F[i]) for i in range(1, self.N)}
-        for i in range(1, self.N):
-            if self.E[i].shape != (self.dim, self.dim) or self.F[i].shape != (self.dim, self.dim):
-                raise ValueError("generator matrix shape mismatch")
+        if any(X.shape != (self.dim, self.dim) for X in self.F.values()):
+            raise ValueError("generator matrix shape mismatch")
         self.highest_weight = highest_weight
         self.hw_index = hw_index
         self.factors = None
+        self._E = None
         self._blocks = None
         self._key_radix = None
+
+    @property
+    def E(self) -> dict:
+        """E_i = K_i F_i^T, the unitarity E_i^T = F_i K_i of the real
+        orthonormal basis (cached): the canonical transpose of F_i, each
+        value times q^{wt_i} of its row.  No other code forms an E."""
+        if self._E is None:
+            self._E = {}
+            for i, X in self.F.items():
+                T = X.T
+                self._E[i] = SparseMatrix._canonical(T.shape, T.rows, T.cols,
+                                                     T.vals * self.k_diag(i)[T.rows])
+        return self._E
 
     # -- K action -------------------------------------------------------
     def k_diag(self, i: int, power: int = 1) -> np.ndarray:
@@ -483,19 +497,14 @@ def _generator_stacks(V: QModule, sign: int, what: str, blocks=None) -> tuple:
 
 
 def trivial_module(N: int, q: float) -> QModule:
-    z = np.zeros((1, 1))
-    zero_wt = Weight((0,) * (N - 1))
-    return QModule(
-        N, q,
-        np.zeros((1, N - 1), dtype=np.int64),
-        {i: z.copy() for i in range(1, N)},
-        {i: z.copy() for i in range(1, N)},
-        highest_weight=zero_wt, hw_index=0,
-    )
+    return QModule(N, q, np.zeros((1, N - 1), dtype=np.int64),
+                   {i: np.zeros((1, 1)) for i in range(1, N)},
+                   highest_weight=Weight((0,) * (N - 1)), hw_index=0)
 
 
 def standard_module(N: int, q: float) -> QModule:
-    """The defining N-dim module: E_i e_{i+1} = q^(1/2) e_i, F_i e_i = q^(-1/2) e_{i+1}."""
+    """The defining N-dim module: F_i e_i = q^(-1/2) e_{i+1}, so that
+    E_i e_{i+1} = q^(1/2) e_i."""
     if N < 2:
         raise ValueError("need N >= 2")
     q = check_q(q)
@@ -506,52 +515,39 @@ def standard_module(N: int, q: float) -> QModule:
             wts[j - 1, j - 1] += 1
         if j >= 2:
             wts[j - 1, j - 2] -= 1
-    E = {}
     F = {}
     for i in range(1, N):
-        Ei = np.zeros((N, N))
-        Fi = np.zeros((N, N))
-        Ei[i - 1, i] = sq
-        Fi[i, i - 1] = 1.0 / sq
-        E[i] = Ei
-        F[i] = Fi
+        F[i] = np.zeros((N, N))
+        F[i][i, i - 1] = 1.0 / sq
     from .qcore import fundamental_weight
 
-    return QModule(N, q, wts, E, F,
-                   highest_weight=fundamental_weight(1, N), hw_index=0)
+    return QModule(N, q, wts, F, highest_weight=fundamental_weight(1, N), hw_index=0)
 
 
 def tensor(V: QModule, W: QModule) -> QModule:
     """V ox W in the product basis (a, b) -> a * dim(W) + b, from triplets;
     its factors are (V, W).
 
-    The two coproduct terms never share a position (E_i moves the weight,
-    so X ox 1 has off-diagonal factor blocks and K ox X diagonal ones), so
-    every entry is the single product the dense kron formula would give.
+    F_i = F_i ox K_i^-1 + 1 ox F_i.  The two terms never share a position
+    (F_i moves the weight, so F ox K^-1 has off-diagonal factor blocks and
+    1 ox F diagonal ones), so every entry is the single product the dense
+    kron formula would give.
     """
     if V.N != W.N or V.q != W.q:
         raise ValueError("tensor factors must share N and q")
     dV, dW = V.dim, W.dim
     jW, aV = np.arange(dW), np.arange(dV)
 
-    def across(X, right):   # X ox diag(right)
-        return ((X.rows[:, None] * dW + jW).ravel(), (X.cols[:, None] * dW + jW).ravel(),
-                (X.vals[:, None] * right).ravel())
+    def coproduct(X, kinv, Y):   # X ox diag(kinv) + 1 ox Y
+        across = ((X.rows[:, None] * dW + jW).ravel(), (X.cols[:, None] * dW + jW).ravel(),
+                  (X.vals[:, None] * kinv).ravel())
+        along = ((aV[:, None] * dW + Y.rows).ravel(), (aV[:, None] * dW + Y.cols).ravel(),
+                 np.tile(Y.vals, dV))
+        return SparseMatrix((dV * dW, dV * dW), *map(np.concatenate, zip(across, along)))
 
-    def along(left, Y):     # diag(left) ox Y
-        return ((aV[:, None] * dW + Y.rows).ravel(), (aV[:, None] * dW + Y.cols).ravel(),
-                (left[:, None] * Y.vals).ravel())
-
-    def coproduct(t1, t2):
-        return SparseMatrix((dV * dW, dV * dW), *map(np.concatenate, zip(t1, t2)))
-
-    E = {}
-    F = {}
-    for i in range(1, V.N):
-        E[i] = coproduct(across(V.E[i], np.ones(dW)), along(V.k_diag(i), W.E[i]))
-        F[i] = coproduct(across(V.F[i], W.k_diag(i, -1)), along(np.ones(dV), W.F[i]))
+    F = {i: coproduct(V.F[i], W.k_diag(i, -1), W.F[i]) for i in range(1, V.N)}
     wts = (V.weights[:, None, :] + W.weights[None, :, :]).reshape(dV * dW, V.N - 1)
-    out = QModule(V.N, V.q, wts, E, F)
+    out = QModule(V.N, V.q, wts, F)
     out.factors = (V, W)
     return out
 
@@ -559,15 +555,14 @@ def tensor(V: QModule, W: QModule) -> QModule:
 def contragredient(V: QModule) -> QModule:
     """Conjugate module in its unitarity-normalized orthonormal basis.
 
-    E_i -> -q F_i, F_i -> -q^-1 E_i, weights negated (so K -> K^-1). The q
-    factors are the diag(q^(rho, wt)) change of basis that makes the conjugate
-    inner product unitary; applying the construction twice returns the
-    original matrices exactly.
+    F_i -> -q^-1 E_i, weights negated (so K -> K^-1), and then E_i -> -q F_i
+    by construction.  The q factors are the diag(q^(rho, wt)) change of
+    basis that makes the conjugate inner product unitary; applying the
+    construction twice returns the original matrices up to the rounding of
+    q^-1 and the K factors.
     """
-    q = V.q
-    E = {i: -q * V.F[i] for i in range(1, V.N)}
-    F = {i: -(1.0 / q) * V.E[i] for i in range(1, V.N)}
-    return QModule(V.N, q, -V.weights, E, F)
+    F = {i: -(1.0 / V.q) * V.E[i] for i in range(1, V.N)}
+    return QModule(V.N, V.q, -V.weights, F)
 
 
 def _grading_residual(V: QModule, M: SparseMatrix, shift: np.ndarray) -> float:
@@ -636,17 +631,18 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     X_x[t_x(c), c], one per source block c of V.column_side(), padded to the
     widest block, with a zero block where X_x maps c out of the module.
     Every relation is then formed per source block by batched products of
-    gathered blocks: the unitarity E_i[t, c]^T = F_i[c, t] q^{wt_i(t)}, all
-    commutators E_i F_j - F_j E_i - delta_ij [K_i] at once, and the q-Serre
-    pairs and triples ((X X) Y and so on, associated as written) of both
-    families.  A large module goes in chunks of source blocks
-    (_CHUNK_ENTRIES), each padded to the widest block its products touch.
+    gathered blocks: all commutators E_i F_j - F_j E_i - delta_ij [K_i] at
+    once, and the q-Serre pairs and triples ((X X) Y and so on, associated
+    as written) of both families.  The unitarity E_i^T = F_i K_i holds by
+    construction (QModule.E), so it is no relation here.  A large module
+    goes in chunks of source blocks (_CHUNK_ENTRIES), each padded to the
+    widest block its products touch.
     The terms of a relation add up in the order written, as the dense
     formula does.  An entry off the blocks enters no relation: it is
     reported by 'grading', the largest |entry| off the blocks (as
     _grading_residual reads it), which fails the gate by itself.
 
-    Returns {'unitarity', 'grading', 'commutator', 'serre', 'max', 'passed'}.
+    Returns {'grading', 'commutator', 'serre', 'max', 'passed'}.
     """
     q, r = V.q, V.N - 1
     cs = V.column_side()
@@ -674,8 +670,6 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     G = np.zeros((2 * r, nb + 1, D, D))
     G[x, src, place[rows], place[cols]] = vals
     Gf = G.reshape(-1, D, D)
-    emax = np.zeros(2 * r)
-    np.maximum.at(emax, x, np.abs(vals))
 
     # per source block c: the flat G index of every factor of every product
     a, b, z, ns = _relation_products(r)
@@ -685,15 +679,8 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     mid = tgt.take(right)
     left = a[:, None] * (nb + 1) + mid
     third = z[ns:, None] * (nb + 1) + c
-    # unitarity: E_i at c against F_i at the block t that E_i maps c into,
-    # times q^{wt_i(t)}
-    wts = np.zeros((nb + 1, r), dtype=np.int64)
-    wts[:nb] = V.weights[cs.corder[cs.cstart]]
-    gi = np.arange(r)[:, None]
-    ek, fk = gi * (nb + 1) + c, (r + gi) * (nb + 1) + tgt[:r, :nb]
-    kt = q ** wts[tgt[:r, :nb], gi].astype(np.float64)
     # [K_i] on the diagonal of block c, in its first counts[c] places
-    qi = q_int(wts[:nb].T, q)
+    qi = q_int(V.weights[cs.corder[cs.cstart]].T, q)
     kq = np.where(np.arange(D) < cs.counts[:, None], qi[:, :, None], 0.0)
     # Chunks of source blocks.  Beyond one chunk, the blocks go in the order
     # of the widest block their products touch, and each chunk is padded to
@@ -714,7 +701,7 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
 
     q2, rr, nd = q_int(2, q), r * r, ns - 2 * r * r
     nt = a.size - ns
-    worst = [np.zeros(r), np.zeros(rr), np.zeros(nd // 2), np.zeros(nt // 3)]
+    worst = [np.zeros(rr), np.zeros(nd // 2), np.zeros(nt // 3)]
     pmax, tmax = np.zeros(ns), np.zeros(nt)
     for sl, d in chunks:
         Gd = Gf[:, :d, :d]
@@ -725,8 +712,7 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
         T = mul(P[ns:], take(third[:, sl]))
         C = P[:rr] - P[rr:2 * rr]
         C.reshape(rr, -1, d * d)[::r + 1, :, ::d + 1] -= kq[:, sl, :d]
-        for k, R in enumerate((take(ek[:, sl]).swapaxes(2, 3) - take(fk[:, sl]) * kt[:, sl, None, None],
-                               C, P[2 * rr:ns:2] - P[2 * rr + 1:ns:2],
+        for k, R in enumerate((C, P[2 * rr:ns:2] - P[2 * rr + 1:ns:2],
                                T[0::3] - q2 * T[1::3] + T[2::3])):
             np.maximum(worst[k], _amax(R), out=worst[k])
         np.maximum(pmax, _amax(P[:ns]), out=pmax)
@@ -734,16 +720,11 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
 
     diag = np.zeros(rr)
     diag[::r + 1] = np.abs(qi).max(axis=1)
-    scale = [emax[:r], np.maximum.reduce([pmax[:rr], pmax[rr:2 * rr], diag]),
+    scale = [np.maximum.reduce([pmax[:rr], pmax[rr:2 * rr], diag]),
              np.maximum(pmax[2 * rr::2], pmax[2 * rr + 1::2]),
              np.maximum.reduce([tmax[0::3], q2 * tmax[1::3], tmax[2::3]])]
     res = [float((wk / np.maximum(sk, 1.0)).max(initial=0.0)) for wk, sk in zip(worst, scale)]
-    report = {
-        "unitarity": res[0],
-        "grading": grading,
-        "commutator": res[1],
-        "serre": max(res[2], res[3]),
-    }
+    report = {"grading": grading, "commutator": res[0], "serre": max(res[1], res[2])}
     report["max"] = max(report.values())
     report["passed"] = report["max"] <= tol.identity_tol
     if raise_on_fail and not report["passed"]:

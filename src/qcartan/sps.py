@@ -281,6 +281,8 @@ class CartanChain:
 
     def pair_isometry(self, k: int, l: int) -> repn.SparseMatrix:
         """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected."""
+        if min(k, l) < 0:
+            raise ValueError(f"pair ({k},{l}) has a negative level")
         if k + l > self.M:
             raise ValueError(f"pair ({k},{l}) exceeds truncation {self.M}")
         if k == 0 or l == 0:
@@ -316,6 +318,8 @@ class CartanChain:
         their difference is taken by _graded_norm: the left side is summed
         into the weight-block layout and the right side subtracted in place.
         """
+        if min(k, l, n) < 0:
+            raise ValueError(f"triple ({k},{l},{n}) has a negative level")
         if min(k, l, n) == 0:
             return 0.0
         P = self.pair_isometry
@@ -468,8 +472,11 @@ def _creation_blocks(chain: CartanChain, X, n: int, right: bool = False) -> np.n
     w'_n[j * dl + a, c]).  It is one bincount over the triplets of w_n
     (w'_n), so each position is summed in triplet order.  This is the only
     scatter of creation blocks: every shift operator reads it, with X = xi
-    or X = eye(dim V_lam).
+    or X = eye(dim V_lam).  Raises ValueError unless 0 <= n <= M - 1.
     """
+    if not 0 <= n < chain.M:
+        raise ValueError(f"no shift out of level {n}: the chain has shifts "
+                         f"out of levels 0..{chain.M - 1}")
     X = np.asarray(X, dtype=np.float64)
     dn = chain.levels[n].dim
     if right:
@@ -519,8 +526,12 @@ def eq_comm_residual(chain: CartanChain, sigma: np.ndarray, n: int) -> float:
     """Per-level residual of S_zeta S_xi = q^{-(lam,lam)} S^(2) sigma(zeta (x) xi).
 
     sigma is the braiding matrix on V_lam (x) V_lam; the identity is checked on
-    the full basis grid (zeta, xi) at level n (needs n + 2 <= M).
+    the full basis grid (zeta, xi) at level n; raises ValueError unless
+    0 <= n <= M - 2.
     """
+    if not 0 <= n <= chain.M - 2:
+        raise ValueError(f"no residual at level {n}: the chain has residuals "
+                         f"at levels 0..{chain.M - 2}")
     dl = chain.base.dim
     qfac = chain.q ** (-pairing(chain.lam, chain.lam))
     S0, S1 = (_creation_blocks(chain, np.eye(dl), k) for k in (n, n + 1))

@@ -55,3 +55,18 @@ def intertwining_residual():
         return float(worst)
 
     return residual
+
+
+@pytest.fixture(scope="session")
+def e_is_k_f_transpose():
+    """check(V): every E_i of V is K_i F_i^T bitwise, in canonical triplets."""
+
+    def check(V):
+        for i in range(1, V.N):
+            E, F = V.E[i], V.F[i]
+            n = E.shape[1]
+            assert E.shape == F.shape[::-1]
+            assert np.all(np.diff(E.rows * n + E.cols) > 0) and np.all(E.vals != 0.0)
+            assert np.array_equal(E.to_dense(), V.k_diag(i)[:, None] * F.to_dense().T)
+
+    return check

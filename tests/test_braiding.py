@@ -159,7 +159,6 @@ def test_root_vector_grading_guard_fires():
         # the wrong bracket exponent breaks the grading gate indirectly:
         # build root vectors with a bracket that does not close
         bad = repn.QModule(3, 1.5, V.weights,
-                           {1: V.E[1], 2: V.E[2].to_dense() + 0.5 * V.F[1].to_dense()},
-                           {1: V.F[1], 2: V.F[2]},
+                           {1: V.F[1], 2: V.F[2].to_dense() + 0.5 * V.E[1].to_dense()},
                            highest_weight=V.highest_weight, hw_index=0)
         braiding.root_vectors(bad)

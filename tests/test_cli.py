@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,23 @@ def test_cache_round_trip(tmp_path, capsys):
     assert cli._chain_mismatch(fresh, loaded) == ""
 
 
+def test_cache_stores_f_and_derives_e(tmp_path, e_is_k_f_transpose):
+    ch = sps.CartanChain(Weight((1, 1)), 1.5, 4)
+    path = tmp_path / "c.qcc"
+    cli.store_chain(ch, str(path))
+    loaded = cli.load_chain(str(path))
+    blob = path.read_bytes()
+    # magic, version, N, M, len(q), "1.5", rank, lam, level count, 5 dims
+    (version,) = struct.unpack_from("<I", blob, 8)
+    (count,) = struct.unpack_from("<I", blob, 8 + 12 + 2 + 3 + 4 + 16 + 4 + 8 * 5)
+    # per level the weight table and F_1, F_2, then w_0..w_3: no E record
+    assert (version, count) == (3, 5 * 3 + 4)
+    for a, b in zip(ch.levels, loaded.levels):
+        e_is_k_f_transpose(b)
+        for i in (1, 2):
+            assert cli._same_triplets(a.E[i], b.E[i])
+
+
 def test_cache_rejects_corruption(tmp_path):
     ch = sps.CartanChain(Weight((1,)), 1.5, 4)
     path = tmp_path / "c.qcc"
@@ -315,10 +333,11 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(bytes(versioned))
     with pytest.raises(InvariantViolation, match="version"):
         cli.load_chain(str(path))
-    versioned[8] = 1  # dense records, before triplets
-    path.write_bytes(bytes(versioned))
-    with pytest.raises(InvariantViolation, match="unsupported cache version 1"):
-        cli.load_chain(str(path))
+    for old in (1, 2):   # dense records, then triplet records with E_i
+        versioned[8] = old
+        path.write_bytes(bytes(versioned))
+        with pytest.raises(InvariantViolation, match=f"unsupported cache version {old}"):
+            cli.load_chain(str(path))
 
     # triplet records that are not canonical fail although every CRC matches
     W = ch.w[3]

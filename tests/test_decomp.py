@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qcartan import decomp, repn
+from qcartan import decomp, repn, sps
 from qcartan.numerics import (DEFAULT_TOL, AmbiguousRank, InvariantViolation,
                               ToleranceProfile, certified_rank)
 from qcartan.qcore import Weight, simple_root, weyl_dim
@@ -138,26 +138,33 @@ def test_fusion_multiplicities_reject_kernels_off_the_component_count(monkeypatc
 def test_extreme_space_completeness_guard_fires_on_corrupt_module():
     V = repn.standard_module(2, 1.5)
     # zero out F so that extra fake lowest-weight vectors appear
-    bad = repn.QModule(2, 1.5, V.weights, {1: V.E[1]}, {1: np.zeros((2, 2))},
+    bad = repn.QModule(2, 1.5, V.weights, {1: np.zeros((2, 2))},
                        highest_weight=V.highest_weight, hw_index=0)
     with pytest.raises(InvariantViolation):
         decomp.lowest_weight_space(bad)
 
 
+def test_a_chain_build_never_forms_the_e_of_a_tensor():
+    # the orbit and its seed test read the F_i of V_lam (x) V_{n lam} only
+    ch = sps.CartanChain(Weight((1, 0)), 1.5, 6)
+    assert all(ch.tensor(n)._E is None for n in range(1, ch.M))
+
+
 def test_a_generator_entry_off_the_weight_grading_raises():
-    # E_1 e3 = e2 and F_1 e2 = e3 would be moves of E_2 and F_2: the stacked
-    # generators refuse them instead of dropping them
+    # F_1 e2 = e3, and so E_1 e3 = q^{wt_1(e2)} e2, would be moves of F_2 and
+    # E_2: the stacked generators refuse them instead of dropping them
     V = repn.standard_module(3, 1.5)
-    E1, F1 = V.E[1].to_dense(), V.F[1].to_dense()
-    E1[1, 2] = F1[2, 1] = 0.25
-    bad = repn.QModule(3, 1.5, V.weights, {1: E1, 2: V.E[2]}, {1: F1, 2: V.F[2]},
+    F1 = V.F[1].to_dense()
+    F1[2, 1] = 0.25
+    bad = repn.QModule(3, 1.5, V.weights, {1: F1, 2: V.F[2]},
                        highest_weight=V.highest_weight, hw_index=0)
-    for call, what in ((decomp.highest_weight_space, "highest weight space"),
-                       (decomp.lowest_weight_space, "lowest weight space"),
-                       (lambda M: decomp.generate_submodule(M, M.hw_vector),
-                        r"orbit of highest weight Weight\(1, 0\)")):
+    assert bad.E[1][1, 2] == 0.25 / 1.5
+    for call, what, entry in ((decomp.highest_weight_space, "highest weight space", "1.667e-01"),
+                              (decomp.lowest_weight_space, "lowest weight space", "2.500e-01"),
+                              (lambda M: decomp.generate_submodule(M, M.hw_vector),
+                               r"orbit of highest weight Weight\(1, 0\)", "2.500e-01")):
         with pytest.raises(InvariantViolation,
-                           match=f"{what}: entry 2.500e-01 off the weight blocks"):
+                           match=f"{what}: entry {entry} off the weight blocks"):
             call(bad)
 
 
@@ -220,7 +227,7 @@ def test_candidate_kernels_equal_the_kernels_of_every_block(chains, coords, q, M
         if n > 1:
             cand = ch.base.weights + (ch.lam * n).as_array()
             assert T.blocks_at(cand).size < T.column_side().keys.size
-        bare = repn.QModule(T.N, T.q, T.weights, T.E, T.F)   # no factors: every block
+        bare = repn.QModule(T.N, T.q, T.weights, T.F)   # no factors: every block
         for space in (decomp.highest_weight_space, decomp.lowest_weight_space):
             full, got = space(bare), space(T)
             assert [w for w, _ in got.components] == [w for w, _ in full.components]

@@ -1,5 +1,7 @@
 """Module containers, tensor products, duals, and the relation checker."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ def test_standard_module_matrices_and_weights():
     assert V.highest_weight == fundamental_weight(1, 3)
     assert V.hw_index == 0
     sq = q ** 0.5
-    assert V.E[1][0, 1] == sq and np.count_nonzero(V.E[1].to_dense()) == 1
     assert V.F[1][1, 0] == 1.0 / sq and np.count_nonzero(V.F[1].to_dense()) == 1
+    # E_1 = K_1 F_1^T: q^{wt_1(e_1)} q^(-1/2) = q^(1/2), up to the rounding of 1/sq
+    assert V.E[1][0, 1] == q * (1.0 / sq) and np.count_nonzero(V.E[1].to_dense()) == 1
+    assert abs(V.E[1][0, 1] - sq) <= 1e-15 * sq
     # weights of the basis: (1,0), (-1,1), (0,-1)
     assert V.weight_of(0) == Weight((1, 0))
     assert V.weight_of(1) == Weight((-1, 1))
@@ -36,6 +40,7 @@ def test_relations_pass_on_reference_modules():
         for q in (1.0, 1.5):
             V = repn.standard_module(N, q)
             report = repn.check_module(V, DEFAULT_TOL)
+            assert set(report) == {"grading", "commutator", "serre", "max", "passed"}
             assert report["passed"] and report["max"] <= 1e-12
             T = repn.tensor(V, V)
             assert repn.check_module(T, DEFAULT_TOL)["max"] <= 1e-12
@@ -49,6 +54,26 @@ def test_unitarity_relation_e_transpose_equals_fk():
         lhs = V.E[i].T.to_dense()
         rhs = V.F[i].to_dense() * V.k_diag(i)[None, :]
         assert np.max(np.abs(lhs - rhs)) <= 1e-15
+
+
+def test_e_is_k_f_transpose_on_every_construction(chains, builders, e_is_k_f_transpose):
+    std, rho = repn.standard_module(3, 1.5), builders(3, 1.5).module(Weight((1, 1)))
+    mods = [std, repn.trivial_module(3, 1.5), repn.tensor(std, rho),
+            repn.contragredient(std), repn.contragredient(rho), rho,
+            builders(4, 1.5).module(Weight((0, 1, 0)))]
+    for coords, q, M in (((1, 0), 1.5, 6), ((1, 1), 1.0, 4)):
+        mods.extend(chains(coords, q, M).levels)
+    for V in mods:
+        e_is_k_f_transpose(V)
+        assert V.E is V.E   # formed once
+
+
+def test_qmodule_stores_only_f():
+    params = list(inspect.signature(repn.QModule).parameters)
+    assert params == ["N", "q", "weights", "F", "highest_weight", "hw_index"]
+    V = repn.standard_module(2, 1.5)
+    with pytest.raises(AttributeError):
+        V.E = {1: V.F[1].T}
 
 
 def test_tensor_weights_add_and_coproduct_structure():
@@ -85,8 +110,11 @@ def test_tensor_equals_the_kron_formula_bitwise(builders):
         T = repn.tensor(V, W)
         E, F = _kron_tensor(V, W)
         for i in range(1, V.N):
-            assert np.array_equal(T.E[i].to_dense(), E[i])
             assert np.array_equal(T.F[i].to_dense(), F[i])
+            # E is K F^T bitwise, which is the E side of the coproduct up
+            # to the rounding of the K factors
+            assert np.array_equal(T.E[i].to_dense(), T.k_diag(i)[:, None] * F[i].T)
+            assert np.max(np.abs(T.E[i].to_dense() - E[i])) <= 4e-16 * np.max(np.abs(E[i]))
 
 
 def test_sparse_matrix_products_and_canonical_form():
@@ -147,11 +175,9 @@ def _dense_check_module(V):
     def amax(M):
         return float(np.max(np.abs(M))) if M.size else 0.0
 
-    unit = grad = comm = serre = 0.0
+    grad = comm = serre = 0.0
     two_q = q_int(2, q)
     for i in range(1, V.N):
-        ki = V.k_diag(i)
-        unit = max(unit, amax(E[i].T - F[i] * ki[None, :]) / max(1.0, amax(E[i])))
         alpha = simple_root(i, V.N).as_array()
         for M, shift in ((E[i], alpha), (F[i], -alpha)):
             rr, cc = np.nonzero(M)
@@ -178,7 +204,7 @@ def _dense_check_module(V):
                         P1, P2 = Ai @ Aj, Aj @ Ai
                         scale = max(1.0, amax(P1), amax(P2))
                         serre = max(serre, amax(P1 - P2) / scale)
-    return {"unitarity": unit, "grading": grad, "commutator": comm, "serre": serre}
+    return {"grading": grad, "commutator": comm, "serre": serre}
 
 
 def _acceptance_modules(chains, builders):
@@ -209,8 +235,8 @@ def test_check_module_matches_the_dense_reference(chains, builders):
         assert _agree(repn.check_module(V), _dense_check_module(V)), V
 
 
-def _with_E1(V, E1):
-    return repn.QModule(V.N, V.q, V.weights, {**V.E, 1: E1}, V.F)
+def _with_F1(V, F1):
+    return repn.QModule(V.N, V.q, V.weights, {**V.F, 1: F1})
 
 
 def test_check_module_flags_mutations_like_the_dense_reference(chains):
@@ -218,34 +244,33 @@ def test_check_module_flags_mutations_like_the_dense_reference(chains):
     # multiplicity > 1), match the dense reference in every field
     for coords, n in (((1, 0), 10), ((1, 1), 4), ((0, 1, 0), 3)):
         V = chains(coords, 1.5, n + 1).levels[n]
-        E1 = V.E[1].to_dense()
-        nz = np.argwhere(E1)
+        F1 = V.F[1].to_dense()
+        nz = np.argwhere(F1)
         for r, c in (nz[len(nz) // 2], nz[0], nz[-1]):
-            bumped = E1.copy()
+            bumped = F1.copy()
             bumped[r, c] *= 1.0 + 1e-6
-            bad = _with_E1(V, bumped)
+            bad = _with_F1(V, bumped)
             got, want = repn.check_module(bad), _dense_check_module(bad)
             assert not got["passed"] and max(want.values()) > DEFAULT_TOL.identity_tol
             assert _agree(got, want)
     # an entry off the blocks enters no relation: it is the grading residual,
     # which fails the gate by itself
     V = chains((1, 0), 1.5, 22).levels[10]
-    E1 = V.E[1].to_dense()
-    off = E1.copy()
-    off[0, 0] = 1e-6 * np.max(np.abs(E1))   # a diagonal entry: E_1 must raise the weight
-    got = repn.check_module(_with_E1(V, off))
-    assert got["grading"] == _dense_check_module(_with_E1(V, off))["grading"] > 0
+    F1 = V.F[1].to_dense()
+    off = F1.copy()
+    off[0, 0] = 1e-6 * np.max(np.abs(F1))   # a diagonal entry: F_1 must lower the weight
+    got = repn.check_module(_with_F1(V, off))
+    assert got["grading"] == _dense_check_module(_with_F1(V, off))["grading"] > 0
     assert not got["passed"]
     off[0, 0] = 0.0
-    graded = _dense_check_module(_with_E1(V, off))
-    assert all(abs(got[k] - graded[k]) <= 1e-15 for k in ("unitarity", "commutator", "serre"))
+    graded = _dense_check_module(_with_F1(V, off))
+    assert all(abs(got[k] - graded[k]) <= 1e-15 for k in ("commutator", "serre"))
 
 
 def test_check_module_flags_broken_relations():
     V = repn.standard_module(2, 1.5)
-    E = {1: V.E[1] * (1.0 + 1e-6)}
-    bad = repn.QModule(2, 1.5, V.weights, E, {1: V.F[1]},
-                       highest_weight=V.highest_weight, hw_index=0)
+    F = {1: V.F[1] * (1.0 + 1e-6)}
+    bad = repn.QModule(2, 1.5, V.weights, F, highest_weight=V.highest_weight, hw_index=0)
     report = repn.check_module(bad, DEFAULT_TOL)
     assert not report["passed"]
     with pytest.raises(InvariantViolation):
@@ -254,10 +279,9 @@ def test_check_module_flags_broken_relations():
 
 def test_check_module_flags_grading_violation():
     V = repn.standard_module(2, 1.5)
-    E = {1: V.E[1].to_dense()}
-    E[1][1, 0] = 1e-3  # entry outside the weight-raising block
-    bad = repn.QModule(2, 1.5, V.weights, E, {1: V.F[1]},
-                       highest_weight=V.highest_weight, hw_index=0)
+    F = {1: V.F[1].to_dense()}
+    F[1][0, 1] = 1e-3  # entry outside the weight-lowering block
+    bad = repn.QModule(2, 1.5, V.weights, F, highest_weight=V.highest_weight, hw_index=0)
     report = repn.check_module(bad, DEFAULT_TOL)
     assert report["grading"] >= 1e-3
 
@@ -313,10 +337,10 @@ def test_intertwining_residual_detects_non_intertwiners(intertwining_residual):
 def test_qmodule_validation():
     V = repn.standard_module(2, 1.5)
     with pytest.raises(ValueError):
-        repn.QModule(2, 1.5, V.weights[:1], {1: V.E[1]}, {1: V.F[1]},
+        repn.QModule(2, 1.5, V.weights[:1], {1: V.F[1]},
                      highest_weight=V.highest_weight, hw_index=0)
     with pytest.raises(ValueError):
-        repn.QModule(2, 1.5, V.weights, {1: V.E[1][:1]}, {1: V.F[1]},
+        repn.QModule(2, 1.5, V.weights, {1: V.F[1][:1]},
                      highest_weight=V.highest_weight, hw_index=0)
     with pytest.raises(ValueError):
         repn.tensor(V, repn.standard_module(3, 1.5))

@@ -432,8 +432,8 @@ def test_lowest_vector_rejects_a_tampered_level(chains):
                              np.append(F[1].vals, 1.0))
     weights = lv.weights.copy()   # a second basis vector of the lowest weight
     weights[low - 1] = weights[low]
-    for bad_level in (repn.QModule(lv.N, lv.q, lv.weights, lv.E, F),
-                      repn.QModule(lv.N, lv.q, weights, lv.E, lv.F)):
+    for bad_level in (repn.QModule(lv.N, lv.q, lv.weights, F),
+                      repn.QModule(lv.N, lv.q, weights, lv.F)):
         levels = ch.levels[:3] + [bad_level] + ch.levels[4:]
         bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, levels, ch.w)
         with pytest.raises(InvariantViolation, match="no simple lowest weight"):
@@ -599,6 +599,32 @@ def test_creation_blocks_stack_the_single_vector_shifts(chains):
                          - W.T @ np.kron(xi[:, None], ident))) <= 1e-14
     assert np.max(np.abs(sps._creation_blocks(ch, [xi], n, right=True)[0]
                          - Wr.T @ np.kron(ident, xi[:, None]))) <= 1e-14
+
+
+def test_shift_operators_refuse_a_level_outside_the_chain(chains):
+    ch = chains((1,), 1.5, 4)
+    eye = np.eye(ch.base.dim)
+    for n in (-1, 4):
+        for right in (False, True):
+            with pytest.raises(ValueError, match=rf"level {n}: .* levels 0\.\.3$"):
+                sps._creation_blocks(ch, eye, n, right)
+    sigma = np.eye(ch.base.dim ** 2)
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match=rf"level {n}: .* levels 0\.\.2$"):
+            sps.eq_comm_residual(ch, sigma, n)
+    assert sps._creation_blocks(ch, eye, 3).shape == (2, 5, 4)
+    assert np.isfinite(sps.eq_comm_residual(ch, sigma, 2))
+
+
+def test_pair_isometries_refuse_negative_levels(chains):
+    ch = chains((1,), 1.5, 4)
+    for k, l in ((0, -1), (2, -1), (-1, 2), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"pair \({k},{l}\) has a negative level"):
+            ch.pair_isometry(k, l)
+    for k, l, n in ((-1, 2, 2), (1, 1, -1), (0, -1, 1)):
+        with pytest.raises(ValueError, match=rf"triple \({k},{l},{n}\) has a negative level"):
+            ch.coassociativity_residual(k, l, n)
+    assert ch.pair_isometry(0, 2).shape == (3, 3)
 
 
 # Depths at which the former per-vector orbit loop raised a false
