@@ -590,7 +590,7 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
         F = {}
         for i in range(1, N):
             F[i], off = _unpack_triplets(buf, off)
-        levels.append(QModule(N, q, weights, F, highest_weight=lam * n, hw_index=0))
+        levels.append(QModule(N, q, weights, F, highest_weight=lam * n))
     w = []
     for _ in range(M):
         W, off = _unpack_triplets(buf, off)

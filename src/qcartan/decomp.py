@@ -281,7 +281,7 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     wmat = np.repeat(V.weights[cs.corder[cs.cstart[[nu for nu, _ in found]]]],
                      [B.shape[1] for B in Bs], axis=0)
     F = {i: Q.T @ (V.F[i] @ Q) for i in range(1, V.N)}
-    sub = repn.QModule(V.N, V.q, wmat, F, highest_weight=hw, hw_index=0)
+    sub = repn.QModule(V.N, V.q, wmat, F, highest_weight=hw)
     repn.check_module(sub, tol, raise_on_fail=True)
     return sub, Q
 
@@ -291,8 +291,6 @@ def cartan_component(A, B, tol: ToleranceProfile = DEFAULT_TOL):
 
     Returns (QModule, isometry into the tensor product).
     """
-    if A.highest_weight is None or B.highest_weight is None:
-        raise ValueError("cartan_component needs simple inputs with fixed h.w. vectors")
     seed = np.kron(A.hw_vector, B.hw_vector)
     return generate_submodule(repn.tensor(A, B), seed, tol)
 

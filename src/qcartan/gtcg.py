@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import Weight, q_int
-from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
+from .numerics import DEFAULT_TOL, ToleranceProfile
 from . import decomp, repn
 
 
@@ -119,8 +119,6 @@ def _top_vectors(lam: Weight, q: float, builder, tol: ToleranceProfile):
     """(dim V_lam, highest weight space of V_{omega_1} (x) V_lam): one
     tensor and one solve, shared by every i of the partition."""
     V = builder.module(lam)
-    if V.hw_index != 0:
-        raise InvariantViolation("module must carry its h.w. vector at index 0")
     std = repn.standard_module(lam.N, q)
     return V.dim, decomp.highest_weight_space(repn.tensor(std, V), tol)
 

@@ -5,13 +5,13 @@ e_1^{d_1} ... e_N^{d_N} (d_i >= 0, sum d_i = n) with squared norm
 q^D * prod_i [d_i]_q! / [n]_q!,  D = sum_{i<j} d_i d_j.
 
 Creation by a basis letter is a generalized permutation in this basis, so all
-operator relations restrict to per-monomial scalar identities.  Every scalar
-of level n comes from one creation table (row = monomial, column = letter),
-and each relation residual is an array expression over the tables of
-neighbouring levels; no matrix is built.  Matrices are only assembled where a
-basis change is the point (creation_closed / annihilation_closed /
-chain_intertwiners).  annihilation_closed evaluates the paper's adjoint formula
-monomial by monomial and stays the independent reference for creation_closed.
+operator relations restrict to per-monomial scalar identities.  Level n has
+one cached creation table (row = monomial, column = letter) and one raise
+table of the neighbours d + delta_i (_raise_index); each relation residual is
+an array expression over the tables of neighbouring levels, and
+chain_intertwiners writes its words to raised columns.  annihilation_closed
+evaluates the paper's adjoint formula monomial by monomial and stays the
+independent reference for creation_closed.
 
 Basis order: monomials of a fixed degree are listed lexicographically
 descending in d, so e_1^n comes first and lines up with the chain's 0-th
@@ -19,7 +19,6 @@ basis vector.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -44,11 +43,7 @@ def monomials(N: int, n: int) -> tuple:
     """All exponent vectors of degree n, lexicographically descending."""
     if N == 1:
         return ((n,),)
-    out = []
-    for d1 in range(n, -1, -1):
-        for rest in monomials(N - 1, n - d1):
-            out.append((d1,) + rest)
-    return tuple(out)
+    return tuple((d1,) + rest for d1 in range(n, -1, -1) for rest in monomials(N - 1, n - d1))
 
 
 @lru_cache(maxsize=None)
@@ -66,14 +61,10 @@ def monomial_norm_sq(d, q: float) -> float:
     return q ** D * num / q_factorial(n, q)
 
 
-@lru_cache(maxsize=None)
-def _raise_index(N: int, n: int) -> np.ndarray:
-    """R[c, i] = level-(n+1) index of d + delta_{i+1}, d = monomials(N, n)[c]."""
-    tgt = monomial_index(N, n + 1)
-    R = np.array([[tgt[d[:i] + (d[i] + 1,) + d[i + 1:]] for i in range(N)]
-                  for d in monomials(N, n)])
-    R.setflags(write=False)
-    return R
+def _check(N: int, n: int, i: int = 1) -> None:
+    """Refuse a letter outside 1..N or a degree below 0."""
+    if not (1 <= i <= N and n >= 0):
+        raise ValueError(f"need a letter in 1..{N} and a degree >= 0, got {i} and {n}")
 
 
 @lru_cache(maxsize=None)
@@ -84,16 +75,35 @@ def _exponents(N: int, n: int) -> np.ndarray:
     return D
 
 
+@lru_cache(maxsize=None)
+def _raise_index(N: int, n: int) -> np.ndarray:
+    """R[c, i] = level-(n+1) index of d + delta_{i+1}, d = monomials(N, n)[c].
+
+    Read as base-(n+2) digits, the exponent rows of both levels give keys
+    that descend with the monomials, so one searchsorted finds them all.
+    """
+    radix = (n + 2) ** np.arange(N - 1, -1, -1)
+    R = np.searchsorted(-(_exponents(N, n + 1) @ radix),
+                        -((_exponents(N, n) @ radix)[:, None] + radix))
+    R.setflags(write=False)
+    return R
+
+
+@lru_cache(maxsize=None)
 def _creation_table(N: int, n: int, q: float) -> np.ndarray:
-    """S[c, i]: S_{i+1} u_d = S[c, i] u_{d+delta_{i+1}} on unit monomials of H_n."""
+    """S[c, i]: S_{i+1} u_d = S[c, i] u_{d+delta_{i+1}} on unit monomials of
+    H_n, read-only (cached)."""
     D = _exponents(N, n)
     prev = np.cumsum(D, axis=1) - D  # exponent mass strictly left of each letter
-    return (q ** (-prev) * q ** ((n - D) / 2.0)
-            * np.sqrt(q_int(D + 1, q) / q_int(n + 1, q)))
+    S = (q ** (-prev) * q ** ((n - D) / 2.0)
+         * np.sqrt(q_int(D + 1, q) / q_int(n + 1, q)))
+    S.setflags(write=False)
+    return S
 
 
 def creation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
     """Matrix of S_i : H_n -> H_{n+1} in the unit monomial bases."""
+    _check(N, n, i)
     S = _creation_table(N, n, q)
     A = np.zeros((len(monomials(N, n + 1)), len(S)))
     A[_raise_index(N, n)[:, i - 1], np.arange(len(S))] = S[:, i - 1]
@@ -107,6 +117,7 @@ def annihilation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
     norm ratio; kept as an independent evaluation path so that agreement with
     creation_closed(...).T is a real check, not a tautology.
     """
+    _check(N, n, i)
     src = monomials(N, n)
     tgt = monomial_index(N, n - 1)
     A = np.zeros((len(tgt), len(src)))
@@ -123,11 +134,8 @@ def annihilation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
 
 
 def _scalar_tables(N: int, n: int, q: float):
-    """Diagonal scalars on H_n.
-
-    Returns (ss[i] = scalar of S_i* S_i, tt[i] = scalar of S_i S_i*), both
-    (count, N) arrays over the monomial list.
-    """
+    """Diagonal scalars on H_n: (ss[:, i] of S_i* S_i, tt[:, i] of S_i S_i*),
+    both (count, N) arrays over the monomial list."""
     ss = _creation_table(N, n, q) ** 2
     tt = np.zeros_like(ss)
     if n >= 1:
@@ -135,23 +143,27 @@ def _scalar_tables(N: int, n: int, q: float):
     return ss, tt
 
 
+def _tails(tt: np.ndarray, above: bool) -> np.ndarray:
+    """Column i sums the columns j > i (above) or j < i of tt, left to right."""
+    return np.stack([(tt[:, i + 1:] if above else tt[:, :i]).sum(axis=1)
+                     for i in range(tt.shape[1])], axis=1)
+
+
 def _star_exchange(N: int, n: int, q: float, c: float) -> float:
     """Max over i != j of the scalar mismatch of S_i* S_j = c S_j S_i* on H_n.
 
     Row f of level n-1 carries the source monomial f + delta_i: S_i* S_j sends
     it through f + delta_i + delta_j, S_j S_i* through f.  Both sides are
-    symmetric in (i, j), so the pairs i < j cover every mismatch.
+    symmetric in (i, j), so the pairs i < j (columns I, J) cover every mismatch.
     """
     if n == 0:
         return 0.0
     S = _creation_table(N, n, q)
     S_prev = _creation_table(N, n - 1, q)
     R = _raise_index(N, n - 1)
-    worst = 0.0
-    for i, j in itertools.combinations(range(N), 2):
-        resid = S[R[:, i], j] * S[R[:, j], i] - c * S_prev[:, i] * S_prev[:, j]
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    I, J = np.triu_indices(N, 1)
+    resid = S[R[:, I], J] * S[R[:, J], I] - c * S_prev[:, I] * S_prev[:, J]
+    return float(np.max(np.abs(resid), initial=0.0))
 
 
 def q_arveson_residuals(n: int, q: float, N: int) -> dict:
@@ -163,16 +175,13 @@ def q_arveson_residuals(n: int, q: float, N: int) -> dict:
     Both sides are generalized permutations, so the operator norm of the
     difference is the max over monomials of the scalar mismatch.
     """
+    _check(N, n)
     ratio = q_int(n, q) / q_int(n + 1, q) if n >= 1 else 0.0
     off = _star_exchange(N, n, q, ratio)
     ss, tt = _scalar_tables(N, n, q)
     const = q ** (-float(n)) / q_int(n + 1, q)
-    diag = 0.0
-    for i in range(N):
-        tail = tt[:, i + 1:].sum(axis=1)
-        resid = ss[:, i] - q * ratio * tt[:, i] - (q - 1.0 / q) * ratio * tail - const
-        diag = max(diag, float(np.max(np.abs(resid))))
-    return {"off_diag": off, "diag": diag}
+    resid = ss - q * ratio * tt - (q - 1.0 / q) * ratio * _tails(tt, True) - const
+    return {"off_diag": off, "diag": float(np.max(np.abs(resid)))}
 
 
 def cuntz_pimsner_residual(n: int, q: float, N: int) -> dict:
@@ -184,25 +193,18 @@ def cuntz_pimsner_residual(n: int, q: float, N: int) -> dict:
             s_i* s_i = s_i s_i* + (1 - q^2) sum_{j<i} s_j s_j*.
     Also reports the resolution-of-identity residual of sum_i s_i s_i* = 1.
     """
+    _check(N, n)
     ge1 = q >= 1.0
     S = _creation_table(N, n, q)
     S_next = _creation_table(N, n + 1, q)
     R = _raise_index(N, n)
-    exch = 0.0
-    # s_i s_j u_d and q s_j s_i u_d both land on d + delta_i + delta_j
-    for i, j in itertools.combinations(range(N), 2):
-        resid = S[:, j] * S_next[R[:, j], i] - q * S[:, i] * S_next[R[:, i], j]
-        exch = max(exch, float(np.max(np.abs(resid))))
+    I, J = np.triu_indices(N, 1)
+    # s_i s_j u_d and q s_j s_i u_d both land on d + delta_i + delta_j (i < j)
+    exch = float(np.max(np.abs(S[:, J] * S_next[R[:, J], I] - q * S[:, I] * S_next[R[:, I], J]),
+                        initial=0.0))
     star = _star_exchange(N, n, q, (1.0 / q) if ge1 else q)
     ss, tt = _scalar_tables(N, n, q)
-    diag = 0.0
-    for i in range(N):
-        if ge1:
-            tail = (1.0 - q ** -2.0) * tt[:, i + 1:].sum(axis=1)
-        else:
-            tail = (1.0 - q ** 2.0) * tt[:, :i].sum(axis=1)
-        resid = ss[:, i] - tt[:, i] - tail
-        diag = max(diag, float(np.max(np.abs(resid))))
+    diag = float(np.max(np.abs(ss - tt - (1.0 - q ** (-2.0 if ge1 else 2.0)) * _tails(tt, ge1))))
     resolution = float(np.max(np.abs(tt.sum(axis=1) - 1.0))) if n >= 1 else 1.0
     return {"exchange": exch, "star_exchange": star, "diag": diag,
             "resolution": resolution}
@@ -215,30 +217,28 @@ def chain_intertwiners(chain, n: int) -> list:
     Column d of U_k is (S_1^{d_1} ... S_N^{d_N} vacuum) / ||e^d||; the claim
     under test is that these columns are orthonormal (so U_k is a unitary
     intertwiner of the two models).  Words are built in one pass up the
-    levels, each by peeling the leftmost letter off a word one level down;
-    level k reads one creation stack, a block per letter.
+    levels: level k reads one creation stack, a block per letter i, and
+    applies block i to the level-(k-1) words with no letter before i, in
+    one product written to their raised columns (_raise_index).
     """
     from . import sps
 
     N = chain.N
     if chain.base.dim != N or chain.lam != Weight.from_partition([1] + [0] * (N - 1)):
         raise ValueError("the closed-form model matches the defining-weight chain only")
-    if n > chain.M:
-        raise ValueError("chain truncation too small")
-    eye = np.eye(N)
-    vecs = {(0,) * N: np.ones(1)}
-    out = [np.ones((1, 1))]
+    if not 0 <= n <= chain.M:
+        raise ValueError(f"degree {n} is outside the chain's levels 0..{chain.M}")
+    words = np.ones((1, 1))   # unnormalized words of level k, a column per monomial
+    out = [words]
     for k in range(1, n + 1):
-        blocks = sps._creation_blocks(chain, eye, k - 1)   # one per letter
-        nxt = {}
-        for d in monomials(N, k):
-            i = next(a for a in range(N) if d[a] > 0)
-            e = list(d)
-            e[i] -= 1
-            nxt[d] = blocks[i] @ vecs[tuple(e)]
-        vecs = nxt
-        out.append(np.column_stack([vecs[d] / np.sqrt(monomial_norm_sq(d, chain.q))
-                                    for d in monomials(N, k)]))
+        blocks = sps._creation_blocks(chain, np.eye(N), k - 1)   # one per letter
+        D, R = _exponents(N, k - 1), _raise_index(N, k - 1)
+        nxt = np.empty((blocks.shape[1], len(monomials(N, k))))
+        for i in range(N):
+            src = ~D[:, :i].any(axis=1)
+            nxt[:, R[src, i]] = blocks[i] @ words[:, src]
+        words = nxt
+        out.append(words / np.sqrt([monomial_norm_sq(d, chain.q) for d in monomials(N, k)]))
     return out
 
 

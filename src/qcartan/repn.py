@@ -112,12 +112,16 @@ class SparseMatrix:
     def __getitem__(self, key):
         return self.to_dense()[key]
 
+    def _transposed(self) -> "SparseMatrix":
+        """The canonical transpose, formed afresh and cached nowhere."""
+        order = (self.cols * self.shape[0] + self.rows).argsort(kind="stable")
+        return SparseMatrix._canonical(self.shape[::-1], self.cols[order],
+                                       self.rows[order], self.vals[order])
+
     @property
     def T(self) -> "SparseMatrix":
         if self._T is None:
-            order = (self.cols * self.shape[0] + self.rows).argsort(kind="stable")
-            self._T = SparseMatrix._canonical(self.shape[::-1], self.cols[order],
-                                              self.rows[order], self.vals[order])
+            self._T = self._transposed()
             self._T._T = self
         return self._T
 
@@ -395,7 +399,7 @@ class QModule:
     # Read-only; perfbench/tracer.py reads it to size tensor outputs.
     dtype = np.dtype(np.float64)
 
-    def __init__(self, N, q, weights, F, highest_weight=None, hw_index=None):
+    def __init__(self, N, q, weights, F, highest_weight=None):
         self.N = int(N)
         self.q = check_q(q)
         self.weights = np.asarray(weights, dtype=np.int64)
@@ -406,7 +410,6 @@ class QModule:
         if any(X.shape != (self.dim, self.dim) for X in self.F.values()):
             raise ValueError("generator matrix shape mismatch")
         self.highest_weight = highest_weight
-        self.hw_index = hw_index
         self.factors = None
         self._E = None
         self._blocks = None
@@ -416,11 +419,12 @@ class QModule:
     def E(self) -> dict:
         """E_i = K_i F_i^T, the unitarity E_i^T = F_i K_i of the real
         orthonormal basis (cached): the canonical transpose of F_i, each
-        value times q^{wt_i} of its row.  No other code forms an E."""
+        value times q^{wt_i} of its row, which leaves F_i.T unformed.  No
+        other code forms an E."""
         if self._E is None:
             self._E = {}
             for i, X in self.F.items():
-                T = X.T
+                T = X._transposed()
                 self._E[i] = SparseMatrix._canonical(T.shape, T.rows, T.cols,
                                                      T.vals * self.k_diag(i)[T.rows])
         return self._E
@@ -433,10 +437,11 @@ class QModule:
     # -- structure ------------------------------------------------------
     @property
     def hw_vector(self) -> np.ndarray:
-        if self.hw_index is None:
+        """Unit vector 0: a module with a highest weight keeps its vector there."""
+        if self.highest_weight is None:
             raise ValueError("module has no phase-fixed highest weight vector")
         v = np.zeros(self.dim)
-        v[self.hw_index] = 1.0
+        v[0] = 1.0
         return v
 
     def weight_of(self, index: int) -> Weight:
@@ -499,7 +504,7 @@ def _generator_stacks(V: QModule, sign: int, what: str, blocks=None) -> tuple:
 def trivial_module(N: int, q: float) -> QModule:
     return QModule(N, q, np.zeros((1, N - 1), dtype=np.int64),
                    {i: np.zeros((1, 1)) for i in range(1, N)},
-                   highest_weight=Weight((0,) * (N - 1)), hw_index=0)
+                   highest_weight=Weight((0,) * (N - 1)))
 
 
 def standard_module(N: int, q: float) -> QModule:
@@ -521,7 +526,7 @@ def standard_module(N: int, q: float) -> QModule:
         F[i][i, i - 1] = 1.0 / sq
     from .qcore import fundamental_weight
 
-    return QModule(N, q, wts, F, highest_weight=fundamental_weight(1, N), hw_index=0)
+    return QModule(N, q, wts, F, highest_weight=fundamental_weight(1, N))
 
 
 def tensor(V: QModule, W: QModule) -> QModule:

@@ -163,10 +163,7 @@ class CartanChain:
         self.M = int(M)
         self.tol = tol
         self.N = lam.N
-        base = GeneralWeightBuilder(self.N, q, tol).module(lam)
-        if base.hw_index != 0:
-            raise ValueError("chain base module must carry its h.w. vector at index 0")
-        self.base = base
+        self.base = base = GeneralWeightBuilder(self.N, q, tol).module(lam)
         dl = base.dim
 
         # Each level is built in float64 from the one below and must pass
@@ -179,8 +176,7 @@ class CartanChain:
         self._tensors = {}
         for n in range(1, M):
             T = self._tensors[n] = repn.tensor(base, self.levels[-1])
-            seed = np.zeros(T.dim)
-            seed[0] = 1.0  # xi_lam (x) xi_{n lam} in chain coordinates
+            seed = np.kron(base.hw_vector, self.levels[-1].hw_vector)   # xi_lam (x) xi_{n lam}
             sub, Q = decomp.generate_submodule(T, seed, tol)
             self.levels.append(sub)
             self.w.append(Q)
@@ -228,18 +224,23 @@ class CartanChain:
     def dims(self) -> list:
         return [lv.dim for lv in self.levels]
 
+    def _check_level(self, n: int, what: str, lo: int, hi: int) -> None:
+        """ValueError naming the level n and the range unless lo <= n <= hi."""
+        if not lo <= n <= hi:
+            raise ValueError(f"no {what} at level {n}: the chain has {what}s at levels {lo}..{hi}")
+
     def tensor(self, n: int) -> repn.QModule:
         """V_lam (x) V_{n lam}, 1 <= n <= M - 1: the module level n + 1 was
         generated in, kept from the build (formed on first use after
-        from_parts)."""
+        from_parts).  Raises ValueError for any other n."""
+        self._check_level(n, "tensor", 1, self.M - 1)
         if n not in self._tensors:
             self._tensors[n] = repn.tensor(self.base, self.levels[n])
         return self._tensors[n]
 
     def hw_vector(self, n: int) -> np.ndarray:
-        v = np.zeros(self.levels[n].dim)
-        v[0] = 1.0
-        return v
+        self._check_level(n, "highest weight vector", 0, self.M)
+        return self.levels[n].hw_vector
 
     def lowest_vector(self, n: int) -> np.ndarray:
         """Unit lowest weight vector of level n (cached).
@@ -247,8 +248,9 @@ class CartanChain:
         The lowest weight w0(n lam) = -reversed(n lam) of V_{n lam} is
         simple, so the vector is the unit vector at the one basis index of
         that weight, which no F_i may move: no F_i triplet sits in its
-        column.
+        column.  Raises ValueError unless 0 <= n <= M.
         """
+        self._check_level(n, "lowest weight vector", 0, self.M)
         if n not in self._lowest_cache:
             lv = self.levels[n]
             low = -n * np.array(self.lam.coords[::-1], dtype=np.int64)
@@ -474,9 +476,7 @@ def _creation_blocks(chain: CartanChain, X, n: int, right: bool = False) -> np.n
     scatter of creation blocks: every shift operator reads it, with X = xi
     or X = eye(dim V_lam).  Raises ValueError unless 0 <= n <= M - 1.
     """
-    if not 0 <= n < chain.M:
-        raise ValueError(f"no shift out of level {n}: the chain has shifts "
-                         f"out of levels 0..{chain.M - 1}")
+    chain._check_level(n, "shift", 0, chain.M - 1)
     X = np.asarray(X, dtype=np.float64)
     dn = chain.levels[n].dim
     if right:
@@ -529,9 +529,7 @@ def eq_comm_residual(chain: CartanChain, sigma: np.ndarray, n: int) -> float:
     the full basis grid (zeta, xi) at level n; raises ValueError unless
     0 <= n <= M - 2.
     """
-    if not 0 <= n <= chain.M - 2:
-        raise ValueError(f"no residual at level {n}: the chain has residuals "
-                         f"at levels 0..{chain.M - 2}")
+    chain._check_level(n, "residual", 0, chain.M - 2)
     dl = chain.base.dim
     qfac = chain.q ** (-pairing(chain.lam, chain.lam))
     S0, S1 = (_creation_blocks(chain, np.eye(dl), k) for k in (n, n + 1))

@@ -160,5 +160,5 @@ def test_root_vector_grading_guard_fires():
         # build root vectors with a bracket that does not close
         bad = repn.QModule(3, 1.5, V.weights,
                            {1: V.F[1], 2: V.F[2].to_dense() + 0.5 * V.E[1].to_dense()},
-                           highest_weight=V.highest_weight, hw_index=0)
+                           highest_weight=V.highest_weight)
         braiding.root_vectors(bad)

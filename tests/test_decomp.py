@@ -61,7 +61,7 @@ def test_generate_submodule_extracts_top_component(intertwining_residual):
     W = Q.to_dense()
     assert sub.dim == 3 == weyl_dim(Weight((2,)))
     assert sub.highest_weight == Weight((2,))
-    assert sub.hw_index == 0
+    assert sub.weight_of(0) == sub.highest_weight
     assert repn.check_module(sub, DEFAULT_TOL)["max"] <= 1e-12
     # W is an isometric intertwiner T <- sub
     assert np.max(np.abs(W.T @ W - np.eye(3))) <= 1e-12
@@ -139,7 +139,7 @@ def test_extreme_space_completeness_guard_fires_on_corrupt_module():
     V = repn.standard_module(2, 1.5)
     # zero out F so that extra fake lowest-weight vectors appear
     bad = repn.QModule(2, 1.5, V.weights, {1: np.zeros((2, 2))},
-                       highest_weight=V.highest_weight, hw_index=0)
+                       highest_weight=V.highest_weight)
     with pytest.raises(InvariantViolation):
         decomp.lowest_weight_space(bad)
 
@@ -157,7 +157,7 @@ def test_a_generator_entry_off_the_weight_grading_raises():
     F1 = V.F[1].to_dense()
     F1[2, 1] = 0.25
     bad = repn.QModule(3, 1.5, V.weights, {1: F1, 2: V.F[2]},
-                       highest_weight=V.highest_weight, hw_index=0)
+                       highest_weight=V.highest_weight)
     assert bad.E[1][1, 2] == 0.25 / 1.5
     for call, what, entry in ((decomp.highest_weight_space, "highest weight space", "1.667e-01"),
                               (decomp.lowest_weight_space, "lowest weight space", "2.500e-01"),

@@ -1,5 +1,7 @@
 """Closed-form monomial model: norms, shift matrices, relation residuals."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -126,19 +128,147 @@ def _residual_tables(q):
             for N in (2, 3, 4) for n in range(21)]
 
 
+def _clear_table_caches():
+    for table in (qda._exponents, qda._raise_index, qda._creation_table):
+        table.cache_clear()
+
+
 def test_cached_exponents_leave_the_residual_tables_unchanged(monkeypatch):
     """The residual tables for N = 2..4, n <= 20 are bit-identical with the
-    exponent arrays cached (cold and warm) and converted on every call."""
-    qda._exponents.cache_clear()
+    exponent arrays cached (cold and warm) and converted on every call.  The
+    tables built from the exponents are cached too, so they are emptied
+    around the converted run, which would otherwise read cached tables."""
     for q in (0.7, 1.5):
+        _clear_table_caches()
         cold, warm = _residual_tables(q), _residual_tables(q)
+        _clear_table_caches()
         with monkeypatch.context() as m:
             m.setattr(qda, "_exponents", lambda N, n: np.array(qda.monomials(N, n)))
             former = _residual_tables(q)
+        _clear_table_caches()
         assert cold == warm == former
     D = qda._exponents(3, 4)
-    assert D is qda._exponents(3, 4) and not D.flags.writeable
     assert D.tolist() == [list(d) for d in qda.monomials(3, 4)]
+
+
+def test_cached_tables_are_read_only_and_built_once():
+    for table, args in ((qda._exponents, (3, 4)), (qda._raise_index, (3, 4)),
+                        (qda._creation_table, (3, 4, 1.5))):
+        T = table(*args)
+        assert T is table(*args) and not T.flags.writeable, table
+    # the residuals of levels 0..5 read the creation tables of levels 0..6
+    qda._creation_table.cache_clear()
+    for n in range(6):
+        qda.q_arveson_residuals(n, 1.5, 4)
+        qda.cuntz_pimsner_residual(n, 1.5, 4)
+    assert qda._creation_table.cache_info().misses == 7
+
+
+@functools.lru_cache(maxsize=None)
+def _raise_index_by_dict(N, n):
+    """The former raise table: one dict lookup per monomial and letter."""
+    tgt = qda.monomial_index(N, n + 1)
+    return np.array([[tgt[d[:i] + (d[i] + 1,) + d[i + 1:]] for i in range(N)]
+                     for d in qda.monomials(N, n)])
+
+
+def _residuals_by_loops(n, q, N):
+    """The former residuals, over the dict raise tables: one pass per letter
+    pair (exchange relations) and one per letter (diagonal relations)."""
+    S, S_next = qda._creation_table(N, n, q), qda._creation_table(N, n + 1, q)
+    pairs = list(itertools.combinations(range(N), 2))
+    ss, tt = S ** 2, np.zeros_like(S)
+    if n >= 1:
+        S_prev, R_prev = qda._creation_table(N, n - 1, q), _raise_index_by_dict(N, n - 1)
+        tt[R_prev, np.arange(N)] = S_prev ** 2
+
+    def star(c):
+        if n == 0:
+            return 0.0
+        return max([0.0] + [float(np.max(np.abs(S[R_prev[:, i], j] * S[R_prev[:, j], i]
+                                                - c * S_prev[:, i] * S_prev[:, j])))
+                            for i, j in pairs])
+
+    def worst(resids):
+        return max([0.0] + [float(np.max(np.abs(r))) for r in resids])
+
+    ratio = q_int(n, q) / q_int(n + 1, q) if n >= 1 else 0.0
+    const = q ** (-float(n)) / q_int(n + 1, q)
+    arv = {"off_diag": star(ratio),
+           "diag": worst(ss[:, i] - q * ratio * tt[:, i]
+                         - (q - 1.0 / q) * ratio * tt[:, i + 1:].sum(axis=1) - const
+                         for i in range(N))}
+    ge1, R = q >= 1.0, _raise_index_by_dict(N, n)
+    tails = [(1.0 - q ** -2.0) * tt[:, i + 1:].sum(axis=1) if ge1
+             else (1.0 - q ** 2.0) * tt[:, :i].sum(axis=1) for i in range(N)]
+    cp = {"exchange": worst(S[:, j] * S_next[R[:, j], i] - q * S[:, i] * S_next[R[:, i], j]
+                            for i, j in pairs),
+          "star_exchange": star((1.0 / q) if ge1 else q),
+          "diag": worst(ss[:, i] - tt[:, i] - tails[i] for i in range(N)),
+          "resolution": float(np.max(np.abs(tt.sum(axis=1) - 1.0))) if n >= 1 else 1.0}
+    return arv, cp
+
+
+def test_residuals_equal_the_letter_loops():
+    """The pair and letter expressions give the loop values bit for bit."""
+    for q in (0.7, 1.0, 1.5, 2.0):
+        for N in (2, 3, 4):
+            for n in range(21):
+                got = (qda.q_arveson_residuals(n, q, N), qda.cuntz_pimsner_residual(n, q, N))
+                assert got == _residuals_by_loops(n, q, N), (q, N, n)
+
+
+def _intertwiners_by_dict_walk(chain, n):
+    """The former chain_intertwiners: a dict of word vectors, each word built
+    by peeling its leftmost letter off a word one level down."""
+    N, eye = chain.N, np.eye(chain.N)
+    vecs = {(0,) * N: np.ones(1)}
+    out = [np.ones((1, 1))]
+    for k in range(1, n + 1):
+        blocks = sps._creation_blocks(chain, eye, k - 1)
+        nxt = {}
+        for d in qda.monomials(N, k):
+            i = next(a for a in range(N) if d[a] > 0)
+            e = list(d)
+            e[i] -= 1
+            nxt[d] = blocks[i] @ vecs[tuple(e)]
+        vecs = nxt
+        out.append(np.column_stack([vecs[d] / np.sqrt(qda.monomial_norm_sq(d, chain.q))
+                                    for d in qda.monomials(N, k)]))
+    return out
+
+
+def test_raise_table_equals_the_dict_lookup():
+    for N in (2, 3, 4):
+        for n in range(21):
+            R = qda._raise_index(N, n)
+            assert np.array_equal(R, _raise_index_by_dict(N, n)), (N, n)
+            assert R.shape == (len(qda.monomials(N, n)), N)
+
+
+def test_chain_intertwiners_equal_the_dict_walk(chains):
+    for coords, q, M in (((1,), 1.5, 12), ((1, 0), 1.5, 10), ((1, 0, 0), 1.3, 6),
+                         ((1,), 1.0, 12)):
+        ch = chains(coords, q, M)
+        got, want = qda.chain_intertwiners(ch, M), _intertwiners_by_dict_walk(ch, M)
+        assert len(got) == len(want) == M + 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (coords, q, M)
+
+
+def test_closed_forms_refuse_letters_and_degrees_outside_the_model(chains):
+    ch = chains((1,), 1.5, 8)
+    calls = [lambda: qda.creation_closed(0, 2, 1.5, 3),
+             lambda: qda.creation_closed(4, 2, 1.5, 3),
+             lambda: qda.creation_closed(1, -1, 1.5, 3),
+             lambda: qda.annihilation_closed(0, 2, 1.5, 3),
+             lambda: qda.annihilation_closed(4, 2, 1.5, 3),
+             lambda: qda.q_arveson_residuals(-1, 1.5, 3),
+             lambda: qda.cuntz_pimsner_residual(-1, 1.5, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="need a letter in 1..3 and a degree >= 0"):
+            call()
+    with pytest.raises(ValueError, match="degree -1 is outside the chain's levels 0..8"):
+        qda.chain_intertwiners(ch, -1)
 
 
 def test_chain_intertwiner_is_unitary(chains):

@@ -15,7 +15,7 @@ def test_standard_module_matrices_and_weights():
     V = repn.standard_module(3, q)
     assert V.dim == 3
     assert V.highest_weight == fundamental_weight(1, 3)
-    assert V.hw_index == 0
+    assert V.weight_of(0) == V.highest_weight   # the h.w. vector sits at index 0
     sq = q ** 0.5
     assert V.F[1][1, 0] == 1.0 / sq and np.count_nonzero(V.F[1].to_dense()) == 1
     # E_1 = K_1 F_1^T: q^{wt_1(e_1)} q^(-1/2) = q^(1/2), up to the rounding of 1/sq
@@ -68,10 +68,25 @@ def test_e_is_k_f_transpose_on_every_construction(chains, builders, e_is_k_f_tra
         assert V.E is V.E   # formed once
 
 
+def test_e_leaves_no_transpose_cached_on_f():
+    """Reading E forms an uncached transpose of each F_i: F_i.T stays unset,
+    and E keeps the triplets of K_i times the cached transpose."""
+    std = repn.standard_module(3, 1.5)
+    for V in (std, repn.tensor(std, std), repn.contragredient(std)):
+        E = V.E
+        for i, X in V.F.items():
+            assert X._T is None, (V, i)
+            T = X.T
+            assert np.array_equal(E[i].rows, T.rows) and np.array_equal(E[i].cols, T.cols)
+            assert np.array_equal(E[i].vals, T.vals * V.k_diag(i)[T.rows])
+
+
 def test_qmodule_stores_only_f():
     params = list(inspect.signature(repn.QModule).parameters)
-    assert params == ["N", "q", "weights", "F", "highest_weight", "hw_index"]
+    assert params == ["N", "q", "weights", "F", "highest_weight"]
     V = repn.standard_module(2, 1.5)
+    with pytest.raises(ValueError, match="no phase-fixed highest weight vector"):
+        repn.tensor(V, V).hw_vector
     with pytest.raises(AttributeError):
         V.E = {1: V.F[1].T}
 
@@ -270,7 +285,7 @@ def test_check_module_flags_mutations_like_the_dense_reference(chains):
 def test_check_module_flags_broken_relations():
     V = repn.standard_module(2, 1.5)
     F = {1: V.F[1] * (1.0 + 1e-6)}
-    bad = repn.QModule(2, 1.5, V.weights, F, highest_weight=V.highest_weight, hw_index=0)
+    bad = repn.QModule(2, 1.5, V.weights, F, highest_weight=V.highest_weight)
     report = repn.check_module(bad, DEFAULT_TOL)
     assert not report["passed"]
     with pytest.raises(InvariantViolation):
@@ -281,7 +296,7 @@ def test_check_module_flags_grading_violation():
     V = repn.standard_module(2, 1.5)
     F = {1: V.F[1].to_dense()}
     F[1][0, 1] = 1e-3  # entry outside the weight-lowering block
-    bad = repn.QModule(2, 1.5, V.weights, F, highest_weight=V.highest_weight, hw_index=0)
+    bad = repn.QModule(2, 1.5, V.weights, F, highest_weight=V.highest_weight)
     report = repn.check_module(bad, DEFAULT_TOL)
     assert report["grading"] >= 1e-3
 
@@ -338,9 +353,9 @@ def test_qmodule_validation():
     V = repn.standard_module(2, 1.5)
     with pytest.raises(ValueError):
         repn.QModule(2, 1.5, V.weights[:1], {1: V.F[1]},
-                     highest_weight=V.highest_weight, hw_index=0)
+                     highest_weight=V.highest_weight)
     with pytest.raises(ValueError):
         repn.QModule(2, 1.5, V.weights, {1: V.F[1][:1]},
-                     highest_weight=V.highest_weight, hw_index=0)
+                     highest_weight=V.highest_weight)
     with pytest.raises(ValueError):
         repn.tensor(V, repn.standard_module(3, 1.5))

@@ -19,7 +19,7 @@ def test_chain_levels_and_dimensions(chains):
     assert ch.levels[1] is ch.base
     for n, lv in enumerate(ch.levels):
         assert lv.dim == weyl_dim(Weight((n,)))
-        assert lv.hw_index == 0
+        assert lv.weight_of(0) == lv.highest_weight
     assert "CartanChain" in repr(ch)
     # every public level and isometry of a deep chain is float64
     deep = chains((1,), 1.5, 22)
@@ -461,7 +461,7 @@ def test_general_weight_builder(builders):
     assert b.module(Weight((0, 0))).dim == 1
     vrho = b.module(Weight((1, 1)))
     assert vrho.dim == 8
-    assert vrho.hw_index == 0
+    assert vrho.weight_of(0) == vrho.highest_weight
     assert b.module(Weight((1, 1))) is vrho  # cached
     assert repn.check_module(vrho, DEFAULT_TOL)["passed"]
     with pytest.raises(ValueError):
@@ -670,3 +670,16 @@ def test_chain_build_and_scan_never_densify_a_large_generator(monkeypatch):
     assert len(asympt.conjecture_scan(ch).ns) > 0
     with pytest.raises(AssertionError, match="densified"):
         ch.levels[4].E[1].to_dense()
+
+
+def test_chain_accessors_refuse_a_level_outside_the_chain(chains):
+    ch = chains((1,), 1.5, 4)
+    for n in (-1, 5):
+        for get in (ch.hw_vector, ch.lowest_vector):
+            with pytest.raises(ValueError, match=rf"vector at level {n}: .* levels 0\.\.4$"):
+                get(n)
+    for n in (-1, 0, 4):
+        with pytest.raises(ValueError, match=rf"no tensor at level {n}: .* levels 1\.\.3$"):
+            ch.tensor(n)
+    assert ch.hw_vector(4)[0] == 1.0 and ch.lowest_vector(0).tolist() == [1.0]
+    assert ch.tensor(3).factors == (ch.base, ch.levels[3])
