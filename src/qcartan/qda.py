@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qcore import Weight, q_factorial, q_int
+from .qcore import Weight, check_q, q_factorial, q_int
 
 __all__ = [
     "monomials",
@@ -53,6 +53,7 @@ def monomial_index(N: int, n: int) -> dict:
 
 def monomial_norm_sq(d, q: float) -> float:
     d = tuple(int(x) for x in d)
+    q = check_q(q)
     n = sum(d)
     D = (n * n - sum(x * x for x in d)) // 2
     num = 1.0
@@ -61,10 +62,12 @@ def monomial_norm_sq(d, q: float) -> float:
     return q ** D * num / q_factorial(n, q)
 
 
-def _check(N: int, n: int, i: int = 1) -> None:
-    """Refuse a letter outside 1..N or a degree below 0."""
+def _check(N: int, n: int, q: float, i: int = 1) -> float:
+    """q as a float (qcore.check_q); refuse a letter outside 1..N or a
+    degree below 0."""
     if not (1 <= i <= N and n >= 0):
         raise ValueError(f"need a letter in 1..{N} and a degree >= 0, got {i} and {n}")
+    return check_q(q)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +106,7 @@ def _creation_table(N: int, n: int, q: float) -> np.ndarray:
 
 def creation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
     """Matrix of S_i : H_n -> H_{n+1} in the unit monomial bases."""
-    _check(N, n, i)
+    q = _check(N, n, q, i)
     S = _creation_table(N, n, q)
     A = np.zeros((len(monomials(N, n + 1)), len(S)))
     A[_raise_index(N, n)[:, i - 1], np.arange(len(S))] = S[:, i - 1]
@@ -117,7 +120,7 @@ def annihilation_closed(i: int, n: int, q: float, N: int) -> np.ndarray:
     norm ratio; kept as an independent evaluation path so that agreement with
     creation_closed(...).T is a real check, not a tautology.
     """
-    _check(N, n, i)
+    q = _check(N, n, q, i)
     src = monomials(N, n)
     tgt = monomial_index(N, n - 1)
     A = np.zeros((len(tgt), len(src)))
@@ -175,7 +178,7 @@ def q_arveson_residuals(n: int, q: float, N: int) -> dict:
     Both sides are generalized permutations, so the operator norm of the
     difference is the max over monomials of the scalar mismatch.
     """
-    _check(N, n)
+    q = _check(N, n, q)
     ratio = q_int(n, q) / q_int(n + 1, q) if n >= 1 else 0.0
     off = _star_exchange(N, n, q, ratio)
     ss, tt = _scalar_tables(N, n, q)
@@ -193,7 +196,7 @@ def cuntz_pimsner_residual(n: int, q: float, N: int) -> dict:
             s_i* s_i = s_i s_i* + (1 - q^2) sum_{j<i} s_j s_j*.
     Also reports the resolution-of-identity residual of sum_i s_i s_i* = 1.
     """
-    _check(N, n)
+    q = _check(N, n, q)
     ge1 = q >= 1.0
     S = _creation_table(N, n, q)
     S_next = _creation_table(N, n + 1, q)

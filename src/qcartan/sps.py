@@ -146,7 +146,10 @@ class CartanChain:
     levels[n]   -- QModule for V_{n lam} (level 0 is the trivial module)
     w[n]        -- left isometry V_{(n+1)lam} -> V_lam (x) V_{n lam}, n <= M-1
     tensor(n)   -- V_lam (x) V_{n lam}, 1 <= n <= M-1, kept from the build
-    All highest weight vectors are basis vector 0 of their level.
+    M           -- the top level, len(w)
+    All highest weight vectors are basis vector 0 of their level.  Levels
+    are built only by extend(M): the constructor sets up levels 0 and 1 and
+    extends, and a chain from from_parts (a loaded cache) extends the same way.
     """
 
     # Read-only; perfbench/tracer.py reads it to count wide builds.
@@ -158,65 +161,65 @@ class CartanChain:
             raise ValueError(f"chain weight must be dominant nonzero, got {lam}")
         if M < 1:
             raise ValueError("chain needs at least one level above the vacuum")
-        self.lam = lam
-        self.q = float(q)
-        self.M = int(M)
-        self.tol = tol
-        self.N = lam.N
-        self.base = base = GeneralWeightBuilder(self.N, q, tol).module(lam)
-        dl = base.dim
+        base = GeneralWeightBuilder(lam.N, q, tol).module(lam)
+        self._setup(lam, q, tol, [repn.trivial_module(lam.N, float(q)), base],
+                    [repn.SparseMatrix.identity(base.dim)])   # V_lam -> V_lam (x) V_0
+        self.extend(M)
 
-        # Each level is built in float64 from the one below and must pass
-        # check_module inside generate_submodule.  That gate is
-        # backward-relative, so the roundoff of deep levels, which grows
-        # with their q-integer-sized entries, stays a few ulp of the
-        # products it checks.
-        self.levels = [repn.trivial_module(self.N, self.q), base]
-        self.w = [repn.SparseMatrix.identity(dl)]  # V_lam -> V_lam (x) V_0
-        self._tensors = {}
-        for n in range(1, M):
-            T = self._tensors[n] = repn.tensor(base, self.levels[-1])
-            seed = np.kron(base.hw_vector, self.levels[-1].hw_vector)   # xi_lam (x) xi_{n lam}
-            sub, Q = decomp.generate_submodule(T, seed, tol)
-            self.levels.append(sub)
-            self.w.append(Q)
-        self._start_caches()
+    def _setup(self, lam: Weight, q: float, tol: ToleranceProfile, levels, w) -> None:
+        self.lam, self.q, self.tol, self.N = lam, float(q), tol, lam.N
+        self.levels, self.w, self.base = list(levels), list(w), levels[1]
+        self._tensors, self._pair_cache, self._lowest_cache = {}, {}, {}
 
-    def _start_caches(self) -> None:
-        """Empty caches, and a radix keying sums of up to three level weights."""
-        self._radix = repn._radix(
-            3 * max(int(np.abs(lv.weights).max(initial=0)) for lv in self.levels), self.N - 1)
-        self._pair_cache, self._lowest_cache, self._column_cache = {}, {}, {}
+    @property
+    def M(self) -> int:
+        return len(self.w)
+
+    def extend(self, M: int) -> "CartanChain":
+        """Build levels self.M + 1 .. M in place and return the chain.
+
+        Each level is built in float64 from the one below and must pass the
+        backward-relative check_module inside generate_submodule, so deep
+        roundoff stays a few ulp of the products it checks.  A level is
+        kept once certified: an exception leaves the chain at its deepest
+        certified level.  Either way the weight radix is recomputed and the
+        column sides keyed by it are dropped.  Raises ValueError for M < self.M.
+        """
+        if M < self.M:
+            raise ValueError(f"cannot extend the chain to M={M}: it has levels 0..{self.M}")
+        try:
+            for n in range(self.M, M):
+                T = repn.tensor(self.base, self.levels[n])
+                seed = np.kron(self.base.hw_vector, self.levels[n].hw_vector)
+                sub, Q = decomp.generate_submodule(T, seed, self.tol)
+                self._tensors[n] = T
+                self.levels.append(sub)
+                self.w.append(Q)
+        finally:   # a radix keying sums of up to three level weights
+            bound = 3 * max(int(np.abs(lv.weights).max(initial=0)) for lv in self.levels)
+            self._radix, self._column_cache = repn._radix(bound, self.N - 1), {}
+        return self
 
     @classmethod
     def from_parts(cls, lam: Weight, q: float, M: int, tol: ToleranceProfile,
                    levels: list, w: list) -> "CartanChain":
-        """Reassemble a chain from stored levels and isometries (no rebuild).
+        """Reassemble a chain from stored levels and isometries (no rebuild);
+        it extends like a built chain.
 
         Only shape bookkeeping is checked here; callers that read the parts
         from disk must re-verify substance (check_module per level and
         coassociativity) before trusting the instance.  Dense isometries
         are converted to SparseMatrix triplets.
         """
-        if len(levels) != M + 1 or len(w) != M:
-            raise ValueError("need M+1 levels and M isometries")
+        if M < 1 or len(levels) != M + 1 or len(w) != M:
+            raise ValueError(f"need M >= 1, M+1 levels and M isometries, got M={M}")
         self = cls.__new__(cls)
-        self.lam = lam
-        self.q = float(q)
-        self.M = int(M)
-        self.tol = tol
-        self.N = lam.N
-        self.base = levels[1]
-        self.levels = list(levels)
-        self.w = [repn._as_sparse(m) for m in w]
-        dl = self.base.dim
+        self._setup(lam, q, tol, levels, [repn._as_sparse(m) for m in w])
         for n, mat in enumerate(self.w):
-            want = (dl * levels[n].dim, levels[n + 1].dim)
+            want = (self.base.dim * levels[n].dim, levels[n + 1].dim)
             if mat.shape != want:
                 raise ValueError(f"isometry {n} has shape {mat.shape}, want {want}")
-        self._tensors = {}
-        self._start_caches()
-        return self
+        return self.extend(M)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -353,7 +356,9 @@ class GeneralWeightBuilder:
     V_{omega_1} (x) V_{omega_{k-1}} as the (multiplicity one) highest weight
     component at omega_k; a general V_mu is the top component of
     V_{omega_i} (x) V_{mu - omega_i} for the smallest i with mu(i) > 0.
-    Every module from the builder has its h.w. vector at index 0.
+    module(omega_k) is fundamental(k): one cached object per weight,
+    whichever is called first.  Every module from the builder has its h.w.
+    vector at index 0.
     """
 
     def __init__(self, N: int, q: float, tol: ToleranceProfile = DEFAULT_TOL):
@@ -388,9 +393,10 @@ class GeneralWeightBuilder:
             return repn.trivial_module(self.N, self.q)
         if mu.coords not in self._cache:
             i = next(k for k in range(1, self.N) if mu(k) > 0)
-            A = self.fundamental(i)
-            B = self.module(mu - fundamental_weight(i, self.N))
-            sub, _ = decomp.cartan_component(A, B, tol=self.tol)
+            rest = mu - fundamental_weight(i, self.N)
+            if all(c == 0 for c in rest.coords):
+                return self.fundamental(i)     # cached under the same key
+            sub, _ = decomp.cartan_component(self.fundamental(i), self.module(rest), tol=self.tol)
             self._cache[mu.coords] = sub
         return self._cache[mu.coords]
 

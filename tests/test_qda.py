@@ -164,6 +164,24 @@ def test_cached_tables_are_read_only_and_built_once():
     assert qda._creation_table.cache_info().misses == 7
 
 
+def test_integer_q_gives_the_float_q_values():
+    """An integer q is converted at every entry point, so it works on an
+    empty table cache and equals the float q bit for bit."""
+    calls = [lambda q: qda.q_arveson_residuals(2, q, 3),
+             lambda q: qda.cuntz_pimsner_residual(2, q, 3),
+             lambda q: qda.creation_closed(1, 2, q, 3),
+             lambda q: qda.annihilation_closed(1, 2, q, 3),
+             lambda q: qda.monomial_norm_sq((1, 1), q)]
+    for call in calls:
+        qda._creation_table.cache_clear()
+        got = call(2)
+        qda._creation_table.cache_clear()
+        want = call(2.0)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+    with pytest.raises(ValueError, match="deformation parameter must be a positive real"):
+        qda.q_arveson_residuals(2, 0, 3)
+
+
 @functools.lru_cache(maxsize=None)
 def _raise_index_by_dict(N, n):
     """The former raise table: one dict lookup per monomial and letter."""

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcartan import asympt, braiding, decomp, qda, repn, sps
+from qcartan import asympt, braiding, cli, decomp, qda, repn, sps
 from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
-from qcartan.qcore import Weight, weyl_dim
+from qcartan.qcore import Weight, fundamental_weight, weyl_dim
 
 
 def test_chain_levels_and_dimensions(chains):
@@ -451,6 +451,9 @@ def test_from_parts_round_trip(chains):
     with pytest.raises(ValueError):
         sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol,
                                    list(ch.levels)[:-1], list(ch.w))
+    # a chain needs a level above the vacuum, as in the constructor
+    with pytest.raises(ValueError, match="got M=0"):
+        sps.CartanChain.from_parts(ch.lam, ch.q, 0, ch.tol, ch.levels[:1], [])
 
 
 def test_general_weight_builder(builders):
@@ -468,6 +471,91 @@ def test_general_weight_builder(builders):
         b.module(Weight((1, -1)))
     with pytest.raises(ValueError):
         b.fundamental(3)
+
+
+def test_builder_returns_the_fundamental_module_for_a_fundamental_weight(monkeypatch):
+    """module(omega_k) is fundamental(k) whichever is called first: no
+    Cartan component of V_{omega_k} (x) trivial is formed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("module(omega_k) took the Cartan component path")
+
+    monkeypatch.setattr(decomp, "cartan_component", refuse)
+    b = sps.GeneralWeightBuilder(4, 1.5)
+    for k in (1, 2, 3):
+        m = b.module(fundamental_weight(k, 4))
+        assert m is b.fundamental(k) and m.highest_weight == fundamental_weight(k, 4)
+
+
+# -- extend: the one level step ---------------------------------------------
+
+
+def _assert_same_chain(a, b):
+    """a and b agree bit for bit: levels, isometries, radix, every pair
+    isometry and the coassociativity certificate."""
+    assert cli._chain_mismatch(a, b) == ""
+    assert a.dims == b.dims and np.array_equal(a._radix, b._radix)
+    for k in range(1, a.M):
+        for l in range(1, a.M - k + 1):
+            assert cli._same_triplets(a.pair_isometry(k, l), b.pair_isometry(k, l)), (k, l)
+    assert a.certify_coassociativity() == b.certify_coassociativity()
+
+
+@pytest.mark.parametrize("coords, mid, M", [((1, 1), 4, 6), ((1, 0, 1), 3, 4)],
+                         ids=["rho", "adjoint"])
+def test_extend_steps_equal_one_build(chains, coords, mid, M):
+    ch = sps.CartanChain(Weight(coords), 1.5, 2)
+    assert ch.extend(mid) is ch and ch.M == mid
+    # pair isometries and a lowest vector formed below the top stay valid above it
+    low = ch.lowest_vector(mid)
+    assert ch.certify_coassociativity() <= 1e-12
+    ch.extend(M)
+    assert ch.M == M and ch._column_cache == {}
+    fresh = chains(coords, 1.5, M)
+    _assert_same_chain(ch, fresh)
+    assert np.array_equal(low, fresh.lowest_vector(mid))
+    for n in range(1, M):
+        assert cli._same_triplets(ch.tensor(n).F[1], fresh.tensor(n).F[1]), n
+
+
+def test_a_loaded_chain_extends_like_a_fresh_build(chains, tmp_path):
+    path = str(tmp_path / "c.qcc")
+    cli.store_chain(sps.CartanChain(Weight((1, 1)), 1.5, 4), path)
+    loaded = cli.load_chain(path)
+    assert loaded.extend(6) is loaded
+    _assert_same_chain(loaded, chains((1, 1), 1.5, 6))
+
+
+def test_failed_extend_keeps_the_certified_levels(chains, monkeypatch):
+    calls, generate = [], decomp.generate_submodule
+
+    def fail_second(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise InvariantViolation("refused level")
+        return generate(*args)
+
+    ch = sps.CartanChain(Weight((1, 0)), 1.5, 3)
+    ch.certify_coassociativity()
+    monkeypatch.setattr(decomp, "generate_submodule", fail_second)
+    with pytest.raises(InvariantViolation, match="refused level"):
+        ch.extend(6)
+    monkeypatch.undo()
+    # level 4 was certified before the failure at level 5 and is kept
+    assert ch.M == 4 and len(ch.levels) == 5 and ch._column_cache == {}
+    assert ch.dims == [weyl_dim(Weight((n, 0))) for n in range(5)]
+    assert ch.tensor(3).dim == 3 * ch.levels[3].dim
+    _assert_same_chain(ch, chains((1, 0), 1.5, 4))
+    with pytest.raises(ValueError, match="no tensor at level 4"):
+        ch.tensor(4)
+
+
+def test_extend_refuses_a_level_below_the_top(chains):
+    ch = sps.CartanChain(Weight((1,)), 1.5, 4)
+    with pytest.raises(ValueError, match=r"cannot extend the chain to M=3: it has levels 0\.\.4"):
+        ch.extend(3)
+    assert ch.M == 4
+    ch.extend(4)     # the top level itself: nothing to build
+    assert ch.dims == [1, 2, 3, 4, 5]
 
 
 def test_fock_space_layout(chains):
