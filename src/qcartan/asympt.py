@@ -44,13 +44,12 @@ sps._creation_blocks, the one scatter of the chain's shift operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qcore import Weight, pairing
-from .numerics import (DEFAULT_TOL, InvariantViolation, ToleranceProfile,
-                       operator_norm)
+from .numerics import InvariantViolation, operator_norm
 from . import decomp, repn
 from .braiding import braid_sigma, braid_sigma_inverse
 from .sps import (CartanChain, BlockOp, psi, _apply, _columns, _creation_blocks,
@@ -79,7 +78,6 @@ class ConvergenceTable:
     c: np.ndarray
     a_l: np.ndarray
     b_l: np.ndarray
-    tol: ToleranceProfile = field(default=DEFAULT_TOL, repr=False)
 
     COLUMNS = ("a", "b", "c", "a_l", "b_l")
 
@@ -180,7 +178,7 @@ def conjecture_scan(chain: CartanChain) -> ConvergenceTable:
 
     return ConvergenceTable(lam, q, M, np.array(ns),
                             np.array(A), np.array(B), np.array(C),
-                            np.array(AL), np.array(BL), chain.tol)
+                            np.array(AL), np.array(BL))
 
 
 def _leading_rows(X: repn.SparseMatrix, m: int) -> repn.SparseMatrix:
@@ -304,7 +302,7 @@ class StarCommuteReport:
     hw_fixed_point_residual: float
 
 
-def sigma_pair(base, tol: ToleranceProfile) -> tuple:
+def sigma_pair(base) -> tuple:
     """(sigma_h_inv, sigma_l) as SparseMatrix triplets, built once per chain:
     both map V_lam-bar (x) V_lam -> V_lam (x) V_lam-bar.
 
@@ -326,7 +324,7 @@ def sigma_pair(base, tol: ToleranceProfile) -> tuple:
     d = np.array([base.q ** (-pairing(rh, Weight(tuple(w)))) for w in base.weights])
     idx = np.arange(dl * dl)
     scale = (1.0 / d[idx % dl])[:, None] * d[idx // dl][None, :]
-    sig_h_inv = braid_sigma_inverse(base, bar, tol) * scale
+    sig_h_inv = braid_sigma_inverse(base, bar) * scale
     sig_l = braid_sigma(bar, base).matrix * scale
     return repn.SparseMatrix.from_dense(sig_h_inv), repn.SparseMatrix.from_dense(sig_l)
 
@@ -405,13 +403,13 @@ def star_commute_defect_chain(chain: CartanChain, n: int,
 
     mu = n lam; the creation maps come from the chain isometries
     W = w[n-1]: V_mu -> V_lam (x) V_{mu-lam} and G = w[n]: V_{mu+lam} ->
-    V_lam (x) V_mu.  sigmas is the pair from sigma_pair(chain.base, chain.tol),
+    V_lam (x) V_mu.  sigmas is the pair from sigma_pair(chain.base),
     built here when not given.
     """
     if not 1 <= n <= chain.M - 1:
         raise ValueError(f"need 1 <= n <= {chain.M - 1}")
     if sigmas is None:
-        sigmas = sigma_pair(chain.base, chain.tol)
+        sigmas = sigma_pair(chain.base)
     sig_h_inv, sig_l = sigmas
     W, G = chain.w[n - 1], chain.w[n]
     q, qq = chain.q, pairing(chain.lam, chain.lam)

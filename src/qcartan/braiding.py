@@ -2,8 +2,10 @@
 
 The R-matrix on V ox W is the diagonal Cartan factor q^((wt v, wt w)) times
 the product over positive roots, in a fixed convex order, of the truncated
-q-exponentials exp_q((1 - q^-2) F_alpha ox E_alpha). The series is an exact
-finite sum (the argument is nilpotent).
+q-exponentials exp_q((1 - q^-2) F_alpha ox E_alpha).  Each is the exact finite
+sum of the c_n F_alpha^n ox E_alpha^n (the argument is nilpotent), so R is a
+short sum of Kronecker terms: root vectors are dense on their own module only,
+and no product on V ox W is formed.
 
 Convention freeze: the q-bracket sign in the root-vector recursion, the shape
 of the F recursion, and the direction of the factor product are gauge choices
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import repn
-from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
+from .numerics import InvariantViolation
 from .qcore import Weight, pairing_array, q_int, simple_root
 
 __all__ = [
@@ -75,11 +77,8 @@ class RootVectorSet:
 def root_vectors(V) -> RootVectorSet:
     """Iterated q-bracket root vectors on a concrete module, as dense matrices."""
     q = V.q
-    E = {}
-    F = {}
-    for i in range(1, V.N):
-        E[(i, i)] = V.E[i].to_dense()
-        F[(i, i)] = V.F[i].to_dense()
+    E = {(i, i): V.E[i].to_dense() for i in range(1, V.N)}
+    F = {(i, i): V.F[i].to_dense() for i in range(1, V.N)}
     for span in range(1, V.N - 1):
         for i in range(1, V.N - span):
             j = i + span
@@ -97,60 +96,45 @@ def root_vectors(V) -> RootVectorSet:
     return rv
 
 
-def _exp_q(X: np.ndarray, q: float) -> np.ndarray:
-    """exp_q(X) = sum_n q^(n(n+1)/2) X^n / [n]_q!, exact for nilpotent X."""
-    d = X.shape[0]
-    out = np.eye(d)
-    term = np.eye(d)
-    coef = 1.0
-    for n in range(1, d + 1):
-        term = term @ X
-        if not term.any():
-            break
-        coef *= q ** n / q_int(n, q)
-        out = out + coef * term
-    else:
-        raise InvariantViolation("exp_q argument did not nilpotate")
-    return out
-
-
 def r_matrix(V, W) -> np.ndarray:
-    """R-matrix of the pair (V, W) as a dense matrix on V ox W."""
+    """R-matrix of the pair (V, W) as a dense matrix on V ox W.
+
+    By (F ox E)^n = F^n ox E^n the ordered product of the exp_q factors is a
+    list of terms (coef, A, B), A on V and B on W, each multiplied on the
+    right by F_a^n and E_a^n root by root, and R = diag(q^((wt, wt))) sum
+    coef kron(A, B).  A term is dropped once coef, A or B is zero, so at
+    q = 1 R is exactly the identity."""
     if V.N != W.N or V.q != W.q:
         raise ValueError("R-matrix needs matching N and q")
-    q = V.q
-    N = V.N
-    rvV = root_vectors(V)
-    rvW = root_vectors(W)
-    d = V.dim * W.dim
-    R = np.eye(d)
-    roots = positive_roots(N)
+    q, rvV, rvW = V.q, root_vectors(V), root_vectors(W)
+    scal = 1.0 - q ** (-2)
+    roots = positive_roots(V.N)
     if REVERSE_ORDER:
         roots = roots[::-1]
-    if q != 1.0:
-        scal = 1.0 - q ** (-2)
-        for a in roots:
-            X = scal * np.kron(rvV.F[a], rvW.E[a])
-            R = R @ _exp_q(X, q)
+    terms = [(1.0, np.eye(V.dim), np.eye(W.dim))]
+    for a in roots:
+        powers = []   # (c_n, F_a^n, E_a^n), c_n = scal^n q^(n(n+1)/2) / [n]_q!
+        coef, X, Y = 1.0, rvV.F[a], rvW.E[a]
+        for n in range(1, V.dim + 2):
+            coef *= scal * q ** n / q_int(n, q)
+            if coef == 0.0 or not X.any() or not Y.any():
+                break
+            powers.append((coef, X, Y))
+            X, Y = X @ rvV.F[a], Y @ rvW.E[a]
+        else:
+            raise InvariantViolation("exp_q argument did not nilpotate")
+        terms += [(c * cn, A @ P, B @ Q) for c, A, B in terms for cn, P, Q in powers]
+        terms = [t for t in terms if t[0] != 0.0 and t[1].any() and t[2].any()]
+    R = sum(c * np.kron(A, B) for c, A, B in terms)
     # Cartan factor q^((wt v, wt w)) on the left (diagonal row scaling)
-    if q != 1.0:
-        expo = pairing_array(V.weights.astype(np.float64),
-                             W.weights.astype(np.float64), N).reshape(-1)
-        R = (q ** expo)[:, None] * R
-    return R
+    expo = pairing_array(V.weights.astype(np.float64),
+                         W.weights.astype(np.float64), V.N).reshape(-1)
+    return (q ** expo)[:, None] * R
 
 
 @dataclass
 class BraidingOperator:
-    source: tuple  # (V, W)
     matrix: np.ndarray  # V ox W -> W ox V
-
-    def inverse_matrix(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        inv = np.linalg.inv(self.matrix)
-        res = np.max(np.abs(inv @ self.matrix - np.eye(self.matrix.shape[0])))
-        if res > 1e-8:
-            raise InvariantViolation(f"braiding inverse residual {res:.3e}")
-        return inv
 
 
 def _flip(M: np.ndarray, dV: int, dW: int) -> np.ndarray:
@@ -159,58 +143,50 @@ def _flip(M: np.ndarray, dV: int, dW: int) -> np.ndarray:
 
 
 def braid_sigma(V, W) -> BraidingOperator:
-    R = r_matrix(V, W)
-    return BraidingOperator((V, W), _flip(R, V.dim, W.dim))
+    return BraidingOperator(_flip(r_matrix(V, W), V.dim, W.dim))
 
 
-def braid_sigma_inverse(V, W, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def braid_sigma_inverse(V, W) -> np.ndarray:
     """Inverse braiding W ox V -> V ox W (numerical inverse, residual-checked)."""
-    return braid_sigma(V, W).inverse_matrix(tol)
+    S = braid_sigma(V, W).matrix
+    inv = np.linalg.inv(S)
+    res = np.max(np.abs(inv @ S - np.eye(S.shape[0])))
+    if res > 1e-8:
+        raise InvariantViolation(f"braiding inverse residual {res:.3e}")
+    return inv
 
 
 def _ermat2_residual(V, W, R: np.ndarray) -> float:
-    """Eigen-relation R(zeta ox xi) = q^((wt zeta, wt xi)) zeta ox xi for
-    xi a h.w. vector of W (zeta any weight vector) and for zeta a l.w. vector
-    of V (xi any weight vector)."""
-    from . import decomp
-
-    q = V.q
-    worst = 0.0
-    IV, IW = np.eye(V.dim), np.eye(W.dim)
-    hw = decomp.highest_weight_space(W)
-    for wt, cols in hw.components:
-        for c in range(cols.shape[1]):
-            xi = cols[:, c]
-            got = R @ np.kron(IV, xi.reshape(-1, 1))
-            expo = pairing_array(V.weights.astype(np.float64),
-                                 np.array([wt.coords], dtype=np.float64), V.N).reshape(-1)
-            want = np.kron(IV, xi.reshape(-1, 1)) * (q ** expo)[None, :]
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    lw = decomp.lowest_weight_space(V)
-    for wt, cols in lw.components:
-        for c in range(cols.shape[1]):
-            zeta = cols[:, c]
-            got = R @ np.kron(zeta.reshape(-1, 1), IW)
-            expo = pairing_array(np.array([wt.coords], dtype=np.float64),
-                                 W.weights.astype(np.float64), V.N).reshape(-1)
-            want = np.kron(zeta.reshape(-1, 1), IW) * (q ** expo)[None, :]
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst
+    """Eigen-relation R(zeta ox xi) = q^((wt zeta, wt xi)) zeta ox xi for xi
+    the h.w. vector of W (basis vector 0) and for zeta the l.w. vector of V
+    (basis vector l): R's columns a dim W and l dim W + b are unit columns
+    times those powers of q."""
+    l, dW = int(np.flatnonzero(V.lowest_vector)[0]), W.dim
+    expo = np.concatenate([
+        pairing_array(V.weights.astype(np.float64),
+                      W.weights[:1].astype(np.float64), V.N).reshape(-1),
+        pairing_array(V.weights[l:l + 1].astype(np.float64),
+                      W.weights.astype(np.float64), V.N).reshape(-1)])
+    cols = np.concatenate([np.arange(V.dim) * dW, l * dW + np.arange(dW)])
+    want = np.zeros((R.shape[0], cols.size))
+    want[cols, np.arange(cols.size)] = V.q ** expo
+    return float(np.max(np.abs(R[:, cols] - want)))
 
 
 def certify_pair(V, W, R: np.ndarray = None) -> dict:
     """Residuals of the braiding invariants on the pair (V, W): generator
-    intertwining of sigma = flip R and the R-matrix eigen-relations."""
+    intertwining of sigma = flip R and the R-matrix eigen-relations.  V and
+    W must have a highest weight (ValueError otherwise)."""
+    if V.highest_weight is None or W.highest_weight is None:
+        raise ValueError("certify_pair needs modules with a highest weight")
     if R is None:
         R = r_matrix(V, W)
-    TVW = repn.tensor(V, W)
-    TWV = repn.tensor(W, V)
+    TVW, TWV = repn.tensor(V, W), repn.tensor(W, V)
     S = _flip(R, V.dim, W.dim)
     worst = 0.0
     for i in range(1, V.N):
         for attr in ("E", "F"):
-            a = getattr(TVW, attr)[i]
-            b = getattr(TWV, attr)[i]
+            a, b = getattr(TVW, attr)[i], getattr(TWV, attr)[i]
             worst = max(worst, float(np.max(np.abs(S @ a - b @ S))))
         kk = TWV.k_diag(i)[:, None] * S - S * TVW.k_diag(i)[None, :]
         worst = max(worst, float(np.max(np.abs(kk))))

@@ -375,7 +375,7 @@ def cmd_star(cfg: RunConfig) -> int:
     status = 0
     for q in cfg.q:
         chain = CartanChain(lam, q, cfg.max_level, tol)
-        sigmas = asympt.sigma_pair(chain.base, tol)
+        sigmas = asympt.sigma_pair(chain.base)
         rows = []
         worst_fix = 0.0
         for n in range(1, cfg.max_level - asympt.GUARD_LEVELS + 1):

@@ -444,6 +444,23 @@ class QModule:
         v[0] = 1.0
         return v
 
+    @property
+    def lowest_vector(self) -> np.ndarray:
+        """Unit vector at the one basis index of the lowest weight
+        w0(hw) = -reversed(hw), which no F_i may move: no F_i triplet sits in
+        its column.  Raises ValueError without a highest weight and
+        InvariantViolation unless that weight is simple and F-free."""
+        if self.highest_weight is None:
+            raise ValueError("module has no highest weight, hence no lowest weight vector")
+        low = -np.array(self.highest_weight.coords[::-1], dtype=np.int64)
+        idx = np.flatnonzero((self.weights == low).all(axis=1))
+        if idx.size != 1 or any((F.cols == idx[0]).any() for F in self.F.values()):
+            raise InvariantViolation(f"no simple lowest weight vector of weight "
+                                     f"{Weight(tuple(low.tolist()))}")
+        v = np.zeros(self.dim)
+        v[idx[0]] = 1.0
+        return v
+
     def weight_of(self, index: int) -> Weight:
         return Weight(tuple(int(c) for c in self.weights[index]))
 

@@ -169,7 +169,7 @@ class CartanChain:
     def _setup(self, lam: Weight, q: float, tol: ToleranceProfile, levels, w) -> None:
         self.lam, self.q, self.tol, self.N = lam, float(q), tol, lam.N
         self.levels, self.w, self.base = list(levels), list(w), levels[1]
-        self._tensors, self._pair_cache, self._lowest_cache = {}, {}, {}
+        self._tensors, self._pair_cache = {}, {}
 
     @property
     def M(self) -> int:
@@ -246,26 +246,10 @@ class CartanChain:
         return self.levels[n].hw_vector
 
     def lowest_vector(self, n: int) -> np.ndarray:
-        """Unit lowest weight vector of level n (cached).
-
-        The lowest weight w0(n lam) = -reversed(n lam) of V_{n lam} is
-        simple, so the vector is the unit vector at the one basis index of
-        that weight, which no F_i may move: no F_i triplet sits in its
-        column.  Raises ValueError unless 0 <= n <= M.
-        """
+        """Unit lowest weight vector of level n, QModule.lowest_vector.
+        Raises ValueError unless 0 <= n <= M."""
         self._check_level(n, "lowest weight vector", 0, self.M)
-        if n not in self._lowest_cache:
-            lv = self.levels[n]
-            low = -n * np.array(self.lam.coords[::-1], dtype=np.int64)
-            idx = np.flatnonzero((lv.weights == low).all(axis=1))
-            if idx.size != 1 or any((F.cols == idx[0]).any() for F in lv.F.values()):
-                raise InvariantViolation(
-                    f"level {n} has no simple lowest weight vector of weight "
-                    f"{Weight(tuple(low.tolist()))}")
-            v = np.zeros(lv.dim)
-            v[idx[0]] = 1.0
-            self._lowest_cache[n] = v
-        return self._lowest_cache[n]
+        return self.levels[n].lowest_vector
 
     # -- pair isometries ----------------------------------------------------
 
@@ -480,10 +464,13 @@ def _creation_blocks(chain: CartanChain, X, n: int, right: bool = False) -> np.n
     w'_n[j * dl + a, c]).  It is one bincount over the triplets of w_n
     (w'_n), so each position is summed in triplet order.  This is the only
     scatter of creation blocks: every shift operator reads it, with X = xi
-    or X = eye(dim V_lam).  Raises ValueError unless 0 <= n <= M - 1.
+    or X = eye(dim V_lam).  Raises ValueError unless 0 <= n <= M - 1 and X
+    is (k, dim V_lam).
     """
     chain._check_level(n, "shift", 0, chain.M - 1)
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != chain.base.dim:
+        raise ValueError(f"shift vectors have shape {X.shape}, want (k, dim V_lam = {chain.base.dim})")
     dn = chain.levels[n].dim
     if right:
         W = chain.right_isometry(n)

@@ -241,7 +241,7 @@ def test_graded_norms_match_dense_norms(chains, coords, q, M):
     # N=4 has 16 defect maps per braiding
     ch = chains(coords, q, M)
     dl = ch.base.dim
-    sig_h_inv, sig_l = (s.to_dense() for s in asympt.sigma_pair(ch.base, ch.tol))
+    sig_h_inv, sig_l = (s.to_dense() for s in asympt.sigma_pair(ch.base))
     qq = pairing(ch.lam, ch.lam)
     for n in range(1, M):
         rep = asympt.star_commute_defect_chain(ch, n)

@@ -1,13 +1,74 @@
 """Root vectors, R-matrices, and braid certificates."""
 
+import dataclasses
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-from qcartan import braiding, decomp, repn
+from qcartan import asympt, braiding, decomp, repn
 from qcartan.numerics import InvariantViolation, operator_norm
-from qcartan.qcore import Weight, fundamental_weight, pairing
+from qcartan.qcore import Weight, fundamental_weight, pairing, pairing_array, q_int
+
+# the acceptance gates' braiding chains (tests/test_acceptance.py)
+BRAID_CHAINS = (((1,), 1.5, 22), ((2,), 1.5, 8), ((1, 0), 1.5, 22))
+
+
+def _dense_exp_q(X, q):
+    """exp_q(X) = sum_n q^(n(n+1)/2) X^n / [n]_q!, exact for nilpotent X."""
+    d = X.shape[0]
+    out = np.eye(d)
+    term = np.eye(d)
+    coef = 1.0
+    for n in range(1, d + 1):
+        term = term @ X
+        if not term.any():
+            break
+        coef *= q ** n / q_int(n, q)
+        out = out + coef * term
+    else:
+        raise InvariantViolation("exp_q argument did not nilpotate")
+    return out
+
+
+def _dense_r_matrix(V, W):
+    """The former R: dense kron factors on V ox W, multiplied through exp_q."""
+    q = V.q
+    rvV, rvW = braiding.root_vectors(V), braiding.root_vectors(W)
+    R = np.eye(V.dim * W.dim)
+    if q != 1.0:
+        for a in braiding.positive_roots(V.N):
+            R = R @ _dense_exp_q((1.0 - q ** (-2)) * np.kron(rvV.F[a], rvW.E[a]), q)
+        expo = pairing_array(V.weights.astype(np.float64),
+                             W.weights.astype(np.float64), V.N).reshape(-1)
+        R = (q ** expo)[:, None] * R
+    return R
+
+
+def _kernel_ermat2(V, W, R):
+    """The former eigen-relation residual, over the extreme-weight kernels
+    that decomp solves for and the kron of each kernel vector."""
+    q = V.q
+    worst = 0.0
+    IV, IW = np.eye(V.dim), np.eye(W.dim)
+    for wt, cols in decomp.highest_weight_space(W).components:
+        for c in range(cols.shape[1]):
+            xi = cols[:, c]
+            got = R @ np.kron(IV, xi.reshape(-1, 1))
+            expo = pairing_array(V.weights.astype(np.float64),
+                                 np.array([wt.coords], dtype=np.float64), V.N).reshape(-1)
+            want = np.kron(IV, xi.reshape(-1, 1)) * (q ** expo)[None, :]
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    for wt, cols in decomp.lowest_weight_space(V).components:
+        for c in range(cols.shape[1]):
+            zeta = cols[:, c]
+            got = R @ np.kron(zeta.reshape(-1, 1), IW)
+            expo = pairing_array(np.array([wt.coords], dtype=np.float64),
+                                 W.weights.astype(np.float64), V.N).reshape(-1)
+            want = np.kron(zeta.reshape(-1, 1), IW) * (q ** expo)[None, :]
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
 
 
 def test_positive_roots_convex_order():
@@ -49,6 +110,51 @@ def test_r_matrix_is_identity_at_q_one():
     assert np.array_equal(S, P)
 
 
+@pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
+def test_kronecker_terms_equal_the_dense_product(chains, q):
+    """R from Kronecker terms equals the dense product of exp_q factors to
+    1e-14 relative, and is exactly the identity at q = 1."""
+    pairs = [(repn.standard_module(N, q),) * 2 for N in (2, 3, 4)]
+    for coords, top in (((1, 0), 4), ((1, 1), 2), ((1, 0, 1), 1)):
+        ch = chains(coords, q, top)
+        pairs += [(ch.base, ch.levels[n]) for n in range(1, top + 1)]
+    for V, W in pairs:
+        R, ref = braiding.r_matrix(V, W), _dense_r_matrix(V, W)
+        assert np.max(np.abs(R - ref)) <= 1e-14 * np.max(np.abs(ref)), (V, W)
+        if q == 1.0:
+            assert np.array_equal(R, np.eye(V.dim * W.dim))
+
+
+def test_r_matrix_refuses_a_root_vector_that_does_not_nilpotate(monkeypatch):
+    """The power loop of each exp_q factor is bounded by dim V + 1 steps."""
+    V = repn.standard_module(2, 1.5)
+    eye = {(1, 1): np.eye(2)}
+    monkeypatch.setattr(braiding, "root_vectors",
+                        lambda M: braiding.RootVectorSet(M, eye, eye))
+    with pytest.raises(InvariantViolation, match="did not nilpotate"):
+        braiding.r_matrix(V, V)
+
+
+def test_eigen_relation_reads_the_columns_the_kernels_found(chains):
+    """ermat2 from R's columns at the extreme basis vectors equals, bit for
+    bit, the residual over decomp's extreme-weight kernels."""
+    pairs = [(ch.base, ch.levels[n]) for ch in (chains(*key) for key in BRAID_CHAINS)
+             for n in range(1, 9)]
+    rho = chains((1, 1), 1.5, 3)
+    pairs += [(rho.base, rho.levels[n]) for n in range(1, 4)] + [(rho.levels[2], rho.base)]
+    for V, W in pairs:
+        R = braiding.r_matrix(V, W)
+        assert braiding.certify_pair(V, W, R)["ermat2"] == _kernel_ermat2(V, W, R), (V, W)
+
+
+def test_certify_pair_needs_a_highest_weight():
+    V = repn.standard_module(2, 1.5)
+    bare = repn.QModule(2, 1.5, V.weights, V.F)
+    for A, B in ((bare, V), (V, bare)):
+        with pytest.raises(ValueError, match="needs modules with a highest weight"):
+            braiding.certify_pair(A, B)
+
+
 def test_braid_eigenvalues_on_rank_one_square():
     """sigma on V (x) V has eigenvalues q^(1/2) (triplet) and -q^(-3/2)."""
     q = 1.5
@@ -66,6 +172,13 @@ def test_braid_inverse_is_residual_checked():
     S = braiding.braid_sigma(V, W)
     Sinv = braiding.braid_sigma_inverse(V, W)
     assert np.max(np.abs(Sinv @ S.matrix - np.eye(4))) <= 1e-12
+
+
+def test_braiding_entry_points_take_no_unused_tolerance():
+    assert list(inspect.signature(braiding.braid_sigma_inverse).parameters) == ["V", "W"]
+    assert list(inspect.signature(asympt.sigma_pair).parameters) == ["base"]
+    assert [f.name for f in dataclasses.fields(braiding.BraidingOperator)] == ["matrix"]
+    assert "tol" not in [f.name for f in dataclasses.fields(asympt.ConvergenceTable)]
 
 
 def test_braid_relation_on_triple_product():

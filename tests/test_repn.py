@@ -26,6 +26,8 @@ def test_standard_module_matrices_and_weights():
     assert V.weight_of(1) == Weight((-1, 1))
     assert V.weight_of(2) == Weight((0, -1))
     assert np.array_equal(V.hw_vector, np.array([1.0, 0.0, 0.0]))
+    # the lowest weight -reversed(hw) = (0,-1) sits at index 2
+    assert np.array_equal(V.lowest_vector, np.array([0.0, 0.0, 1.0]))
 
 
 def test_k_diag_exponentiates_weights():
@@ -87,6 +89,8 @@ def test_qmodule_stores_only_f():
     V = repn.standard_module(2, 1.5)
     with pytest.raises(ValueError, match="no phase-fixed highest weight vector"):
         repn.tensor(V, V).hw_vector
+    with pytest.raises(ValueError, match="no highest weight, hence no lowest weight vector"):
+        repn.tensor(V, V).lowest_vector
     with pytest.raises(AttributeError):
         V.E = {1: V.F[1].T}
 

@@ -432,8 +432,9 @@ def test_lowest_vector_rejects_a_tampered_level(chains):
                              np.append(F[1].vals, 1.0))
     weights = lv.weights.copy()   # a second basis vector of the lowest weight
     weights[low - 1] = weights[low]
-    for bad_level in (repn.QModule(lv.N, lv.q, lv.weights, F),
-                      repn.QModule(lv.N, lv.q, weights, lv.F)):
+    hw = lv.highest_weight
+    for bad_level in (repn.QModule(lv.N, lv.q, lv.weights, F, highest_weight=hw),
+                      repn.QModule(lv.N, lv.q, weights, lv.F, highest_weight=hw)):
         levels = ch.levels[:3] + [bad_level] + ch.levels[4:]
         bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, levels, ch.w)
         with pytest.raises(InvariantViolation, match="no simple lowest weight"):
@@ -687,6 +688,28 @@ def test_creation_blocks_stack_the_single_vector_shifts(chains):
                          - W.T @ np.kron(xi[:, None], ident))) <= 1e-14
     assert np.max(np.abs(sps._creation_blocks(ch, [xi], n, right=True)[0]
                          - Wr.T @ np.kron(ident, xi[:, None]))) <= 1e-14
+
+
+def test_shift_operators_refuse_a_vector_of_the_wrong_length(chains):
+    """Every shift reads _creation_blocks, which wants rows of length dim V_lam
+    (3 here): a longer vector must not be truncated, nor a shorter one index
+    out of range."""
+    ch = chains((1, 0), 1.5, 5)
+    fock = sps.FockSpace(ch, 4)
+    for xi in (np.ones(5), np.ones(2)):
+        for shift in (sps.creation, sps.right_creation):
+            with pytest.raises(ValueError, match=r"want \(k, dim V_lam = 3\)"):
+                shift(ch, xi, fock)
+        with pytest.raises(ValueError, match="dim V_lam = 3"):
+            asympt.vacuum_limits(ch, xi, xi)
+    with pytest.raises(ValueError, match="dim V_lam = 3"):
+        sps._creation_blocks(ch, np.ones(3), 1)   # a vector, not a stack
+    # at the right length S_xi = w_n^T (xi (x) .) as before
+    xi = np.array([0.6, 0.0, 0.8])
+    S = sps.creation(ch, xi, fock)
+    for n in range(fock.M):
+        ident = np.eye(ch.levels[n].dim)
+        assert np.max(np.abs(S.block(n) - ch.w[n].to_dense().T @ np.kron(xi[:, None], ident))) <= 1e-15
 
 
 def test_shift_operators_refuse_a_level_outside_the_chain(chains):
