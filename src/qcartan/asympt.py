@@ -25,10 +25,10 @@ The square matrices measured here are weight-graded with exact zeros off
 their weight blocks: c(n) and the Cartan-projector absorption residual of the
 scan, the left side of the f-estimate, and every star-commutation defect map
 D_(b,a), which shifts weights by wt(e_a) - wt(e_b).  Each is given as two
-sets of triplets to sps._graded_norm, which also certifies coassociativity:
-it sums one into the weight-block layout, subtracts the other in place and
-returns the largest block norm, raising InvariantViolation on an off-block
-entry.  No matrix of level size squared is dense.  The scan joins the
+sets of triplets to sps._graded_norm: it sums one into the weight-block
+layout, subtracts the other in place and returns the largest block norm,
+raising InvariantViolation on an off-block entry.  No matrix of level size
+squared is dense.  The scan joins the
 extreme-weight columns Q^h as triplets (repn._product); the f-estimate's
 terms are joins too (sps._apply), and nothing in it is sorted; the star
 defects of one level take the Gram triplets G_b G_a^T and W_a^T W_b once

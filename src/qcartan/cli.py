@@ -526,10 +526,17 @@ def store_chain(chain: CartanChain, path: str) -> None:
     _atomic_write_bytes(path, b"".join(head) + body)
 
 
+def _check_shape(path: str, what: str, S: SparseMatrix, want: tuple) -> None:
+    if S.shape != want:
+        raise InvariantViolation(f"{path}: {what} has shape {S.shape}, "
+                                 f"the header's dimensions give {want}")
+
+
 def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
-    """Read a chain cache file; verifies checksums, shape bookkeeping, the
-    weight tables (finite integers, row 0 the level's highest weight) and
-    the canonical form of every triplet record.
+    """Read a chain cache file; verifies checksums, the shape of every
+    record against the header's level dimensions, the weight tables (finite
+    integers, row 0 the level's highest weight) and the canonical form of
+    every triplet record.
 
     Substance verification (module relations, coassociativity) is the
     caller's job; cmd_cache replays both.
@@ -590,10 +597,12 @@ def load_chain(path: str, tol: ToleranceProfile = DEFAULT_TOL) -> CartanChain:
         F = {}
         for i in range(1, N):
             F[i], off = _unpack_triplets(buf, off)
+            _check_shape(path, f"F_{i} record of level {n}", F[i], (dims[n], dims[n]))
         levels.append(QModule(N, q, weights, F, highest_weight=lam * n))
     w = []
-    for _ in range(M):
+    for n in range(M):
         W, off = _unpack_triplets(buf, off)
+        _check_shape(path, f"isometry {n} record", W, (dims[1] * dims[n], dims[n + 1]))
         w.append(W)
     if off != len(blob):
         raise InvariantViolation(f"{path}: trailing bytes in cache file")

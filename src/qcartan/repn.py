@@ -25,7 +25,8 @@ triplets are summed into a flat row-major buffer of the weight blocks, an
 entry off the blocks refused, and the blocks of one shape are gathered into
 one stack.  A module caches its blocks as the column side of the layouts
 (QModule.column_side); decomp ranks and closes its stacked generators there
-(_generator_stacks), and sps sums its isometry compositions there.
+(_generator_stacks), and sps lays its chain isometries out there, then
+holds its pair isometries as the rows of these blocks padded to one width.
 check_module reads the relations from the generators' dense blocks per
 source weight block of the same column side, in batched products.
 """
@@ -294,7 +295,12 @@ def _graded_layout(rows: np.ndarray, cs: _Columns) -> _Layout:
     keys, and is then the place of the entry in the buffer (buffers stay far
     below 2^32 entries).
     """
-    block = cs.blocks_of_keys(rows)
+    return _block_layout(cs.blocks_of_keys(rows), cs)
+
+
+def _block_layout(block: np.ndarray, cs: _Columns) -> _Layout:
+    """The layout of _graded_layout for rows whose blocks of cs are already
+    known (-1 for a row of no block), with no search."""
     hit = block >= 0
     width = np.where(hit, cs.counts[block], 0)
     start = width.cumsum() - width
@@ -321,12 +327,14 @@ def _graded_sum(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
                        minlength=lay.size)
 
 
-def _graded_matrix(buf: np.ndarray, lay: _Layout) -> SparseMatrix:
-    """The nonzero entries of the buffer as canonical triplets, without a sort."""
+def _graded_matrix(buf: np.ndarray, cols: np.ndarray, ncols: int) -> SparseMatrix:
+    """The nonzero entries of a weight-graded map held as padded rows (buf,
+    cols both (rows, width): entry buf[r, s] in column cols[r, s], each row's
+    columns ascending, zeros on the padding) as canonical triplets, without
+    a sort."""
     pos = np.flatnonzero(buf)
-    r = np.searchsorted(lay.start, pos, "right") - 1
-    c = lay.corder[lay.cstart[lay.block[r]] + pos - lay.start[r]]
-    return SparseMatrix._canonical((lay.block.size, lay.ccode.size), r, c, buf[pos])
+    return SparseMatrix._canonical((buf.shape[0], ncols), pos // buf.shape[1],
+                                   cols.ravel()[pos], buf.ravel()[pos])
 
 
 def _graded_stacks(lay: _Layout, rows: np.ndarray) -> list:

@@ -9,23 +9,30 @@ weight vector is the 0-th basis vector and the seed column of w_n is one-hot),
 and the right maps w'_n : V_{(n+1)lam} -> V_{n lam} (x) V_lam obtained as the
 (n,1) pair isometries.
 
-Every isometry is a repn.SparseMatrix of canonical triplets: the w_n are
-0.2-0.7 % nonzero.  Pair isometries w_{k,l} : V_{(k+l)lam} -> V_{k lam} (x)
-V_{l lam} are built by composing the w maps left-greedily and
-re-orthonormalizing once with a polar factor per weight block (columns
-grouped by the weights of V_{(k+l)lam}, rows by the summed weights of the two
-factors), so no w_{k,l} has a triplet off its weight blocks.  A factor
-1 (x) W (x) 1, in any position, is applied by one function (_apply) as one
-join of the triplets through the row pointers of W^T (repn._join), never as
-a Kronecker product, and the joined triplets are summed unsorted into the
+Every chain isometry w_n is a repn.SparseMatrix of canonical triplets: the
+w_n are 0.2-0.7 % nonzero.  Pair isometries w_{k,l} : V_{(k+l)lam} ->
+V_{k lam} (x) V_{l lam} are held as padded weight-block rows (_Rows): row r
+keeps its entries in the columns of its weight block of V_{(k+l)lam}, padded
+with zeros to the widest block, so no w_{k,l} has an entry off its weight
+blocks.  w_{1,l} is w_l itself, laid out once by _graded_sum, which refuses
+an off-block triplet; the others are built by composing the w maps
+left-greedily and re-orthonormalizing once with a polar factor per weight
+block (columns grouped by the weights of V_{(k+l)lam}, rows by the summed
+weights of the two factors).  A factor 1 (x) W (x) 1 or W^T (x) 1 acts on
+padded rows as one gather, multiply and add per place of W (_gather_add),
+never as a Kronecker product or a join, and in the order in which a
+bincount of the joined triplets would add, so every entry is bit-identical
+to the triplet sums.  pair_isometry reads canonical triplets off the rows.
+Coassociativity is certified numerically rather than assumed: one side is
+added into a padded buffer and the other subtracted in place, and the norm
+is the largest column norm, or the largest block norm (_layout_norm) when
+the columns have multiplicities, with the rows' blocks read off the columns
+they gather.  The scan, the f-estimate and the star defects of asympt take
+their norms through _graded_norm, which sums two sets of triplets into the
 weight-block layout of repn (_graded_layout).  A chain builds the column
 side of a layout once per domain factor tuple (CartanChain._column_side):
 (t,) for every pair isometry and coassociativity triple of total t, (1, n)
-for the scan and the f-estimate.  Coassociativity is certified numerically
-rather than assumed, by the one graded norm (_graded_norm) that the scan,
-the f-estimate and the star defects of asympt use as well: one side is
-summed into the buffer, the other subtracted in place, and the norm is the
-largest block norm.
+for the scan and the f-estimate.
 
 Truncated Fock space operators are kept block-per-level (BlockOp) as dense
 blocks, and a block outside levels 0..M raises ValueError.  Every creation
@@ -45,8 +52,8 @@ import numpy as np
 from . import decomp, repn
 from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
 from .qcore import Weight, fundamental_weight, pairing
-from .repn import (_Columns, _Layout, _columns, _graded_blocks, _graded_layout,
-                   _graded_matrix, _graded_positions, _graded_sum)
+from .repn import (_Columns, _Layout, _block_layout, _columns, _graded_blocks,
+                   _graded_layout, _graded_matrix, _graded_positions, _graded_sum)
 
 __all__ = [
     "CartanChain",
@@ -68,7 +75,9 @@ def _apply(WT: repn.SparseMatrix, X: tuple, dleft: int, dright: int) -> tuple:
     and X = (rows, cols, vals).  Row (a * m + j) * dright + b of X meets
     column j of W (m columns), which is row j of the canonical WT, so the
     product is one join through the row pointers of WT; no Kronecker product
-    is formed.  The caller sums the repeated positions into a layout."""
+    is formed.  The caller sums the repeated positions into a layout.  Only
+    the f-estimate of asympt composes triplets this way; the pair isometries
+    and coassociativity compose padded rows (_gather_add)."""
     rows, cols, vals = X
     m, p = WT.shape
     j, b = np.divmod(rows, dright)
@@ -77,6 +86,94 @@ def _apply(WT: repn.SparseMatrix, X: tuple, dleft: int, dright: int) -> tuple:
         b += a * (p * dright)
     x, y = repn._join(j, WT)
     return WT.cols[y] * dright + b[x], cols[x], WT.vals[y] * vals[x]
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A weight-graded map held as padded weight-block rows.
+
+    Row r holds its entries in the columns of its weight block, ascending,
+    then zeros up to the widest block of the column side: buf[r, s] is the
+    entry in column cols[r, s].  cols is 0 on the padding.  A map of
+    multiplicity-free columns has one place per row and no padding.
+    """
+
+    buf: np.ndarray    # (rows, width) float64
+    cols: np.ndarray   # (rows, width) int64
+
+
+def _padding(lay: _Layout, width: int) -> np.ndarray:
+    """Mask (rows, width) of the places of a layout's rows that hold entries:
+    the compact buffer is the padded buffer at the mask, row-major."""
+    return np.arange(width) < lay.width[:, None]
+
+
+def _rows(buf: np.ndarray, lay: _Layout, cs: _Columns) -> _Rows:
+    """The padded rows of the layout buffer buf, whose column side is cs."""
+    width = int(cs.counts.max(initial=0))
+    keep = _padding(lay, width)
+    out = np.zeros(keep.shape)
+    out[keep] = buf
+    cols = lay.corder[np.minimum(lay.cstart[lay.block][:, None] + np.arange(width),
+                                 lay.corder.size - 1)]
+    cols[~keep] = 0
+    return _Rows(out, cols)
+
+
+def _transposed_rows(W: _Rows, cs: _Columns) -> _Rows:
+    """W^T as padded rows, for W whose column side is cs.  Row c of W^T holds
+    W[j, c] over the rows j of the weight block of c, ascending, padded to
+    the tallest block; every row of W has a block (the weights of
+    V_{k lam} (x) V_{l lam} are weights of V_{(k+l)lam}), which is the block
+    of its first column."""
+    block = cs.block_of()[W.cols[:, 0]]
+    order = block.argsort(kind="stable")        # the rows of each block, ascending
+    height = np.bincount(block, minlength=cs.counts.size)
+    first = height.cumsum() - height
+    cb = cs.block_of()
+    keep = np.arange(int(height.max(initial=0))) < height[cb][:, None]
+    rows = order[np.minimum(first[cb][:, None] + np.arange(keep.shape[1]), order.size - 1)]
+    rows[~keep] = 0
+    return _Rows(np.where(keep, W.buf[rows, cs.place_of()[:, None]], 0.0), rows)
+
+
+def _gather_add(out: np.ndarray, W: _Rows, X: np.ndarray, dleft: int, dright: int,
+                subtract: bool = False) -> None:
+    """out +-= (1_dleft (x) W (x) 1_dright) X, in place, for the padded rows
+    W and the padded buffer X of one column side (X's rows (a, j, b) meet
+    row j of W^T).
+
+    Row (a, i, b) of the product has the weight of the rows (a, j, b) of X
+    that W[i, j] joins, so all of them hold the same columns in the same
+    places, and the product is one gather of X's rows, one multiply and one
+    add per place of W, the places in ascending order.  Each entry is thus
+    summed over ascending j, the order in which a bincount or subtract.at
+    of the joined triplets adds; out starts at +0.0, so a padded zero adds
+    nothing and the sums are bit-identical to those of the triplets.
+    """
+    S = X.shape[-1]
+    X4 = X.reshape(dleft, -1, dright, S)
+    out4 = out.reshape(dleft, W.buf.shape[0], dright, S)
+    term = np.empty_like(out4)
+    for t in range(W.buf.shape[1]):
+        # every index is in range; "clip" spares the copy that take makes
+        # of out under the default mode="raise"
+        np.take(X4, W.cols[:, t], axis=1, out=term, mode="clip")
+        term *= W.buf[:, t, None, None]
+        if subtract:
+            out4 -= term
+        else:
+            out4 += term
+
+
+def _compose(W: _Rows, X: _Rows, dleft: int, dright: int) -> _Rows:
+    """(1_dleft (x) W (x) 1_dright) X as padded rows (_gather_add).  Each row
+    of the product holds the columns of the rows of X it gathers first."""
+    S = X.buf.shape[1]
+    out = np.zeros((dleft * W.buf.shape[0] * dright, S))
+    _gather_add(out, W, X.buf, dleft, dright)
+    cols = np.take(X.cols.reshape(dleft, -1, dright, S), W.cols[:, 0], axis=1)
+    return _Rows(out, cols.reshape(out.shape))
 
 
 def _graded_polar(buf: np.ndarray, lay: _Layout, what: str) -> np.ndarray:
@@ -130,8 +227,9 @@ def _graded_norm(rows: np.ndarray, cols: _Columns, what: str, plus: tuple,
     map whose rows have the weight keys rows and whose columns have the
     column side cols.  plus is summed into the layout by one bincount and
     minus subtracted in place, each position in triplet order, so nothing is
-    sorted.  Every weight-graded norm goes through here and rejects an entry
-    off the weight blocks, even one that the other side would cancel."""
+    sorted.  Every weight-graded norm of triplets goes through here (the
+    scan, the f-estimate, the star defects) and rejects an entry off the
+    weight blocks, even one that the other side would cancel."""
     lay = _graded_layout(rows, cols)
     buf = _graded_sum(lay, *plus, what)
     if minus is not None:
@@ -169,7 +267,7 @@ class CartanChain:
     def _setup(self, lam: Weight, q: float, tol: ToleranceProfile, levels, w) -> None:
         self.lam, self.q, self.tol, self.N = lam, float(q), tol, lam.N
         self.levels, self.w, self.base = list(levels), list(w), levels[1]
-        self._tensors, self._pair_cache = {}, {}
+        self._tensors, self._pair_cache, self._transposed = {}, {}, {}
 
     @property
     def M(self) -> int:
@@ -268,8 +366,41 @@ class CartanChain:
             self._column_cache[ns] = _columns(self._weight_keys(*ns))
         return self._column_cache[ns]
 
+    def _pair(self, k: int, l: int) -> _Rows:
+        """w_{k,l} as padded rows, k, l >= 1, built once.  For k = 1 it is
+        w_l itself, laid out by _graded_sum, which refuses an entry off the
+        weight blocks; for k >= 2 the composition
+        (w_{k-1}^T (x) 1)(1 (x) w_{k-1,l}) w_{k+l-1}, polar-corrected per
+        weight block.  The layout of its rows is read off the columns the
+        composition gathers, with no search."""
+        key = (k, l)
+        if key not in self._pair_cache:
+            cs = self._column_side(k + l)
+            if k == 1:
+                lay = _graded_layout(self._weight_keys(1, l), cs)
+                P = _rows(_graded_sum(lay, *_triplets(self.w[l]), f"isometry w_{l}"), lay, cs)
+            else:
+                what = f"pair isometry ({k},{l})"
+                # (1 (x) w_{k-1,l}) w_{k+l-1}, into V_lam (x) V_{(k-1)lam} (x) V_{l lam}
+                Y = _compose(self._pair(k - 1, l), self._pair(1, k + l - 1), self.base.dim, 1)
+                # then w_{k-1}^T (x) 1
+                if k - 1 not in self._transposed:
+                    self._transposed[k - 1] = _transposed_rows(self._pair(1, k - 1),
+                                                               self._column_side(k))
+                P = _compose(self._transposed[k - 1], Y, 1, self.levels[l].dim)
+                lay = _block_layout(cs.block_of()[P.cols[:, 0]], cs)
+                keep = _padding(lay, P.buf.shape[1])
+                buf = _graded_polar(P.buf[keep], lay, what)
+                res = _graded_gram_defect(buf, lay)
+                if res > self.tol.identity_tol:
+                    raise InvariantViolation(f"{what} not isometric: {res:.3e}")
+                P.buf[keep] = buf
+            self._pair_cache[key] = P
+        return self._pair_cache[key]
+
     def pair_isometry(self, k: int, l: int) -> repn.SparseMatrix:
-        """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected."""
+        """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected,
+        as triplets read off its padded rows (w_l itself for k = 1)."""
         if min(k, l) < 0:
             raise ValueError(f"pair ({k},{l}) has a negative level")
         if k + l > self.M:
@@ -278,23 +409,8 @@ class CartanChain:
             return repn.SparseMatrix.identity(self.levels[k + l].dim)
         if k == 1:
             return self.w[l]
-        key = (k, l)
-        if key not in self._pair_cache:
-            what, cols = f"pair isometry ({k},{l})", self._column_side(k + l)
-            # (1 (x) w_{k-1,l}^T) w_{k+l-1}, into V_lam (x) V_{(k-1)lam} (x) V_{l lam}
-            t = _apply(self.pair_isometry(k - 1, l).T, _triplets(self.w[k + l - 1]),
-                       self.base.dim, 1)
-            lay = _graded_layout(self._weight_keys(1, k - 1, l), cols)
-            X = _graded_matrix(_graded_sum(lay, *t, what), lay)
-            # then w_{k-1}^T (x) 1, whose transpose w_{k-1} is already canonical
-            t = _apply(self.w[k - 1], _triplets(X), 1, self.levels[l].dim)
-            lay = _graded_layout(self._weight_keys(k, l), cols)
-            W = _graded_polar(_graded_sum(lay, *t, what), lay, what)
-            res = _graded_gram_defect(W, lay)
-            if res > self.tol.identity_tol:
-                raise InvariantViolation(f"pair isometry ({k},{l}) not isometric: {res:.3e}")
-            self._pair_cache[key] = _graded_matrix(W, lay)
-        return self._pair_cache[key]
+        P = self._pair(k, l)
+        return _graded_matrix(P.buf, P.cols, self.levels[k + l].dim)
 
     def right_isometry(self, n: int) -> repn.SparseMatrix:
         """w'_n: V_{(n+1)lam} -> V_{n lam} (x) V_lam."""
@@ -303,20 +419,31 @@ class CartanChain:
     def coassociativity_residual(self, k: int, l: int, n: int) -> float:
         """|| (w_{k,l} (x) 1) w_{k+l,n} - (1 (x) w_{l,n}) w_{k,l+n} ||.
 
-        Each side comes as triplets from one join (_apply), and the norm of
-        their difference is taken by _graded_norm: the left side is summed
-        into the weight-block layout and the right side subtracted in place.
+        Both sides are composed on the padded rows of the pair isometries
+        (_gather_add): the left side is added into one buffer and the right
+        side subtracted in place.  The rows of the difference take the
+        columns of the rows of w_{k+l,n} that they gather, so the norm needs
+        no layout search: the largest column norm when V_{(k+l+n)lam} is
+        multiplicity-free, the largest block norm (_layout_norm) otherwise.
+        Raises ValueError for a negative level or k + l + n > M.
         """
         if min(k, l, n) < 0:
             raise ValueError(f"triple ({k},{l},{n}) has a negative level")
+        if k + l + n > self.M:
+            raise ValueError(f"triple ({k},{l},{n}) exceeds truncation {self.M}")
         if min(k, l, n) == 0:
             return 0.0
-        P = self.pair_isometry
-        return _graded_norm(
-            self._weight_keys(k, l, n), self._column_side(k + l + n),
-            f"coassociativity ({k},{l},{n})",
-            _apply(P(k, l).T, _triplets(P(k + l, n)), 1, self.levels[n].dim),
-            _apply(P(l, n).T, _triplets(P(k, l + n)), self.levels[k].dim, 1))
+        D = _compose(self._pair(k, l), self._pair(k + l, n), 1, self.levels[n].dim)
+        _gather_add(D.buf, self._pair(l, n), self._pair(k, l + n).buf, self.levels[k].dim, 1,
+                    subtract=True)
+        first = D.cols[:, 0]
+        if D.buf.shape[1] == 1:
+            sq = np.bincount(first, weights=D.buf[:, 0] * D.buf[:, 0],
+                             minlength=self.levels[k + l + n].dim)
+            return float(np.sqrt(sq).max(initial=0.0))
+        cs = self._column_side(k + l + n)
+        lay = _block_layout(cs.block_of()[first], cs)
+        return _layout_norm(D.buf[_padding(lay, D.buf.shape[1])], lay)
 
     def certify_coassociativity(self, max_total: int | None = None) -> float:
         """Max residual over all k,l,n >= 1 with k+l+n <= max_total."""

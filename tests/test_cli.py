@@ -295,7 +295,7 @@ def test_cache_stores_f_and_derives_e(tmp_path, e_is_k_f_transpose):
             assert cli._same_triplets(a.E[i], b.E[i])
 
 
-def test_cache_rejects_corruption(tmp_path):
+def test_cache_rejects_corruption(tmp_path, monkeypatch):
     ch = sps.CartanChain(Weight((1,)), 1.5, 4)
     path = tmp_path / "c.qcc"
     cli.store_chain(ch, str(path))
@@ -352,6 +352,26 @@ def test_cache_rejects_corruption(tmp_path):
             (repn.SparseMatrix._canonical(W.shape, rows, W.cols, W.vals), "out of range")]:
         cli.store_chain(sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels,
                                                    ch.w[:3] + [bad]), str(path))
+        with pytest.raises(InvariantViolation, match=why):
+            cli.load_chain(str(path))
+
+    # a triplet record whose shape disagrees with the header's level
+    # dimensions fails although every CRC matches: the triplet records are
+    # F_1 of levels 0..4, then w_0..w_3
+    real = cli._pack_triplets
+    for target, shape, why in ((2, (4, 4), r"F_1 record of level 2 has shape \(4, 4\)"),
+                               (7, (7, 4), r"isometry 2 record has shape \(7, 4\)")):
+        seen = []
+
+        def pack(S):
+            seen.append(S)
+            if len(seen) == target + 1:
+                S = repn.SparseMatrix._canonical(shape, S.rows, S.cols, S.vals)
+            return real(S)
+
+        monkeypatch.setattr(cli, "_pack_triplets", pack)
+        cli.store_chain(ch, str(path))
+        assert len(seen) == 9
         with pytest.raises(InvariantViolation, match=why):
             cli.load_chain(str(path))
 

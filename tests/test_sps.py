@@ -67,7 +67,11 @@ def test_pair_isometries(chains):
     assert W.shape == (5 * 4, 8)
     Wd = W.to_dense()
     assert np.max(np.abs(Wd.T @ Wd - np.eye(8))) <= 1e-12
-    assert ch.pair_isometry(4, 3) is W  # cached
+    # cached as padded rows, built once; each call reads the same triplets off them
+    P = ch._pair_cache[4, 3]
+    again = ch.pair_isometry(4, 3)
+    assert ch._pair_cache[4, 3] is P
+    assert all(np.array_equal(a, b) for a, b in zip(sps._triplets(again), sps._triplets(W)))
     assert np.array_equal(ch.right_isometry(5).to_dense(), ch.pair_isometry(5, 1).to_dense())
     with pytest.raises(ValueError):
         ch.pair_isometry(6, 5)
@@ -313,8 +317,9 @@ def _former_coassociativity(ch, k, l, n):
     return _former_graded_norm(D, ch._weight_keys(k, l, n), ch._weight_keys(k + l + n))
 
 
-@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 10), ((1, 1), 1.0, 5)],
-                         ids=["omega1-q1.5-M10", "rho-q1-M5"])
+@pytest.mark.parametrize("coords,q,M", [((1, 0), 1.5, 10), ((1, 1), 1.0, 5),
+                                        ((1, 1), 1.5, 6), ((1, 0, 1), 1.5, 3)],
+                         ids=["omega1-q1.5-M10", "rho-q1-M5", "rho-q1.5-M6", "N4-101-q1.5-M3"])
 def test_layout_sums_are_bit_identical_to_the_sorted_sums(chains, coords, q, M):
     ch = chains(coords, q, M)
     for (k, l), ref in _former_pair_isometries(ch).items():
@@ -372,23 +377,22 @@ def test_certify_coassociativity_builds_each_column_side_once(chains, monkeypatc
 
     monkeypatch.setattr(sps, "_columns", counted)
     assert fresh.certify_coassociativity() <= 1e-12
-    # every pair isometry and triple maps out of one of the levels 3..M
-    assert sorted(built) == [ch.levels[t].dim for t in range(3, ch.M + 1)]
-    assert sorted(fresh._column_cache) == [(t,) for t in range(3, ch.M + 1)]
+    # every pair isometry and triple maps out of one of the levels 3..M, and
+    # w_1, laid out as the pair isometry w_{1,1}, out of level 2
+    assert sorted(built) == [ch.levels[t].dim for t in range(2, ch.M + 1)]
+    assert sorted(fresh._column_cache) == [(t,) for t in range(2, ch.M + 1)]
 
 
 def test_off_block_triplet_in_either_side_alone_raises(chains):
-    # w_{2,1} enters only the left side of the triple (2,1,1) and only the
-    # right side of (1,2,1)
+    # Padded rows hold no entry off the weight blocks, so the check sits
+    # where each w_n is laid out, once.  w_2 enters the triple (1,2,1) as
+    # w_{1,2} and the triple (2,1,1) only through w_{2,1} and w_{2,2}.
     ch = chains((1, 0), 1.5, 6)
-    bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, ch.w)
-    for k, l in ((3, 1), (2, 2)):
-        bad.pair_isometry(k, l)
-    W = bad.pair_isometry(2, 1).to_dense()
-    r = np.flatnonzero(_off_block(ch, 2, 1)[:, 0])[0]
-    W[r, 0] = 1e-13     # column 0 meets the highest weight rows of both sides
-    bad._pair_cache[2, 1] = repn.SparseMatrix.from_dense(W)
+    w = [m.to_dense() for m in ch.w]
+    r = np.flatnonzero(_off_block(ch, 1, 2)[:, 0])[0]
+    w[2][r, 0] = 1e-13     # column 0 meets the highest weight rows of both sides
     for triple in ((2, 1, 1), (1, 2, 1)):
+        bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels, w)
         with pytest.raises(InvariantViolation, match="off the weight blocks"):
             bad.coassociativity_residual(*triple)
 
@@ -736,6 +740,15 @@ def test_pair_isometries_refuse_negative_levels(chains):
         with pytest.raises(ValueError, match=rf"triple \({k},{l},{n}\) has a negative level"):
             ch.coassociativity_residual(k, l, n)
     assert ch.pair_isometry(0, 2).shape == (3, 3)
+
+
+def test_coassociativity_refuses_a_triple_beyond_the_truncation(chains):
+    ch = chains((1, 0), 1.5, 6)
+    for k, l, n in ((2, 2, 3), (2, 2, 10), (0, 3, 4)):
+        with pytest.raises(ValueError, match=rf"triple \({k},{l},{n}\) exceeds truncation 6"):
+            ch.coassociativity_residual(k, l, n)
+    assert ch.coassociativity_residual(2, 2, 2) <= 1e-12
+    assert ch.coassociativity_residual(0, 3, 3) == 0.0
 
 
 # Depths at which the former per-vector orbit loop raised a false
