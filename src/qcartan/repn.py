@@ -327,16 +327,6 @@ def _graded_sum(lay: _Layout, rows, cols, vals, what: str) -> np.ndarray:
                        minlength=lay.size)
 
 
-def _graded_matrix(buf: np.ndarray, cols: np.ndarray, ncols: int) -> SparseMatrix:
-    """The nonzero entries of a weight-graded map held as padded rows (buf,
-    cols both (rows, width): entry buf[r, s] in column cols[r, s], each row's
-    columns ascending, zeros on the padding) as canonical triplets, without
-    a sort."""
-    pos = np.flatnonzero(buf)
-    return SparseMatrix._canonical((buf.shape[0], ncols), pos // buf.shape[1],
-                                   cols.ravel()[pos], buf.ravel()[pos])
-
-
 def _graded_stacks(lay: _Layout, rows: np.ndarray) -> list:
     """Buffer positions of the weight blocks holding the given layout rows
     (all rows of each), stacked by shape: [(ks, pos)] per shape h x m, in

@@ -22,14 +22,14 @@ weights of the two factors).  A factor 1 (x) W (x) 1 or W^T (x) 1 acts on
 padded rows as one gather, multiply and add per place of W (_gather_add),
 never as a Kronecker product or a join, and in the order in which a
 bincount of the joined triplets would add, so every entry is bit-identical
-to the triplet sums.  pair_isometry reads canonical triplets off the rows.
-Coassociativity is certified numerically rather than assumed: one side is
-added into a padded buffer and the other subtracted in place, and the norm
-is the largest column norm, or the largest block norm (_layout_norm) when
-the columns have multiplicities, with the rows' blocks read off the columns
-they gather.  The scan, the f-estimate and the star defects of asympt take
-their norms through _graded_norm, which sums two sets of triplets into the
-weight-block layout of repn (_graded_layout).  A chain builds the column
+to the triplet sums.  pair_isometry reads canonical triplets off the rows
+once (_Rows.matrix).  Coassociativity is certified numerically rather than
+assumed: one side is added into a padded buffer and the other subtracted in
+place, and the norm is the largest column norm, or the largest block norm
+(_layout_norm) when the columns have multiplicities, each row of a product
+keeping the block of the rows it gathers.  The scan, the f-estimate and the
+star defects of asympt take their norms through _graded_norm, which sums two
+sets of triplets into the weight-block layout of repn (_graded_layout).  A chain builds the column
 side of a layout once per domain factor tuple (CartanChain._column_side):
 (t,) for every pair isometry and coassociativity triple of total t, (1, n)
 for the scan and the f-estimate.
@@ -53,7 +53,7 @@ from . import decomp, repn
 from .numerics import DEFAULT_TOL, InvariantViolation, ToleranceProfile
 from .qcore import Weight, fundamental_weight, pairing
 from .repn import (_Columns, _Layout, _block_layout, _columns, _graded_blocks,
-                   _graded_layout, _graded_matrix, _graded_positions, _graded_sum)
+                   _graded_layout, _graded_positions, _graded_sum)
 
 __all__ = [
     "CartanChain",
@@ -92,14 +92,32 @@ def _apply(WT: repn.SparseMatrix, X: tuple, dleft: int, dright: int) -> tuple:
 class _Rows:
     """A weight-graded map held as padded weight-block rows.
 
-    Row r holds its entries in the columns of its weight block, ascending,
-    then zeros up to the widest block of the column side: buf[r, s] is the
-    entry in column cols[r, s].  cols is 0 on the padding.  A map of
-    multiplicity-free columns has one place per row and no padding.
+    Row r holds its entries in the columns of its weight block block[r],
+    ascending, then zeros up to the widest block: buf[r, t] is the entry in
+    column corder[cstart[block[r]] + t].  corder and cstart are those of the
+    column side (_Columns) for a pair isometry, and the rows of W grouped by
+    block for W^T (_transposed_rows).  A map of multiplicity-free columns has
+    one place per row and no padding.
     """
 
-    buf: np.ndarray    # (rows, width) float64
-    cols: np.ndarray   # (rows, width) int64
+    buf: np.ndarray      # (rows, width) float64
+    block: np.ndarray    # block of each row
+    corder: np.ndarray   # columns grouped by block, ascending in each
+    cstart: np.ndarray   # offset of each block in corder
+
+    def columns(self) -> np.ndarray:
+        """(rows, width): the column of every place, and on the padding some
+        column, whose entry is zero."""
+        return self.corder.take(self.cstart[self.block][:, None] + np.arange(self.buf.shape[1]),
+                                mode="clip")
+
+    def matrix(self, ncols: int) -> repn.SparseMatrix:
+        """The nonzero entries as canonical triplets, without a sort."""
+        pos = np.flatnonzero(self.buf)
+        r, t = np.divmod(pos, self.buf.shape[1])
+        return repn.SparseMatrix._canonical((self.buf.shape[0], ncols), r,
+                                            self.corder[self.cstart[self.block[r]] + t],
+                                            self.buf.ravel()[pos])
 
 
 def _padding(lay: _Layout, width: int) -> np.ndarray:
@@ -110,31 +128,25 @@ def _padding(lay: _Layout, width: int) -> np.ndarray:
 
 def _rows(buf: np.ndarray, lay: _Layout, cs: _Columns) -> _Rows:
     """The padded rows of the layout buffer buf, whose column side is cs."""
-    width = int(cs.counts.max(initial=0))
-    keep = _padding(lay, width)
+    keep = _padding(lay, int(cs.counts.max(initial=0)))
     out = np.zeros(keep.shape)
     out[keep] = buf
-    cols = lay.corder[np.minimum(lay.cstart[lay.block][:, None] + np.arange(width),
-                                 lay.corder.size - 1)]
-    cols[~keep] = 0
-    return _Rows(out, cols)
+    return _Rows(out, lay.block, cs.corder, cs.cstart)
 
 
 def _transposed_rows(W: _Rows, cs: _Columns) -> _Rows:
     """W^T as padded rows, for W whose column side is cs.  Row c of W^T holds
     W[j, c] over the rows j of the weight block of c, ascending, padded to
     the tallest block; every row of W has a block (the weights of
-    V_{k lam} (x) V_{l lam} are weights of V_{(k+l)lam}), which is the block
-    of its first column."""
-    block = cs.block_of()[W.cols[:, 0]]
-    order = block.argsort(kind="stable")        # the rows of each block, ascending
-    height = np.bincount(block, minlength=cs.counts.size)
+    V_{k lam} (x) V_{l lam} are weights of V_{(k+l)lam})."""
+    order = W.block.argsort(kind="stable")      # the rows of each block, ascending
+    height = np.bincount(W.block, minlength=cs.counts.size)
     first = height.cumsum() - height
     cb = cs.block_of()
-    keep = np.arange(int(height.max(initial=0))) < height[cb][:, None]
-    rows = order[np.minimum(first[cb][:, None] + np.arange(keep.shape[1]), order.size - 1)]
-    rows[~keep] = 0
-    return _Rows(np.where(keep, W.buf[rows, cs.place_of()[:, None]], 0.0), rows)
+    span = np.arange(int(height.max(initial=0)))
+    rows = order.take(first[cb][:, None] + span, mode="clip")
+    buf = np.where(span < height[cb][:, None], W.buf[rows, cs.place_of()[:, None]], 0.0)
+    return _Rows(buf, cb, order, first)
 
 
 def _gather_add(out: np.ndarray, W: _Rows, X: np.ndarray, dleft: int, dright: int,
@@ -155,10 +167,11 @@ def _gather_add(out: np.ndarray, W: _Rows, X: np.ndarray, dleft: int, dright: in
     X4 = X.reshape(dleft, -1, dright, S)
     out4 = out.reshape(dleft, W.buf.shape[0], dright, S)
     term = np.empty_like(out4)
-    for t in range(W.buf.shape[1]):
+    cols = W.columns()
+    for t in range(cols.shape[1]):
         # every index is in range; "clip" spares the copy that take makes
         # of out under the default mode="raise"
-        np.take(X4, W.cols[:, t], axis=1, out=term, mode="clip")
+        np.take(X4, cols[:, t], axis=1, out=term, mode="clip")
         term *= W.buf[:, t, None, None]
         if subtract:
             out4 -= term
@@ -168,12 +181,12 @@ def _gather_add(out: np.ndarray, W: _Rows, X: np.ndarray, dleft: int, dright: in
 
 def _compose(W: _Rows, X: _Rows, dleft: int, dright: int) -> _Rows:
     """(1_dleft (x) W (x) 1_dright) X as padded rows (_gather_add).  Each row
-    of the product holds the columns of the rows of X it gathers first."""
-    S = X.buf.shape[1]
-    out = np.zeros((dleft * W.buf.shape[0] * dright, S))
+    of the product has the block of the rows of X it gathers, the first of
+    which is at place 0 of W."""
+    out = np.zeros((dleft * W.buf.shape[0] * dright, X.buf.shape[1]))
     _gather_add(out, W, X.buf, dleft, dright)
-    cols = np.take(X.cols.reshape(dleft, -1, dright, S), W.cols[:, 0], axis=1)
-    return _Rows(out, cols.reshape(out.shape))
+    block = X.block.reshape(dleft, -1, dright)[:, W.corder[W.cstart[W.block]]]
+    return _Rows(out, block.ravel(), X.corder, X.cstart)
 
 
 def _graded_polar(buf: np.ndarray, lay: _Layout, what: str) -> np.ndarray:
@@ -268,6 +281,7 @@ class CartanChain:
         self.lam, self.q, self.tol, self.N = lam, float(q), tol, lam.N
         self.levels, self.w, self.base = list(levels), list(w), levels[1]
         self._tensors, self._pair_cache, self._transposed = {}, {}, {}
+        self._pair_matrix = {}   # pair_isometry's triplets, read once off _pair_cache
 
     @property
     def M(self) -> int:
@@ -371,8 +385,8 @@ class CartanChain:
         w_l itself, laid out by _graded_sum, which refuses an entry off the
         weight blocks; for k >= 2 the composition
         (w_{k-1}^T (x) 1)(1 (x) w_{k-1,l}) w_{k+l-1}, polar-corrected per
-        weight block.  The layout of its rows is read off the columns the
-        composition gathers, with no search."""
+        weight block.  Its rows keep the blocks of the rows the composition
+        gathers, so no weight key is searched."""
         key = (k, l)
         if key not in self._pair_cache:
             cs = self._column_side(k + l)
@@ -388,7 +402,7 @@ class CartanChain:
                     self._transposed[k - 1] = _transposed_rows(self._pair(1, k - 1),
                                                                self._column_side(k))
                 P = _compose(self._transposed[k - 1], Y, 1, self.levels[l].dim)
-                lay = _block_layout(cs.block_of()[P.cols[:, 0]], cs)
+                lay = _block_layout(P.block, cs)
                 keep = _padding(lay, P.buf.shape[1])
                 buf = _graded_polar(P.buf[keep], lay, what)
                 res = _graded_gram_defect(buf, lay)
@@ -400,7 +414,8 @@ class CartanChain:
 
     def pair_isometry(self, k: int, l: int) -> repn.SparseMatrix:
         """w_{k,l}: V_{(k+l)lam} -> V_{k lam} (x) V_{l lam}, polar-corrected,
-        as triplets read off its padded rows (w_l itself for k = 1)."""
+        as triplets read off its padded rows on the first call and kept
+        (w_l itself for k = 1)."""
         if min(k, l) < 0:
             raise ValueError(f"pair ({k},{l}) has a negative level")
         if k + l > self.M:
@@ -409,8 +424,9 @@ class CartanChain:
             return repn.SparseMatrix.identity(self.levels[k + l].dim)
         if k == 1:
             return self.w[l]
-        P = self._pair(k, l)
-        return _graded_matrix(P.buf, P.cols, self.levels[k + l].dim)
+        if (k, l) not in self._pair_matrix:
+            self._pair_matrix[k, l] = self._pair(k, l).matrix(self.levels[k + l].dim)
+        return self._pair_matrix[k, l]
 
     def right_isometry(self, n: int) -> repn.SparseMatrix:
         """w'_n: V_{(n+1)lam} -> V_{n lam} (x) V_lam."""
@@ -421,10 +437,12 @@ class CartanChain:
 
         Both sides are composed on the padded rows of the pair isometries
         (_gather_add): the left side is added into one buffer and the right
-        side subtracted in place.  The rows of the difference take the
-        columns of the rows of w_{k+l,n} that they gather, so the norm needs
+        side subtracted in place.  The rows of the difference keep the
+        blocks of the rows of w_{k+l,n} that they gather, so the norm needs
         no layout search: the largest column norm when V_{(k+l+n)lam} is
-        multiplicity-free, the largest block norm (_layout_norm) otherwise.
+        multiplicity-free (one bincount, the sum _layout_norm takes for
+        one-column blocks, without building the layout), the largest block
+        norm (_layout_norm) otherwise.
         Raises ValueError for a negative level or k + l + n > M.
         """
         if min(k, l, n) < 0:
@@ -436,13 +454,11 @@ class CartanChain:
         D = _compose(self._pair(k, l), self._pair(k + l, n), 1, self.levels[n].dim)
         _gather_add(D.buf, self._pair(l, n), self._pair(k, l + n).buf, self.levels[k].dim, 1,
                     subtract=True)
-        first = D.cols[:, 0]
-        if D.buf.shape[1] == 1:
-            sq = np.bincount(first, weights=D.buf[:, 0] * D.buf[:, 0],
+        if D.buf.shape[1] == 1:   # multiplicity-free: the largest column norm
+            sq = np.bincount(D.corder[D.cstart[D.block]], weights=D.buf[:, 0] * D.buf[:, 0],
                              minlength=self.levels[k + l + n].dim)
             return float(np.sqrt(sq).max(initial=0.0))
-        cs = self._column_side(k + l + n)
-        lay = _block_layout(cs.block_of()[first], cs)
+        lay = _block_layout(D.block, self._column_side(k + l + n))
         return _layout_norm(D.buf[_padding(lay, D.buf.shape[1])], lay)
 
     def certify_coassociativity(self, max_total: int | None = None) -> float:
