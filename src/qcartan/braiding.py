@@ -65,12 +65,17 @@ class RootVectorSet:
     F: dict
 
     def grading_residual(self) -> float:
-        V = self.module
+        """Max |entry| of a root vector outside the blocks wt(row) = wt(col)
+        + its root (E) or - its root (F)."""
+        wts = self.module.weights.T
         worst = 0.0
         for mats, sgn in ((self.E, 1), (self.F, -1)):
             for (i, j), M in mats.items():
-                worst = max(worst, repn._grading_residual(
-                    V, repn.SparseMatrix.from_dense(M), sgn * root_weight(i, j, V.N).as_array()))
+                shift = sgn * root_weight(i, j, self.module.N).as_array()
+                off = np.zeros(M.shape, dtype=bool)
+                for w, s in zip(wts, shift):
+                    off |= w[:, None] != w + s
+                worst = max(worst, float(np.abs(M[off]).max(initial=0.0)))
         return worst
 
 

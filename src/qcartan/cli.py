@@ -183,13 +183,11 @@ class _Parser(argparse.ArgumentParser):
 
 def build_config(argv: list) -> RunConfig:
     parser = _Parser(prog="qcartan", add_help=True)
-    sub = parser.add_subparsers(dest="command")
-    for name in ("scan", "cg", "qda", "star", "cache"):
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--config", default=None)
-        for name, _, flag in CONFIG_KEYS.values():
-            if flag:
-                p.add_argument(flag, dest=name, default=None)
+    parser.add_argument("command", nargs="?", choices=("scan", "cg", "qda", "star", "cache"))
+    parser.add_argument("--config", default=None)
+    for name, _, flag in CONFIG_KEYS.values():
+        if flag:
+            parser.add_argument(flag, dest=name, default=None)
     args = parser.parse_args(argv)
     if args.command is None:
         raise ConfigError("missing subcommand (scan|cg|qda|star|cache)")

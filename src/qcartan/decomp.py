@@ -6,14 +6,14 @@ space): the stacked generator matrix restricted to a block is small, and the
 rank certificates are much sharper there.  Blocks of the same shape share
 one batched SVD, but each keeps its own rank certificate.  A tensor product
 V = A (x) B carries its factors (repn.tensor); when B is simple, the
-highest weights of its components are hw(B) + wt(A) (Brauer-Klimyk), so
-only those blocks are ranked (mirrored by w -> -reversed(w) for lowest
-weights), the completeness check certifies the others, and the
-multiplicities must equal the component count qcore.tensor_components
-weight by weight.  Any other module has every block ranked.  The blocks
-come from the one weight-block layout of the package (repn._generator_stacks
-over QModule.column_side, QModule.blocks_at); this module maps no weight to
-a block itself.
+highest weights of its components are hw(B) + wt(A) (Brauer-Klimyk), the
+weights of the basis vectors e_a (x) xi_B, and their lowest weights those
+of e_a (x) l_B, so only the blocks of those basis vectors are ranked, the
+completeness check certifies the others, and the multiplicities must equal
+the component count qcore.tensor_components weight by weight.  Any other
+module has every block ranked.  The blocks come from the one weight-block
+layout of the package (repn._generator_stacks over QModule.column_side);
+no weight is mapped to a block here or in QModule.
 """
 from __future__ import annotations
 
@@ -67,20 +67,19 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
 
 
 def _extreme_weight_space(V, raising: bool, tol: ToleranceProfile,
-                          weights=None) -> HighestWeightReport:
+                          blocks=None) -> HighestWeightReport:
     """Joint kernel of the E_i (raising) or F_i, one weight block at a time.
 
     The generator block of weight nu stacks E_i[nu + alpha_i, nu] (or
     F_i[nu - alpha_i, nu]) over i (repn._generator_stacks).  Blocks whose
     stacks have the same shape are ranked by one nullspace call, highest
     weight first; a block that no E_i (F_i) leaves is its own kernel.  Only
-    the blocks at weights are ranked (every block for None); the others
-    hold no extreme vector by assumption, which _check_completeness
-    certifies.
+    the given blocks (V.column_side() numbers, ascending; every block for
+    None) are ranked; the others hold no extreme vector by assumption,
+    which _check_completeness certifies.
     """
     kind = "highest" if raising else "lowest"
     cs = V.column_side()   # weight blocks, highest first
-    blocks = None if weights is None else V.blocks_at(weights)
     _, stacks = repn._generator_stacks(V, 1 if raising else -1, f"{kind} weight space",
                                        blocks)
     kernels = {}
@@ -124,16 +123,19 @@ def _check_completeness(V, report: HighestWeightReport, raising: bool):
 
 def _counted_space(V, raising: bool, tol: ToleranceProfile) -> HighestWeightReport:
     """_extreme_weight_space of V, held to the Brauer-Klimyk count when V
-    is a tensor product A (x) B of a simple B: only the blocks at hw(B) +
-    wt(A) (mirrored for lowest weights) are ranked, and InvariantViolation
-    is raised unless the multiplicities of the components (a lowest weight
-    w is that of the component -reversed(w)) equal
-    tensor_components(A.weights, hw(B)) weight by weight."""
+    is a tensor product A (x) B of a simple B: only the blocks of the basis
+    vectors e_a (x) xi_B (e_a (x) l_B for lowest weights; the weights of A
+    are invariant under w0) are ranked, and InvariantViolation is raised
+    unless the multiplicities of the components (a lowest weight w is that
+    of the component -reversed(w)) equal tensor_components(A.weights,
+    hw(B)) weight by weight."""
     A, B = V.factors or (None, None)
     if B is None or B.highest_weight is None:
         return _extreme_weight_space(V, raising, tol)
-    cand = A.weights + B.highest_weight.as_array()
-    report = _extreme_weight_space(V, raising, tol, cand if raising else -cand[:, ::-1])
+    # xi_B is basis vector 0 (QModule.hw_vector); e_a (x) e_b is a * dim B + b
+    b = 0 if raising else int(B.lowest_vector.argmax())
+    blocks = np.unique(V.column_side().block_of()[np.arange(A.dim) * B.dim + b])
+    report = _extreme_weight_space(V, raising, tol, blocks)
     got = {w if raising else -Weight(w.coords[::-1]): m
            for w, m in report.multiplicities.items()}
     want = tensor_components(A.weights, B.highest_weight)
@@ -159,6 +161,7 @@ def lowest_weight_space(V, tol: ToleranceProfile = DEFAULT_TOL) -> HighestWeight
 
 def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     """Close a highest-weight seed under the F_i; returns (QModule, Q).
+    Raises ValueError unless the seed has dim V entries.
 
     The seed becomes basis vector 0 of the result exactly (phase fix).  The
     orbit is closed one weight block at a time, down the weight filtration:
@@ -180,6 +183,8 @@ def generate_submodule(V, seed, tol: ToleranceProfile = DEFAULT_TOL):
     triplets of each F_i with one bincount.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(-1)
+    if seed.size != V.dim:
+        raise ValueError(f"seed has {seed.size} entries, want dim V = {V.dim}")
     nrm = np.linalg.norm(seed)
     if nrm == 0:
         raise ValueError("zero seed")

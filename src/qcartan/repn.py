@@ -470,19 +470,6 @@ class QModule:
             self._blocks = _columns(self.weights @ self._key_radix)
         return self._blocks
 
-    def blocks_at(self, weights) -> np.ndarray:
-        """The weight blocks (column_side numbers, ascending) at the given
-        weights, an integer array (k, N - 1); weights of no basis vector are
-        skipped."""
-        cs = self.column_side()
-        weights = np.asarray(weights, dtype=np.int64).reshape(-1, self.N - 1)
-        b = cs.blocks_of_keys(weights @ self._key_radix)
-        # the radix is injective only near the module's weights: compare them
-        hit = (self.weights[cs.corder[cs.cstart[b]]] == weights).all(axis=1) & (b >= 0)
-        want = np.zeros(cs.keys.size, dtype=bool)
-        want[b[hit]] = True
-        return want.nonzero()[0]
-
     def __repr__(self):
         hw = f", hw={self.highest_weight}" if self.highest_weight is not None else ""
         return f"QModule(N={self.N}, q={self.q}, dim={self.dim}{hw})"
@@ -585,12 +572,6 @@ def contragredient(V: QModule) -> QModule:
     return QModule(V.N, V.q, -V.weights, F)
 
 
-def _grading_residual(V: QModule, M: SparseMatrix, shift: np.ndarray) -> float:
-    """Max |entry| of M outside the blocks wt(row) = wt(col) + shift."""
-    ok = np.all(V.weights[M.rows] == V.weights[M.cols] + shift[None, :], axis=1)
-    return _max_abs(M.vals[~ok])
-
-
 def _max_abs(vals: np.ndarray) -> float:
     return float(np.max(np.abs(vals), initial=0.0))
 
@@ -659,8 +640,8 @@ def check_module(V: QModule, tol: ToleranceProfile = DEFAULT_TOL, raise_on_fail:
     widest block its products touch.
     The terms of a relation add up in the order written, as the dense
     formula does.  An entry off the blocks enters no relation: it is
-    reported by 'grading', the largest |entry| off the blocks (as
-    _grading_residual reads it), which fails the gate by itself.
+    reported by 'grading', the largest |entry| off the blocks, which fails
+    the gate by itself.
 
     Returns {'grading', 'commutator', 'serre', 'max', 'passed'}.
     """

@@ -83,6 +83,7 @@ def test_config_validation():
 
 def test_exit_codes(monkeypatch, capsys):
     assert cli.main([]) == 3
+    assert cli.main(["bogus"]) == 3
     assert cli.main(["scan", "--q", "-2"]) == 3
 
     def boom(exc):

@@ -88,6 +88,10 @@ def test_generate_submodule_rejects_bad_seeds():
     mixed = mixed + singlet / np.linalg.norm(singlet)
     with pytest.raises(ValueError, match="homogeneous"):
         decomp.generate_submodule(T, mixed)
+    # a seed of the wrong length: too short, or with a spare entry zero or not
+    for seed in ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.5]):
+        with pytest.raises(ValueError, match="want dim V = 4"):
+            decomp.generate_submodule(T, seed)
 
 
 def test_cartan_component_of_distinct_factors(intertwining_residual):
@@ -219,14 +223,21 @@ def test_stacked_kernels_match_per_block_svds_bitwise(chains, coords, q, n):
                                           ((1, 0, 1), 1.5, 4), ((1, 0), 1.5, 22)])
 def test_candidate_kernels_equal_the_kernels_of_every_block(chains, coords, q, M):
     # Brauer-Klimyk: the components of V_lam (x) V_{n lam} have highest
-    # weights n lam + wt(V_lam), lowest weights their mirrors -reversed(w)
+    # weights n lam + wt(V_lam), lowest weights their mirrors -reversed(w);
+    # those are the blocks of e_a (x) xi_{n lam} and of e_a (x) l_{n lam}
     ch = chains(coords, q, M)
     for n in range(1, M):
         T = ch.tensor(n)
         assert T.factors == (ch.base, ch.levels[n])
-        if n > 1:
-            cand = ch.base.weights + (ch.lam * n).as_array()
-            assert T.blocks_at(cand).size < T.column_side().keys.size
+        block = T.column_side().block_of()
+        cand = ch.base.weights + (ch.lam * n).as_array()
+        low = int(ch.levels[n].lowest_vector.argmax())
+        for b, wts in ((0, cand), (low, -cand[:, ::-1])):
+            ours = np.unique(block[np.arange(ch.base.dim) * ch.levels[n].dim + b])
+            at = (T.weights[:, None, :] == wts[None, :, :]).all(axis=2).any(axis=1)
+            assert ours.tolist() == np.unique(block[at]).tolist()
+            if n > 1:
+                assert ours.size < T.column_side().keys.size
         bare = repn.QModule(T.N, T.q, T.weights, T.F)   # no factors: every block
         for space in (decomp.highest_weight_space, decomp.lowest_weight_space):
             full, got = space(bare), space(T)
@@ -234,16 +245,6 @@ def test_candidate_kernels_equal_the_kernels_of_every_block(chains, coords, q, M
             assert got.total == full.total
             for (_, a), (_, b) in zip(got.components, full.components):
                 assert np.array_equal(a, b)
-
-
-def test_blocks_at_skips_weights_the_module_lacks(builders):
-    rho = builders(3, 1.5).module(Weight((1, 1)))
-    cs = rho.column_side()
-    assert rho.blocks_at(rho.weights).tolist() == list(range(cs.keys.size))
-    assert rho.blocks_at([[0, 0], [1, 1], [1, 1]]).tolist() == [1, 3]   # blocks highest first
-    # (a + 1, b - base) has the key of (a, b): the radix alone would alias it
-    base = -int(rho._key_radix[0] // rho._key_radix[1])
-    assert rho.blocks_at([[2, 1 - base], [9, 9]]).size == 0
 
 
 def test_ambiguous_rank_names_the_weight_block(builders):

@@ -8,7 +8,7 @@ import pytest
 
 from qcartan import asympt, braiding, cli, decomp, qda, repn, sps
 from qcartan.numerics import DEFAULT_TOL, InvariantViolation, operator_norm
-from qcartan.qcore import Weight, fundamental_weight, weyl_dim
+from qcartan.qcore import Weight, fundamental_weight, pairing_array, q_int, rho, weyl_dim
 
 
 def test_chain_levels_and_dimensions(chains):
@@ -688,6 +688,65 @@ def test_creation_blocks_stack_the_single_vector_shifts(chains):
                          - W.T @ np.kron(xi[:, None], ident))) <= 1e-14
     assert np.max(np.abs(sps._creation_blocks(ch, [xi], n, right=True)[0]
                          - Wr.T @ np.kron(ident, xi[:, None]))) <= 1e-14
+
+
+def _q_dim(mu: Weight, q: float) -> float:
+    """qdim V_mu by Weyl: prod over alpha_i + ... + alpha_j of
+    [(mu + rho, alpha)]_q / [(rho, alpha)]_q."""
+    c, out = mu.coords, 1.0
+    for i in range(len(c)):
+        for j in range(i, len(c)):
+            out *= q_int(sum(c[i:j + 1]) + j - i + 1, q) / q_int(j - i + 1, q)
+    return out
+
+
+def _partial_trace_residual(ch, n: int) -> float:
+    """max |sum_a q^(2 rho, wt e_a) S_a^T S_a - r 1| / r on V_{n lam}, with
+    r = qdim V_{(n+1) lam} / qdim V_{n lam} and S_a the left shifts of the
+    basis vectors e_a of V_lam (the left partial q-trace of w_n w_n^T, a
+    scalar by Schur exactly when w_n intertwines)."""
+    S = sps._creation_blocks(ch, np.eye(ch.base.dim), n)
+    c = ch.q ** pairing_array(2 * rho(ch.N).as_array()[None, :], ch.base.weights, ch.N)[0]
+    gram = np.einsum("a,aji,ajk->ik", c, S, S)
+    r = _q_dim(ch.lam * (n + 1), ch.q) / _q_dim(ch.lam * n, ch.q)
+    return float(np.max(np.abs(gram - r * np.eye(gram.shape[0]))) / r)
+
+
+@pytest.mark.parametrize("coords, q, M", [((1, 0, 0), 1.5, 8), ((0, 1, 0), 2.0, 5),
+                                          ((1, 1), 0.7, 5), ((1, 1), 1.0, 5),
+                                          ((1, 1), 1.5, 5), ((1, 0, 1), 1.5, 3)])
+def test_isometries_satisfy_the_partial_trace_identity(chains, coords, q, M):
+    ch = chains(coords, q, M)
+    for n in range(ch.M):
+        assert _partial_trace_residual(ch, n) <= 1e-13
+
+
+def test_partial_trace_identity_sees_an_isometry_leave_its_component(chains):
+    # mix into column j of w_2 a unit vector v of the same weight block of
+    # V_lam (x) V_{2 lam}, orthogonal to every column of w_2: the map stays
+    # graded and isometric, and the levels pass check_module, but it no
+    # longer intertwines
+    ch = chains((1, 1), 1.5, 4)
+    T, top, W = ch.tensor(2), ch.levels[3], ch.w[2].to_dense()
+    for j in range(top.dim):
+        block = np.flatnonzero((T.weights == top.weights[j]).all(axis=1))
+        cols = np.flatnonzero((top.weights == top.weights[j]).all(axis=1))
+        if block.size > cols.size:
+            break
+    U = np.linalg.svd(W[block][:, cols])[0]
+    v = np.zeros(T.dim)
+    v[block] = U[:, cols.size]
+    theta = 0.3
+    Wm = W.copy()
+    Wm[:, j] = np.cos(theta) * W[:, j] + np.sin(theta) * v
+    assert np.max(np.abs(Wm.T @ Wm - np.eye(top.dim))) <= 1e-14
+    graded = (T.weights[:, None, :] == top.weights[None, :, :]).all(axis=2)
+    assert not Wm[~graded].any()
+    bad = sps.CartanChain.from_parts(ch.lam, ch.q, ch.M, ch.tol, ch.levels,
+                                     ch.w[:2] + [Wm] + ch.w[3:])
+    assert all(repn.check_module(lv)["max"] <= 1e-14 for lv in bad.levels)
+    assert _partial_trace_residual(ch, 2) <= 1e-13
+    assert _partial_trace_residual(bad, 2) > 0.1
 
 
 def test_shift_operators_refuse_a_vector_of_the_wrong_length(chains):
